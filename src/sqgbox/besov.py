@@ -66,12 +66,15 @@ def besov_norm(
         term = (2.0** (j * params.s)) * bn
         rows.append((j, bn, term))
         terms.append(term)
+    return _lq_aggregate(terms, params.q), BesovProfile(rows)
+
+
+def _lq_aggregate(terms, q: float) -> float:
+    """l^q norm of the weighted block terms (max for q = inf, 0 when empty)."""
     terms = np.asarray(terms)
-    if np.isinf(params.q):
-        value = float(terms.max()) if terms.size else 0.0
-    else:
-        value = float(np.sum(terms**params.q) ** (1.0 / params.q))
-    return value, BesovProfile(rows)
+    if np.isinf(q):
+        return float(terms.max()) if terms.size else 0.0
+    return float(np.sum(terms**q) ** (1.0 / q))
 
 
 def conjugate_exponent(p: float) -> float:

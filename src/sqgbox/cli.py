@@ -64,7 +64,6 @@ DEFAULT_CONFIG = {
         "dt": 1e-3,
         "horizon": 0.1,
         "scheme": "ETD2",
-        "dealias_factor": 2,
         "snapshot_stride": 10,
     },
     "samples": {"mode_count": 32, "decay": 1.0, "seed": 1234, "count": 100},
@@ -96,7 +95,6 @@ DEFAULT_CONFIG = {
     "field_file": None,
     "output_dir": "runs/out",
     "seed": 1234,
-    "workers": 1,
 }
 
 
@@ -153,9 +151,26 @@ def load_config(path, overrides=(), out=None, seed=None) -> dict:
     return cfg
 
 
+# Keys that only some initial-data types read, so DEFAULT_CONFIG lacks them.
+_OPTIONAL_KEYS = ("initial.entries", "initial.index")
+
+
+def _unknown_keys(cfg: dict, default: dict, prefix: str = "") -> list[str]:
+    """Dotted paths in ``cfg`` that ``default`` does not define."""
+    out = []
+    for key, val in cfg.items():
+        path = prefix + key
+        if key not in default:
+            if path not in _OPTIONAL_KEYS:
+                out.append(path)
+        elif isinstance(val, dict) and isinstance(default[key], dict):
+            out.extend(_unknown_keys(val, default[key], path + "."))
+    return out
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Structural and hypothesis checks; an empty list means runnable."""
-    bad = []
+    bad = [f"unknown config key {path!r}" for path in _unknown_keys(cfg, DEFAULT_CONFIG)]
 
     def check(cond, msg):
         if not cond:
@@ -191,7 +206,6 @@ def validate_config(cfg: dict) -> list[str]:
             dt=_num(sol["dt"]),
             horizon=_num(sol["horizon"]),
             scheme=sol["scheme"],
-            dealias_factor=int(sol["dealias_factor"]),
             snapshot_stride=int(sol["snapshot_stride"]),
         ).n_steps
     except (KeyError, TypeError, ValueError) as exc:
@@ -207,6 +221,8 @@ def validate_config(cfg: dict) -> list[str]:
         bad.append(f"samples section invalid: {exc}")
     try:
         bat = cfg["battery"]
+        for name in ("s", "q", "pairs"):
+            check(len(bat[name]) >= 1, f"battery.{name} must not be empty")
         for s in list(bat["s"]) + list(bat.get("probe_s", [])):
             check(-1.0 < _num(s) < 2.0, f"battery regularity {s} outside (-1, 2)")
         for pair in bat["pairs"]:
@@ -223,23 +239,32 @@ def validate_config(cfg: dict) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"besov section invalid: {exc}")
     try:
+        check(int(cfg["structure"]["pair_count"]) >= 1, "structure.pair_count must be >= 1")
+    except (KeyError, TypeError, ValueError) as exc:
+        bad.append(f"structure section malformed: {exc}")
+    try:
         ini = cfg["initial"]
+        modes = [int(m) for m in cfg["domain"]["modes"]]
+
+        def in_band(m, n):
+            return 1 <= int(m) <= modes[0] and 1 <= int(n) <= modes[1]
+
         check(
             ini["type"] in ("single-mode", "two-mode", "random"),
             "initial.type must be single-mode, two-mode, or random",
         )
         if ini["type"] == "single-mode":
+            check(in_band(ini["m"], ini["n"]), "initial mode outside the domain truncation")
+        if ini["type"] == "two-mode":
+            entries = ini.get("entries")
             check(
-                1 <= int(ini["m"]) <= int(cfg["domain"]["modes"][0])
-                and 1 <= int(ini["n"]) <= int(cfg["domain"]["modes"][1]),
-                "initial mode outside the domain truncation",
+                isinstance(entries, list)
+                and len(entries) >= 1
+                and all(in_band(m, n) and math.isfinite(_num(amp)) for m, n, amp in entries),
+                "initial.entries must list [m, n, amplitude] modes inside the domain truncation",
             )
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"initial section malformed: {exc}")
-    try:
-        check(int(cfg["workers"]) >= 1, "workers must be >= 1")
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"workers malformed: {exc}")
     return bad
 
 
@@ -276,7 +301,6 @@ def build_solver(cfg: dict, dt=None, horizon=None, scheme=None, stride=None) -> 
         dt=_num(dt if dt is not None else sol["dt"]),
         horizon=_num(horizon if horizon is not None else sol["horizon"]),
         scheme=scheme if scheme is not None else sol["scheme"],
-        dealias_factor=int(sol["dealias_factor"]),
         snapshot_stride=int(stride if stride is not None else sol["snapshot_stride"]),
     )
 
@@ -412,14 +436,7 @@ def _cmd_verify_bilinear(cfg: dict) -> int:
         "pairs": [[_num(a), _num(b)] for a, b in cfg["battery"]["pairs"]],
         "probe_s": [_num(s) for s in cfg["battery"].get("probe_s", [])],
     }
-    reports = bilinear_battery(
-        domain,
-        refined,
-        build_sample_spec(cfg),
-        battery,
-        build_profile(cfg),
-        workers=int(cfg["workers"]),
-    )
+    reports = bilinear_battery(domain, refined, build_sample_spec(cfg), battery, build_profile(cfg))
     run.write_json("bilinear.json", [r.to_json_dict() for r in reports])
     rows = [
         [
@@ -484,7 +501,7 @@ def _cmd_verify_multipliers(cfg: dict) -> int:
     spec = build_sample_spec(cfg)
     grids = [tuple(cfg["domain"]["grid"]), tuple(cfg["refined_grid"])]
     grids = [(int(a), int(b)) for a, b in grids]
-    bounds = multiplier_bound_study(domain, spec, profile, grids=grids, workers=int(cfg["workers"]))
+    bounds = multiplier_bound_study(domain, spec, profile, grids=grids)
     flat_sample = sample_field(SampleSpec(spec.mode_count, 0.0, spec.seed, 1), domain, 0)
     smoothing = heat_smoothing_study(flat_sample, profile, grids=grids)
     elliptic = elliptic_ratio_study(domain, SampleSpec(spec.mode_count, spec.decay, spec.seed, min(spec.count, 20)))

@@ -26,8 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
-
 PARITIES = ("SS", "SC", "CS", "CC")
 
 _FAMILY_PRODUCT = {("S", "S"): "C", ("S", "C"): "S", ("C", "S"): "S", ("C", "C"): "C"}
@@ -330,7 +328,7 @@ def lp_norm(grid_field: GridField, p: float) -> float:
         return float(np.sqrt(w * np.vdot(v, v).real))
     if p == 1:
         return float(w * np.sum(np.abs(v)))
-    return float((w * kernels.power_sum(v, p)) ** (1.0 / p))
+    return float((w * np.sum(np.abs(v) ** p)) ** (1.0 / p))
 
 
 def inner_product(a: GridField, b: GridField) -> float:
@@ -381,11 +379,14 @@ def evaluate_at(field: SpectralField, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return B1 @ field.coefficients @ B2.T
 
 
-def dealias_grid(band: tuple[int, int], factor: int = 2) -> tuple[int, int]:
-    """Grid on which products of ``band``-limited fields are analyzed exactly."""
-    if factor < 2:
-        raise ValueError("dealias factor must be at least 2")
-    return (factor * band[0] + 1, factor * band[1] + 1)
+def dealias_grid(band: tuple[int, int]) -> tuple[int, int]:
+    """Grid on which products of ``band``-limited fields are analyzed exactly.
+
+    2b+1 points per axis: a product of band-b fields has band 2b, and on this
+    grid both its SS projection onto band b and its full product band are
+    recovered exactly.  Every product in the package uses this one grid.
+    """
+    return (2 * band[0] + 1, 2 * band[1] + 1)
 
 
 def pointwise_product(a: SpectralField, b: SpectralField, grid: tuple[int, int]) -> GridField:

@@ -20,12 +20,11 @@ across grid refinement.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .besov import BesovParams, besov_norm
+from .besov import BesovParams, _lq_aggregate, besov_norm
 from .domain import (
     DomainSpec,
     GridField,
@@ -127,13 +126,6 @@ def _jsonable(v):
     return v
 
 
-def _map(fn, items, workers: int = 1):
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def holder_target(p1: float, p2: float) -> float:
     """p with 1/p = 1/p1 + 1/p2."""
     return 1.0 / (1.0 / p1 + 1.0 / p2)
@@ -149,9 +141,7 @@ def _validate_bilinear_params(s, p, p1, p2, p3, p4) -> None:
         raise ValueError("interior exponents p2, p3 must lie in (1, inf)")
 
 
-def symmetrized_product(
-    f: SpectralField, g: SpectralField, dealias_factor: int = 2
-) -> tuple[SpectralField, SpectralField]:
+def symmetrized_product(f: SpectralField, g: SpectralField) -> tuple[SpectralField, SpectralField]:
     """SS projections of the components of (grad Lambda^{-1} f) g
     + f grad Lambda^{-1} g at the common band of f and g."""
     if f.domain != g.domain:
@@ -159,7 +149,7 @@ def symmetrized_product(
     if f.band != g.band:
         raise ValueError("fields must share a band")
     band = f.band
-    grid = dealias_grid(band, dealias_factor)
+    grid = dealias_grid(band)
     Lf = fractional_power(f, -1.0)
     Lg = fractional_power(g, -1.0)
     out = []
@@ -183,14 +173,13 @@ def verify_bilinear(
     p4: float,
     q: float,
     profile: DyadicProfile | None = None,
-    dealias_factor: int = 2,
     grid: tuple[int, int] | None = None,
 ) -> tuple[float, dict]:
     """Ratio LHS/RHS of the bilinear Besov product bound for one tuple."""
     _validate_bilinear_params(s, p, p1, p2, p3, p4)
     if profile is None:
         profile = DyadicProfile()
-    T1, T2 = symmetrized_product(f, g, dealias_factor)
+    T1, T2 = symmetrized_product(f, g)
     b1, _ = besov_norm(T1, BesovParams(s, p, q), profile, grid)
     b2, _ = besov_norm(T2, BesovParams(s, p, q), profile, grid)
     lhs = math.hypot(b1, b2)
@@ -217,10 +206,7 @@ class _BlockNorms:
                     self.norms[(gi, j, p)] = lp_norm(gf, p)
 
     def besov(self, gi: int, s: float, p: float, q: float) -> float:
-        terms = np.array([2.0 ** (j * s) * self.norms[(gi, j, p)] for j in self.js])
-        if math.isinf(q):
-            return float(terms.max()) if terms.size else 0.0
-        return float(np.sum(terms**q) ** (1.0 / q))
+        return _lq_aggregate([2.0 ** (j * s) * self.norms[(gi, j, p)] for j in self.js], q)
 
 
 DEFAULT_BATTERY = {
@@ -237,8 +223,6 @@ def bilinear_battery(
     sample_spec: SampleSpec,
     battery: dict | None = None,
     profile: DyadicProfile | None = None,
-    dealias_factor: int = 2,
-    workers: int = 1,
 ) -> list[EstimateReport]:
     """Full tuple battery over seeded sample pairs, with block-norm caching.
 
@@ -265,7 +249,7 @@ def bilinear_battery(
     def per_sample(i):
         f = sample_field(sample_spec, domain, 2 * i)
         g = sample_field(sample_spec, domain, 2 * i + 1)
-        T1, T2 = symmetrized_product(f, g, dealias_factor)
+        T1, T2 = symmetrized_product(f, g)
         tables = {name: _BlockNorms(fld, js, profile, grids, block_ps)
                   for name, fld in (("f", f), ("g", g), ("T1", T1), ("T2", T2))}
         plain = {}
@@ -277,7 +261,7 @@ def bilinear_battery(
                 plain[(gi, "g", p)] = lp_norm(gg, p)
         return tables, plain
 
-    cached = _map(per_sample, range(sample_spec.count), workers)
+    cached = [per_sample(i) for i in range(sample_spec.count)]
 
     reports = []
     for s, probe in s_values:
@@ -317,7 +301,6 @@ def verify_product_decomposition(
     f: SpectralField,
     g: SpectralField,
     profile: DyadicProfile | None = None,
-    dealias_factor: int = 2,
 ) -> float:
     """Relative L2 defect of fg against the ordered dyadic half sums
     sum_k sum_{l<=k} f_k g_l + sum_l sum_{k<l} f_k g_l on the product grid."""
@@ -326,7 +309,7 @@ def verify_product_decomposition(
     if f.domain != g.domain:
         raise ValueError("fields live on different domains")
     band = (max(f.band[0], g.band[0]), max(f.band[1], g.band[1]))
-    grid = dealias_grid(band, dealias_factor)
+    grid = dealias_grid(band)
     fg = pointwise_product(f, g, grid)
     js_f = list(j_range(f.domain, f.band))
     js_g = list(j_range(g.domain, g.band))
@@ -359,7 +342,6 @@ def verify_derivative_structure(
     f: SpectralField,
     g: SpectralField,
     qspec: QuadratureSpec | None = None,
-    dealias_factor: int = 2,
 ) -> tuple[float, float]:
     """Residual of the commutator-type identity
 
@@ -382,7 +364,7 @@ def verify_derivative_structure(
     if qspec is None:
         qspec = adapted_quadrature(lam_min, lam_max)
     band = (max(f.band[0], g.band[0]), max(f.band[1], g.band[1]))
-    grid = dealias_grid(band, dealias_factor)
+    grid = dealias_grid(band)
     F = fractional_power(f, -1.0)
     G = fractional_power(g, -1.0)
 
@@ -496,7 +478,6 @@ def multiplier_bound_study(
     profile: DyadicProfile | None = None,
     ps=(1.0, 2.0, math.inf),
     grids: list[tuple[int, int]] | None = None,
-    workers: int = 1,
 ) -> dict:
     """Maxima of block and block-gradient Bernstein ratios per exponent and
     grid, plus the (2, inf) smoothing pair ||phi_j f||_inf / (2^j ||f||_2)."""
@@ -527,7 +508,7 @@ def multiplier_bound_study(
                     out.append(("smoothing_2_inf", None, gi, sup / (2.0**j * base_l2)))
         return out
 
-    rows = [r for chunk in _map(per_sample, range(sample_spec.count), workers) for r in chunk]
+    rows = [r for i in range(sample_spec.count) for r in per_sample(i)]
     report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
     labels = [f"{g[0]}x{g[1]}" for g in grids]
     for kind, p, gi, val in rows:

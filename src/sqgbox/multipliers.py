@@ -28,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import kernels
 from .domain import DomainSpec, SpectralField, lambda_table
 
 C0 = 1.0 / math.pi
@@ -173,7 +172,12 @@ def sqrt_via_resolvent(
         spec = QuadratureSpec()
     lam = lambda_table(field)
     mu, w = quadrature_nodes(spec)
-    vals = C0 * kernels.resolvent_quadrature_table(lam, mu, w)
+    # sum_k w_k mu_k^{-1/2} lam/(1 + mu_k lam), accumulated node by node: a
+    # modes-by-nodes temporary would dwarf the coefficient array for wide brackets.
+    table = np.zeros_like(lam)
+    for k in range(mu.shape[0]):
+        table += (w[k] * mu[k] ** -0.5) * (lam / (1.0 + mu[k] * lam))
+    vals = C0 * table
     vals = vals + C0 * (2.0 * math.sqrt(spec.mu_min) * lam - (2.0 / 3.0) * spec.mu_min**1.5 * lam**2)
     vals = vals + C0 * (2.0 / math.sqrt(spec.mu_max) - (2.0 / 3.0) * spec.mu_max**-1.5 / lam)
     out = SpectralField(field.domain, "SS", field.coefficients * vals)

@@ -63,7 +63,6 @@ class SolverConfig:
     dt: float
     horizon: float
     scheme: str = "ETD2"
-    dealias_factor: int = 2
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -76,8 +75,6 @@ class SolverConfig:
         if key not in canonical:
             raise ValueError(f"scheme must be one of {_SCHEMES}")
         object.__setattr__(self, "scheme", canonical[key])
-        if self.dealias_factor < 2:
-            raise ValueError("dealias factor must be at least 2")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be a positive integer")
 
@@ -97,11 +94,7 @@ def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     return u1, u2
 
 
-def nonlinear_term(
-    theta: SpectralField,
-    dealias_factor: int = 2,
-    form: str = "convective",
-) -> SpectralField:
+def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralField:
     """SS projection of the advection term at the band of ``theta``.
 
     "convective" evaluates u . grad theta on the dealiased grid and projects
@@ -112,7 +105,7 @@ def nonlinear_term(
     if theta.parity != "SS":
         raise ValueError("state must be an SS field")
     band = theta.band
-    grid = dealias_grid(band, dealias_factor)
+    grid = dealias_grid(band)
     u1, u2 = velocity(theta)
     if form == "convective":
         t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
@@ -136,13 +129,13 @@ def _advance(theta: SpectralField, config: SolverConfig, n0: SpectralField) -> S
     if config.scheme == "IF-Euler":
         return heat_semigroup(theta - dt * n0, dt)
     pred = heat_semigroup(theta - dt * n0, dt)
-    n1 = nonlinear_term(pred, config.dealias_factor)
+    n1 = nonlinear_term(pred)
     return heat_semigroup(theta - (dt / 2.0) * n0, dt) - (dt / 2.0) * n1
 
 
 def step(theta: SpectralField, config: SolverConfig) -> SpectralField:
     """One time step of the configured scheme."""
-    return _advance(theta, config, nonlinear_term(theta, config.dealias_factor))
+    return _advance(theta, config, nonlinear_term(theta))
 
 
 @dataclass
@@ -181,7 +174,7 @@ def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
 
     last_l2 = spectral_norm(theta)
     for k in range(1, n + 1):
-        n0 = nonlinear_term(theta, config.dealias_factor)
+        n0 = nonlinear_term(theta)
         record_diag((k - 1) * dt, theta, n0)
         last_l2 = diag_l2[-1]
         theta = _advance(theta, config, n0)
@@ -190,7 +183,7 @@ def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
         if k % config.snapshot_stride == 0 or k == n:
             times.append(k * dt)
             snapshots.append(theta.copy())
-    record_diag(n * dt, theta, nonlinear_term(theta, config.dealias_factor))
+    record_diag(n * dt, theta, nonlinear_term(theta))
     return TrajectoryRecord(
         domain=theta0.domain,
         config=config,
@@ -220,7 +213,7 @@ def mild_residual(traj: TrajectoryRecord, g: SpectralField, t: float) -> float:
     lhs = spectral_inner(traj.snapshots[it], g)
     linear = spectral_inner(heat_semigroup(theta0, t), g)
     taus = traj.times[: it + 1]
-    grid = dealias_grid(theta0.band, traj.config.dealias_factor)
+    grid = dealias_grid(theta0.band)
     vals = np.empty(len(taus))
     for i, tau in enumerate(taus):
         state = traj.snapshots[i]
@@ -255,7 +248,6 @@ def save_trajectory(dirpath, traj: TrajectoryRecord) -> None:
             "dt": traj.config.dt,
             "horizon": traj.config.horizon,
             "scheme": traj.config.scheme,
-            "dealias_factor": traj.config.dealias_factor,
             "snapshot_stride": traj.config.snapshot_stride,
         },
         "times": [float(t) for t in traj.times],
@@ -276,7 +268,11 @@ def save_trajectory(dirpath, traj: TrajectoryRecord) -> None:
 def load_trajectory(dirpath) -> TrajectoryRecord:
     with open(os.path.join(dirpath, "trajectory.json")) as fh:
         doc = json.load(fh)
-    config = SolverConfig(**doc["solver"])
+    sol = doc["solver"]
+    # named keys only: files written by older versions carry a removed solver key
+    config = SolverConfig(
+        dt=sol["dt"], horizon=sol["horizon"], scheme=sol["scheme"], snapshot_stride=sol["snapshot_stride"]
+    )
     snapshots = [read_field(os.path.join(dirpath, name)) for name in doc["snapshot_files"]]
     diag_times, diag_l2, diag_orth = [], [], []
     with open(os.path.join(dirpath, "diagnostics.csv"), newline="") as fh:

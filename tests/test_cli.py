@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +164,35 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     code = run(["simulate", "--config", cfg, "--set", "solver.dt=-1", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["solver.dtt", "workers", "solver.dealias_factor"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key):
+    cfg = _write_cfg(tmp_path)
+    code = run(["simulate", "--config", cfg, "--set", f"{key}=2", "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, override",
+    [
+        ("verify-bilinear", "battery.s=[]"),
+        ("verify-structure", "structure.pair_count=0"),
+        ("simulate", 'initial.type="two-mode"'),
+    ],
+)
+def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, override):
+    cfg = _write_cfg(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqgbox.cli", subcommand, "--config", cfg, "--set", override,
+         "--out", str(tmp_path / "x")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "config violation" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_config_exits_2(tmp_path):

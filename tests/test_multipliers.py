@@ -207,6 +207,20 @@ def test_sqrt_via_resolvent_matches_fractional_power(square16, rng):
     assert err <= 1e-9
 
 
+def test_resolvent_quadrature_matches_dense_sum(rect):
+    # unit coefficients expose the multiplier; subtract the closed-form ends
+    # to leave sum_k w_k mu_k^{-1/2} lam / (1 + mu_k lam) over the nodes
+    spec = QuadratureSpec()
+    f = SpectralField(rect, "SS", np.ones((rect.M1, rect.M2)))
+    out, _ = sqrt_via_resolvent(f, spec)
+    lam = lambda_table(f)
+    head = 2.0 * math.sqrt(spec.mu_min) * lam - (2.0 / 3.0) * spec.mu_min**1.5 * lam**2
+    tail = 2.0 / math.sqrt(spec.mu_max) - (2.0 / 3.0) * spec.mu_max**-1.5 / lam
+    mu, w = quadrature_nodes(spec)
+    ref = np.einsum("k,mnk->mn", w * mu**-0.5, lam[..., None] / (1.0 + mu * lam[..., None]))
+    np.testing.assert_allclose(out.coefficients / C0 - head - tail, ref, rtol=1e-13)
+
+
 def test_sqrt_bound_inf_when_bracket_misses(square16):
     f = unit_mode(square16, 1, 1)
     _, bound = sqrt_via_resolvent(f, QuadratureSpec(8, 1.0, 10.0))

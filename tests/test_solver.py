@@ -1,5 +1,6 @@
 """Velocity, nonlinear term, time stepping, and trajectory persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 
 from sqgbox import (
     BlowUpError,
+    GridField,
     SolverConfig,
     SpectralField,
+    analyze,
     grid_points,
     heat_semigroup,
     lambda_table,
@@ -16,6 +19,7 @@ from sqgbox import (
     mild_residual,
     nonlinear_term,
     partial_derivative,
+    pointwise_product,
     save_trajectory,
     simulate,
     snapshot_index,
@@ -44,8 +48,6 @@ def test_config_validation():
         SolverConfig(dt=-1e-3, horizon=1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-3, horizon=1.0, scheme="rk9")
-    with pytest.raises(ValueError):
-        SolverConfig(dt=1e-3, horizon=1.0, dealias_factor=1)
     with pytest.raises(ValueError):
         SolverConfig(dt=3e-3, horizon=1.0).n_steps  # not an integer multiple
     assert SolverConfig(dt=1e-3, horizon=0.05).n_steps == 50
@@ -102,10 +104,15 @@ def test_nonlinear_term_orthogonal_to_state(square16, rng):
 
 
 def test_dealias_factor_insensitivity(square16, rng):
-    # factor 2 already reaches the full product band, so 3 changes nothing
+    # the 2b+1 product grid already reaches the full product band, so
+    # forming u . grad theta on a 3b+1 grid changes nothing
     theta = _random_ss(square16, rng)
-    a = nonlinear_term(theta, dealias_factor=2)
-    b = nonlinear_term(theta, dealias_factor=3)
+    u1, u2 = velocity(theta)
+    grid = (3 * theta.band[0] + 1, 3 * theta.band[1] + 1)
+    t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
+    t2 = pointwise_product(u2, partial_derivative(theta, 2), grid)
+    b = analyze(GridField(square16, t1.values + t2.values), "SS", modes=theta.band)
+    a = nonlinear_term(theta)
     scale = np.max(np.abs(a.coefficients))
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
 
@@ -210,6 +217,12 @@ def test_save_load_round_trip(tmp_path, square16, rng):
     for a, b in zip(back.snapshots, traj.snapshots):
         assert np.array_equal(a.coefficients, b.coefficients)
     np.testing.assert_array_equal(back.diag_l2, traj.diag_l2)
+    # directories written before the dealias grid was fixed carry an extra key
+    doc_path = tmp_path / "run" / "trajectory.json"
+    doc = json.loads(doc_path.read_text())
+    doc["solver"]["dealias_factor"] = 2
+    doc_path.write_text(json.dumps(doc))
+    assert load_trajectory(tmp_path / "run").config == traj.config
 
 
 # -- mild formulation ------------------------------------------------------
