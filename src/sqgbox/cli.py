@@ -8,8 +8,9 @@ the config hash, package version, and an inventory of output files is
 written last.  Wall-clock timestamps appear only in the run log, which is
 excluded from the manifest inventory.
 
-Exit codes: 0 on success, 1 when an asserted property fails, 2 on config
-validation errors.
+Exit codes: 0 on success, 1 when an asserted property fails or the
+integration blows up, 2 on config validation errors.  Non-finite report
+values are written as the strings "nan", "inf" and "-inf".
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .harness import (
     verify_duhamel_growth,
 )
 from .multipliers import DyadicProfile, QuadratureSpec
-from .solver import SolverConfig, save_trajectory, simulate
+from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 
 SUBCOMMANDS = (
     "simulate",
@@ -133,6 +134,8 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
 def load_config(path, overrides=(), out=None, seed=None) -> dict:
     with open(path) as fh:
         user = json.load(fh)
+    if not isinstance(user, dict):
+        raise ValueError(f"config file must hold a JSON object, not {type(user).__name__}")
     cfg = _merge(DEFAULT_CONFIG, user)
     for item in overrides:
         if "=" not in item:
@@ -243,12 +246,51 @@ def validate_config(cfg: dict) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"structure section malformed: {exc}")
     try:
-        ini = cfg["initial"]
         modes = [int(m) for m in cfg["domain"]["modes"]]
+    except (KeyError, TypeError, ValueError):
+        modes = [0, 0]  # already reported with the domain section
 
-        def in_band(m, n):
-            return 1 <= int(m) <= modes[0] and 1 <= int(n) <= modes[1]
+    def in_band(m, n):
+        return 1 <= int(m) <= modes[0] and 1 <= int(n) <= modes[1]
 
+    def positive(section, keys):
+        ok = [0 < _num(cfg[section][key]) < math.inf for key in keys]
+        for key, good in zip(keys, ok):
+            check(good, f"{section}.{key} must be positive and finite")
+        return all(ok)
+
+    def steps_fit(section, horizon, dts):
+        # verify-duhamel runs dt and dt/2, verify-uniqueness dt, dt/2, dt/4 and cross_dt
+        for dt in dts:
+            try:
+                SolverConfig(dt=dt, horizon=horizon).n_steps
+            except ValueError:
+                bad.append(f"{section}.horizon must be an integer multiple of step {dt:g}")
+
+    try:
+        du = cfg["duhamel"]
+        check(int(du["count"]) >= 1, "duhamel.count must be >= 1")
+        check(_num(du["p"]) >= 1, "duhamel.p must be >= 1")
+        check(
+            len(du["modes"]) >= 1 and all(in_band(m, n) for m, n in du["modes"]),
+            "duhamel.modes must list [m, n] modes inside the domain truncation",
+        )
+        if positive("duhamel", ("dt", "horizon", "amplitude")):
+            dt = _num(du["dt"])
+            steps_fit("duhamel", _num(du["horizon"]), (dt, dt / 2.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        bad.append(f"duhamel section malformed: {exc}")
+    try:
+        un = cfg["uniqueness"]
+        for key in ("shrink_factor", "cross_tolerance"):
+            check(not math.isnan(_num(un[key])), f"uniqueness.{key} must be a number")
+        if positive("uniqueness", ("dt", "horizon", "cross_dt", "amplitude")):
+            dt = _num(un["dt"])
+            steps_fit("uniqueness", _num(un["horizon"]), (dt, dt / 2.0, dt / 4.0, _num(un["cross_dt"])))
+    except (KeyError, TypeError, ValueError) as exc:
+        bad.append(f"uniqueness section malformed: {exc}")
+    try:
+        ini = cfg["initial"]
         check(
             ini["type"] in ("single-mode", "two-mode", "random"),
             "initial.type must be single-mode, two-mode, or random",
@@ -331,7 +373,9 @@ class RunDir:
     def __init__(self, cfg: dict):
         self.path = cfg["output_dir"]
         os.makedirs(self.path, exist_ok=True)
-        self.cfg_text = json.dumps(cfg, sort_keys=True, indent=2, default=_json_default)
+        self.cfg_text = json.dumps(
+            _report_value(cfg), sort_keys=True, indent=2, allow_nan=False, default=_json_default
+        )
         self.log_path = os.path.join(self.path, "runlog.txt")
         self.files = []
         with open(os.path.join(self.path, "config.json"), "w") as fh:
@@ -345,7 +389,9 @@ class RunDir:
 
     def write_json(self, name: str, payload) -> None:
         with open(os.path.join(self.path, name), "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+            json.dump(
+                _report_value(payload), fh, sort_keys=True, indent=2, allow_nan=False, default=_json_default
+            )
             fh.write("\n")
         self.files.append(name)
 
@@ -380,19 +426,33 @@ class RunDir:
             fh.write("\n")
 
 
+def _report_value(o):
+    """Copy of ``o`` with non-finite floats spelled "nan", "inf" or "-inf".
+
+    Strict JSON has no NaN or Infinity; these are the spellings ``_num``
+    reads back.  Arrays become lists, everything else passes through.
+    """
+    if isinstance(o, dict):
+        return {k: _report_value(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_report_value(v) for v in o]
+    if isinstance(o, np.ndarray):
+        return _report_value(o.tolist())
+    if isinstance(o, (float, np.floating)) and not math.isfinite(o):
+        return "nan" if math.isnan(o) else ("inf" if o > 0 else "-inf")
+    return o
+
+
 def _json_default(o):
     if isinstance(o, (np.floating,)):
         return float(o)
     if isinstance(o, (np.integer,)):
         return int(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if o is math.inf:
-        return "inf"
     raise TypeError(f"cannot serialize {type(o)}")
 
 
 def _csv_cell(c):
+    c = _report_value(c)
     if isinstance(c, (float, np.floating)):
         return repr(float(c))
     return c
@@ -674,7 +734,11 @@ def run(argv=None) -> int:
         for v in violations:
             print(f"config violation: {v}", file=sys.stderr)
         return 2
-    return _HANDLERS[args.subcommand](cfg)
+    try:
+        return _HANDLERS[args.subcommand](cfg)
+    except BlowUpError as exc:
+        print(f"{args.subcommand}: blow-up: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -16,6 +16,15 @@ analysis is an exact L2 projection for band-limited data; cosine families
 carry a rank-two end effect and analysis therefore solves the per-axis
 discrete Gram system (least squares in the quadrature metric), which is
 exact whenever the sampled function lies in the requested span.
+
+Products of band-limited fields are formed on a grid chosen by what the
+projection needs.  On N points per axis a sine mode k aliases onto
+2(N+1) - k.  ``dealias_grid`` (2b+1 points) resolves the full product band
+2b, which the divergence form, the weak Duhamel pairing, the symmetrized
+bilinear product and the structure identity analyze or pair against.
+``projection_grid`` (floor(3b/2) points, the 3/2 rule) resolves only the
+SS projection of an SS-parity product back onto band b, which is all the
+convective SQG term needs.
 """
 
 from __future__ import annotations
@@ -384,9 +393,22 @@ def dealias_grid(band: tuple[int, int]) -> tuple[int, int]:
 
     2b+1 points per axis: a product of band-b fields has band 2b, and on this
     grid both its SS projection onto band b and its full product band are
-    recovered exactly.  Every product in the package uses this one grid.
+    recovered exactly.  Every product except the convective SQG term uses
+    this grid.
     """
     return (2 * band[0] + 1, 2 * band[1] + 1)
+
+
+def projection_grid(band: tuple[int, int]) -> tuple[int, int]:
+    """Smallest grid on which the SS projection onto ``band`` of an SS-parity
+    product of two ``band``-limited fields is exact.
+
+    floor(3b/2) points per axis (the 3/2 rule): the product has band 2b and
+    mode k aliases onto 2(N+1) - k, which stays above b for every k <= 2b
+    exactly when N + 1 > 3b/2.  The product band itself is not recovered on
+    this grid; use ``dealias_grid`` for that.
+    """
+    return (3 * band[0] // 2, 3 * band[1] // 2)
 
 
 def pointwise_product(a: SpectralField, b: SpectralField, grid: tuple[int, int]) -> GridField:

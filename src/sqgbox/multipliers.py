@@ -102,11 +102,37 @@ def dyadic_block(field: SpectralField, j: int, profile: DyadicProfile) -> Spectr
     return apply_multiplier(field, lambda s: profile.phi(np.ldexp(s, -j)))
 
 
+def _heat_weights(s: np.ndarray, t: float) -> np.ndarray:
+    return np.exp(-t * s * s)
+
+
 def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
     """e^{t Delta} via weights exp(-t lambda); t must be nonnegative."""
     if t < 0:
         raise ValueError("heat semigroup requires t >= 0")
-    return apply_multiplier(field, lambda s: np.exp(-t * s * s))
+    return apply_multiplier(field, lambda s: _heat_weights(s, t))
+
+
+def heat_factor(domain: DomainSpec, band: tuple[int, int], t: float) -> np.ndarray:
+    """Read-only weight table exp(-t lambda) over the sine ``band``.
+
+    Built and checked once per (domain, band, t) and then shared, so a time
+    stepper scales coefficient arrays by it directly; the entries are
+    bit-identical to the weights ``heat_semigroup(., t)`` applies.
+    """
+    if t < 0:
+        raise ValueError("heat semigroup requires t >= 0")
+    return _heat_factor(domain, (int(band[0]), int(band[1])), float(t))
+
+
+# Bounded: keyed on t, which a caller may vary from step to step.
+@lru_cache(maxsize=64)
+def _heat_factor(domain: DomainSpec, band: tuple[int, int], t: float) -> np.ndarray:
+    tab = _heat_weights(np.sqrt(lambda_table(domain, band)), t)
+    if not np.all(np.isfinite(tab)):
+        raise FloatingPointError("multiplier produced non-finite values")
+    tab.setflags(write=False)
+    return tab
 
 
 def fractional_power(field: SpectralField, s: float) -> SpectralField:

@@ -3,17 +3,21 @@
 The evolution is d_t theta + u . grad theta = Delta theta with the
 divergence-free velocity u = grad^perp Lambda^{-1} theta, i.e.
 u1 = -d_y psi (parity SC) and u2 = d_x psi (parity CS) for the stream
-function psi = Lambda^{-1} theta.  The nonlinear term is formed on a
-dealiased product grid and projected back onto the sine band, either in
-convective form u . grad theta or in divergence form div(u theta); the two
-agree to round-off for band-limited states because u is exactly
-divergence-free in coefficients.
+function psi = Lambda^{-1} theta.  The nonlinear term is projected back onto
+the sine band, either in convective form u . grad theta or in divergence
+form div(u theta); the two agree to round-off for band-limited states
+because u is exactly divergence-free in coefficients.  The convective form
+only needs the SS projection of its product onto band b, so it runs on the
+3/2-rule ``projection_grid``; the divergence form analyzes the fluxes at
+their full product band and ``mild_residual`` pairs the fluxes with
+gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
   ETD2:     predictor = IF-Euler, corrector applies trapezoidal Duhamel
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
-Both reduce to the exact heat flow when N vanishes.
+Both reduce to the exact heat flow when N vanishes.  The factor
+e^{dt Delta} is the cached table ``heat_factor(domain, band, dt)``.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ from .domain import (
     partial_derivative,
     pointwise_product,
     product_parity,
+    projection_grid,
     read_field,
     spectral_inner,
     spectral_norm,
     synthesize,
     write_field,
 )
-from .multipliers import fractional_power, heat_semigroup
+from .multipliers import fractional_power, heat_factor, heat_semigroup
 
 _SCHEMES = ("IF-Euler", "ETD2")
 
@@ -97,22 +102,24 @@ def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
 def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralField:
     """SS projection of the advection term at the band of ``theta``.
 
-    "convective" evaluates u . grad theta on the dealiased grid and projects
+    "convective" evaluates u . grad theta on ``projection_grid`` and projects
     by exact sine quadrature; "divergence" analyzes the fluxes u_c theta at
-    the full product band, differentiates, and truncates.  Both are exact
-    projections of the same trig polynomial, so they agree to round-off.
+    the full product band on ``dealias_grid``, differentiates, and
+    truncates.  Both are exact projections of the same trig polynomial, so
+    they agree to round-off.
     """
     if theta.parity != "SS":
         raise ValueError("state must be an SS field")
     band = theta.band
-    grid = dealias_grid(band)
     u1, u2 = velocity(theta)
     if form == "convective":
+        grid = projection_grid(band)
         t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
         t2 = pointwise_product(u2, partial_derivative(theta, 2), grid)
         total = GridField(theta.domain, t1.values + t2.values)
         return analyze(total, "SS", modes=band)
     if form == "divergence":
+        grid = dealias_grid(band)
         out = None
         for axis, u in ((1, u1), (2, u2)):
             parity = product_parity(u.parity, "SS")
@@ -126,11 +133,13 @@ def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralFi
 
 def _advance(theta: SpectralField, config: SolverConfig, n0: SpectralField) -> SpectralField:
     dt = config.dt
+    decay = heat_factor(theta.domain, theta.band, dt)
+    c, c0 = theta.coefficients, n0.coefficients
+    pred = SpectralField(theta.domain, "SS", (c - c0 * dt) * decay)
     if config.scheme == "IF-Euler":
-        return heat_semigroup(theta - dt * n0, dt)
-    pred = heat_semigroup(theta - dt * n0, dt)
+        return pred
     n1 = nonlinear_term(pred)
-    return heat_semigroup(theta - (dt / 2.0) * n0, dt) - (dt / 2.0) * n1
+    return SpectralField(theta.domain, "SS", (c - c0 * (dt / 2.0)) * decay - n1.coefficients * (dt / 2.0))
 
 
 def step(theta: SpectralField, config: SolverConfig) -> SpectralField:

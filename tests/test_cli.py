@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sqgbox import unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
+    RunDir,
     build_domain,
     default_config,
     load_config,
@@ -180,6 +182,14 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
         ("verify-bilinear", "battery.s=[]"),
         ("verify-structure", "structure.pair_count=0"),
         ("simulate", 'initial.type="two-mode"'),
+        ("verify-duhamel", "duhamel.count=0"),
+        ("verify-duhamel", "duhamel.p=0.5"),
+        ("verify-duhamel", "duhamel.modes=[[1, 9]]"),
+        ("verify-duhamel", "duhamel.amplitude=0"),
+        ("verify-duhamel", "duhamel.horizon=0.0105"),
+        ("verify-uniqueness", "uniqueness.dt=0"),
+        ("verify-uniqueness", "uniqueness.horizon=NaN"),
+        ("verify-uniqueness", "uniqueness.cross_dt=3e-3"),
     ],
 )
 def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, override):
@@ -203,6 +213,43 @@ def test_malformed_json_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["simulate", "--config", str(bad)]) == 2
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "list.json"
+    bad.write_text("[]")
+    assert run(["simulate", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    assert "config error: config file must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_blow_up_exits_1_with_message(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    code = run(
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
+         "--set", "solver.dt=0.5", "--set", "solver.horizon=50",
+         "--set", 'initial.type="random"', "--set", "initial.amplitude=1e6"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "simulate: blow-up: non-finite state at t=" in err
+    assert "last finite L2 norm" in err
+
+
+def test_reports_spell_nonfinite_values_as_strings(tmp_path):
+    def strict(token):
+        raise ValueError(f"bare {token} in a report")
+
+    rd = RunDir(dict(DEFAULT_CONFIG, output_dir=str(tmp_path / "r")))
+    values = [math.nan, math.inf, -math.inf, np.float64("nan"), 0.25]
+    rd.write_json("r.json", {"list": values, "array": np.array(values), "nested": {"x": math.nan}})
+    rep = json.loads((tmp_path / "r" / "r.json").read_text(), parse_constant=strict)
+    spelled = ["nan", "inf", "-inf", "nan", 0.25]
+    assert rep == {"list": spelled, "array": spelled, "nested": {"x": "nan"}}
+    rd.write_csv("r.csv", ["a", "b", "c", "d", "e"], [values])
+    row = (tmp_path / "r" / "r.csv").read_text().splitlines()[1]
+    assert row == "nan,inf,-inf,nan,0.25"
 
 
 def test_seed_flag_changes_samples(tmp_path):

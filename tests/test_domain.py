@@ -25,6 +25,7 @@ from sqgbox import (
     partial_derivative,
     pointwise_product,
     product_parity,
+    projection_grid,
     read_field,
     spectral_inner,
     spectral_norm,
@@ -237,6 +238,29 @@ def test_product_parity_table():
 
 def test_dealias_grid_formula():
     assert dealias_grid((8, 6)) == (17, 13)
+
+
+def test_projection_grid_formula():
+    assert projection_grid((8, 5)) == (12, 7)
+    assert projection_grid((1, 2)) == (1, 3)
+
+
+@pytest.mark.parametrize("band", [(8, 5), (5, 8)])
+def test_projection_grid_is_smallest_exact_grid(rect, rng, band):
+    # SC x CS is an SS-parity product of band 2b; its SS projection onto b is
+    # exact on floor(3b/2) points per axis and aliased one point below
+    f = _random_field(rect, "SC", rng, band=band)
+    g = _random_field(rect, "CS", rng, band=band)
+
+    def projected(grid):
+        return analyze(pointwise_product(f, g, grid), "SS", modes=band).coefficients
+
+    ref = projected((3 * band[0] + 1, 3 * band[1] + 1))
+    scale = np.max(np.abs(ref))
+    n1, n2 = projection_grid(band)
+    assert np.max(np.abs(projected((n1, n2)) - ref)) <= 1e-12 * scale
+    for grid in ((n1 - 1, n2), (n1, n2 - 1)):
+        assert np.max(np.abs(projected(grid) - ref)) > 1e-3 * scale
 
 
 def test_in_span_product_is_exact(square16):

@@ -8,11 +8,13 @@ import pytest
 
 from sqgbox import (
     BlowUpError,
+    DomainSpec,
     GridField,
     SolverConfig,
     SpectralField,
     analyze,
     grid_points,
+    heat_factor,
     heat_semigroup,
     lambda_table,
     load_trajectory,
@@ -20,6 +22,7 @@ from sqgbox import (
     nonlinear_term,
     partial_derivative,
     pointwise_product,
+    projection_grid,
     save_trajectory,
     simulate,
     snapshot_index,
@@ -104,8 +107,8 @@ def test_nonlinear_term_orthogonal_to_state(square16, rng):
 
 
 def test_dealias_factor_insensitivity(square16, rng):
-    # the 2b+1 product grid already reaches the full product band, so
-    # forming u . grad theta on a 3b+1 grid changes nothing
+    # the 3/2-rule product grid already gives the exact projection onto the
+    # band, so forming u . grad theta on a 3b+1 grid changes nothing
     theta = _random_ss(square16, rng)
     u1, u2 = velocity(theta)
     grid = (3 * theta.band[0] + 1, 3 * theta.band[1] + 1)
@@ -117,7 +120,59 @@ def test_dealias_factor_insensitivity(square16, rng):
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
 
 
+@pytest.mark.parametrize("b", [8, 9])
+def test_convective_term_on_projection_grid(rng, b):
+    # u . grad theta projected onto band b: exact on the 3/2-rule grid (and
+    # that is the grid nonlinear_term uses), aliased one point below it
+    domain = DomainSpec(math.pi, 2.0, b, b, 2 * b, 2 * b)
+    theta = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (b, b)))
+    u1, u2 = velocity(theta)
+
+    def convective(grid):
+        t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
+        t2 = pointwise_product(u2, partial_derivative(theta, 2), grid)
+        return analyze(GridField(domain, t1.values + t2.values), "SS", modes=theta.band).coefficients
+
+    ref = convective((3 * b + 1, 3 * b + 1))
+    scale = np.max(np.abs(ref))
+    n1, n2 = projection_grid(theta.band)
+    assert np.max(np.abs(convective((n1, n2)) - ref)) <= 1e-12 * scale
+    assert np.array_equal(nonlinear_term(theta).coefficients, convective((n1, n2)))
+    for grid in ((n1 - 1, n2), (n1, n2 - 1)):
+        assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
+
+
 # -- stepping --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["IF-Euler", "ETD2"])
+def test_step_matches_heat_semigroup_formulation(square16, rng, scheme):
+    theta = _random_ss(square16, rng)
+    dt = 1e-2
+    n0 = nonlinear_term(theta)
+    pred = heat_semigroup(theta - dt * n0, dt)
+    if scheme == "IF-Euler":
+        ref = pred
+    else:
+        ref = heat_semigroup(theta - (dt / 2.0) * n0, dt) - (dt / 2.0) * nonlinear_term(pred)
+    out = step(theta, SolverConfig(dt=dt, horizon=dt, scheme=scheme))
+    scale = np.max(np.abs(ref.coefficients))
+    assert np.max(np.abs(out.coefficients - ref.coefficients)) <= 1e-14 * scale
+
+
+def test_heat_factor_table_is_cached_per_domain_band_and_dt(square16, rect):
+    a = heat_factor(square16, square16.modes, 1e-3)
+    assert heat_factor(square16, square16.modes, 1e-3) is a
+    assert not a.flags.writeable
+    np.testing.assert_allclose(a, np.exp(-1e-3 * lambda_table(square16)), rtol=1e-15)
+    b = heat_factor(square16, square16.modes, 2e-3)
+    assert b is not a and not np.array_equal(a, b)
+    c = heat_factor(rect, (16, 16), 1e-3)
+    assert c is not a and not np.array_equal(a, c)
+    with pytest.raises(ValueError):
+        heat_factor(square16, square16.modes, -1e-3)
+    with pytest.raises(FloatingPointError):
+        heat_factor(square16, square16.modes, math.nan)
 
 
 def test_schemes_exact_on_linear_flow(square16):
