@@ -6,6 +6,13 @@ spectrum, which is exact for the band-limited fields the toolkit produces.
 A duality pairing gives certified lower bounds, and embedding ratios can be
 measured for parameter pairs on the Bernstein line
 s_A - s_B = 2 (1/p_A - 1/p_B), p_B >= p_A.
+
+All block norms of a field come from one path, ``block_lp_norms``: the field
+is multiplied by the live rows of the cached ``dyadic_table`` (weights built
+once per domain, band and profile), the whole stack is synthesized with one
+broadcast matmul per grid, and every block's L^p norm is reduced in one
+call.  Rows that are identically zero, such as the spare block at each end
+of ``j_range``, get the norm 0.0 exactly and are never synthesized.
 """
 
 from __future__ import annotations
@@ -16,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SpectralField, lp_norm, spectral_inner, synthesize
-from .multipliers import DyadicProfile, dyadic_block, j_range
+from .domain import SpectralField, _lp_norms, _synthesize_array, spectral_inner
+from .multipliers import DyadicProfile, dyadic_table
 
 
 @dataclass(frozen=True)
@@ -54,19 +61,49 @@ def besov_norm(
     grid: tuple[int, int] | None = None,
 ) -> tuple[float, BesovProfile]:
     """Norm value plus the per-block profile; block norms use ``grid``."""
-    if field.parity != "SS":
-        raise ValueError("Besov norms are defined on SS fields")
     if profile is None:
         profile = DyadicProfile()
-    rows = []
-    terms = []
-    for j in j_range(field.domain, field.band):
-        block = dyadic_block(field, j, profile)
-        bn = lp_norm(synthesize(block, grid), params.p)
-        term = (2.0** (j * params.s)) * bn
-        rows.append((j, bn, term))
-        terms.append(term)
+    js, norms = block_lp_norms(field, profile, [grid], [params.p])
+    bn = norms[(0, params.p)]
+    terms = _weighted_terms(js, bn, params.s)
+    rows = [(j, float(b), float(t)) for j, b, t in zip(js, bn, terms)]
     return _lq_aggregate(terms, params.q), BesovProfile(rows)
+
+
+def block_lp_norms(
+    field: SpectralField,
+    profile: DyadicProfile,
+    grids: list[tuple[int, int] | None],
+    ps: list[float],
+) -> tuple[range, dict[tuple[int, float], np.ndarray]]:
+    """L^p norms of every dyadic block of ``field`` on each grid.
+
+    Returns (js, norms) with ``norms[(gi, p)]`` the block norms over ``js``
+    on ``grids[gi]`` (None is the domain grid).  All live blocks are
+    synthesized together; zero blocks read 0.0.
+    """
+    if field.parity != "SS":
+        raise ValueError("Besov norms are defined on SS fields")
+    table = dyadic_table(field.domain, field.band, profile)
+    stack = field.coefficients * table.weights[table.live]
+    dom = field.domain
+    norms = {}
+    for gi, grid in enumerate(grids):
+        n1, n2 = grid if grid is not None else dom.grid
+        a = _synthesize_array(stack, "SS", (n1, n2))
+        np.abs(a, out=a)
+        weight = (dom.L1 / (n1 + 1)) * (dom.L2 / (n2 + 1))
+        for p in ps:
+            out = np.zeros(len(table.js))
+            # A lone exponent may overwrite the stack with its powers.
+            out[table.live] = _lp_norms(a, weight, p, out=a if len(ps) == 1 else None)
+            norms[(gi, p)] = out
+    return table.js, norms
+
+
+def _weighted_terms(js: range, block_norms: np.ndarray, s: float) -> np.ndarray:
+    """Block terms 2^{js} ||phi_j f||_p."""
+    return np.array([2.0 ** (j * s) for j in js]) * block_norms
 
 
 def _lq_aggregate(terms, q: float) -> float:

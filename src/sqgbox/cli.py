@@ -43,7 +43,7 @@ from .harness import (
     verify_derivative_structure,
     verify_duhamel_growth,
 )
-from .multipliers import DyadicProfile, QuadratureSpec
+from .multipliers import DyadicProfile, QuadratureSpec, is_live_block
 from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 
 SUBCOMMANDS = (
@@ -242,7 +242,24 @@ def validate_config(cfg: dict) -> list[str]:
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"besov section invalid: {exc}")
     try:
-        check(int(cfg["structure"]["pair_count"]) >= 1, "structure.pair_count must be >= 1")
+        st = cfg["structure"]
+        check(int(st["pair_count"]) >= 1, "structure.pair_count must be >= 1")
+        check(
+            0 < _num(st.get("threshold", 1e-6)) < math.inf, "structure.threshold must be positive and finite"
+        )
+        try:
+            sample_band = (build_sample_spec(cfg).mode_count,) * 2
+            domain, profile = build_domain(cfg), build_profile(cfg)
+        except (KeyError, TypeError, ValueError):
+            domain = None  # already reported with its own section
+        for key in ("j_f", "j_g"):
+            j = st[key]
+            check(
+                isinstance(j, int)
+                and not isinstance(j, bool)
+                and (domain is None or is_live_block(domain, sample_band, j, profile)),
+                f"structure.{key} must be an integer naming a nonzero dyadic block of the sample band",
+            )
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"structure section malformed: {exc}")
     try:
@@ -295,6 +312,7 @@ def validate_config(cfg: dict) -> list[str]:
             ini["type"] in ("single-mode", "two-mode", "random"),
             "initial.type must be single-mode, two-mode, or random",
         )
+        check(math.isfinite(_num(ini.get("amplitude", 1.0))), "initial.amplitude must be a finite number")
         if ini["type"] == "single-mode":
             check(in_band(ini["m"], ini["n"]), "initial mode outside the domain truncation")
         if ini["type"] == "two-mode":

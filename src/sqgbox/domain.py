@@ -234,11 +234,16 @@ def grid_points(domain: DomainSpec, grid: tuple[int, int] | None = None) -> tupl
 
 def synthesize(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
     """Evaluate the field at the interior collocation points of ``grid``."""
-    n1, n2 = grid if grid is not None else (field.domain.N1, field.domain.N2)
-    r1, r2 = field.coefficients.shape
-    B1 = _basis(n1, r1, field.parity[0])
-    B2 = _basis(n2, r2, field.parity[1])
-    return GridField(field.domain, B1 @ field.coefficients @ B2.T)
+    grid = grid if grid is not None else (field.domain.N1, field.domain.N2)
+    return GridField(field.domain, _synthesize_array(field.coefficients, field.parity, grid))
+
+
+def _synthesize_array(coefficients: np.ndarray, parity: str, grid: tuple[int, int]) -> np.ndarray:
+    # B1 @ C @ B2.T on the last two axes; leading axes of C are a stack.
+    r1, r2 = coefficients.shape[-2:]
+    B1 = _basis(grid[0], r1, parity[0])
+    B2 = _basis(grid[1], r2, parity[1])
+    return B1 @ coefficients @ B2.T
 
 
 def analyze(
@@ -326,18 +331,33 @@ def product_parity(pa: str, pb: str) -> str:
 
 def lp_norm(grid_field: GridField, p: float) -> float:
     """Composite interior-point L^p norm; p = inf gives the grid maximum."""
-    v = grid_field.values
+    h1, h2 = grid_field.weights
+    a = np.abs(grid_field.values)
+    return float(_lp_norms(a, h1 * h2, p, out=a))
+
+
+def _lp_norms(a: np.ndarray, weight: float, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """L^p norms over the last two axes of ``a`` = |values|, with quadrature
+    weight ``weight`` per point; leading axes of ``a`` are a stack.
+
+    Powers are written to ``out`` (pass ``a`` itself to reuse its memory);
+    p = inf gives the maxima.
+    """
+    axes = (-2, -1)
     if np.isinf(p):
-        return float(np.max(np.abs(v)))
+        return a.max(axis=axes)
     if p < 1:
         raise ValueError("p must be >= 1 or inf")
-    h1, h2 = grid_field.weights
-    w = h1 * h2
-    if p == 2:
-        return float(np.sqrt(w * np.vdot(v, v).real))
     if p == 1:
-        return float(w * np.sum(np.abs(v)))
-    return float((w * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+        return weight * a.sum(axis=axes)
+    if p == 2:
+        # Row-by-row dot products through matmul: the same sums as np.vdot.
+        rows = a.reshape(a.shape[:-2] + (1, -1))
+        return np.sqrt(weight * (rows @ rows.swapaxes(-1, -2))[..., 0, 0])
+    sums = weight * np.power(a, p, out=out).sum(axis=axes)
+    # Roots in scalar arithmetic: numpy's vectorised pow can differ from
+    # libm's in the last bit, which would make a norm depend on its stack.
+    return np.reshape([t ** (1.0 / p) for t in np.ravel(sums)], np.shape(sums))
 
 
 def inner_product(a: GridField, b: GridField) -> float:

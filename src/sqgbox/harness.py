@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .besov import BesovParams, _lq_aggregate, besov_norm
+from .besov import BesovParams, _lq_aggregate, _weighted_terms, besov_norm, block_lp_norms
 from .domain import (
     DomainSpec,
     GridField,
@@ -195,18 +195,11 @@ def verify_bilinear(
 class _BlockNorms:
     """Per-field cache of dyadic-block L^p norms across norm grids."""
 
-    def __init__(self, field, js, profile, grids, ps):
-        self.js = list(js)
-        self.norms = {}
-        for j in self.js:
-            block = dyadic_block(field, j, profile)
-            for gi, grid in enumerate(grids):
-                gf = synthesize(block, grid)
-                for p in ps:
-                    self.norms[(gi, j, p)] = lp_norm(gf, p)
+    def __init__(self, field, profile, grids, ps):
+        self.js, self.norms = block_lp_norms(field, profile, grids, ps)
 
     def besov(self, gi: int, s: float, p: float, q: float) -> float:
-        return _lq_aggregate([2.0 ** (j * s) * self.norms[(gi, j, p)] for j in self.js], q)
+        return _lq_aggregate(_weighted_terms(self.js, self.norms[(gi, p)], s), q)
 
 
 DEFAULT_BATTERY = {
@@ -244,13 +237,12 @@ def bilinear_battery(
 
     block_ps = sorted({holder_target(p1, p2) for p1, p2 in pairs} | {p for pr in pairs for p in pr})
     plain_ps = sorted({p for pr in pairs for p in pr})
-    js = list(j_range(domain, (sample_spec.mode_count, sample_spec.mode_count)))
 
     def per_sample(i):
         f = sample_field(sample_spec, domain, 2 * i)
         g = sample_field(sample_spec, domain, 2 * i + 1)
         T1, T2 = symmetrized_product(f, g)
-        tables = {name: _BlockNorms(fld, js, profile, grids, block_ps)
+        tables = {name: _BlockNorms(fld, profile, grids, block_ps)
                   for name, fld in (("f", f), ("g", g), ("T1", T1), ("T2", T2))}
         plain = {}
         for gi, grid in enumerate(grids):

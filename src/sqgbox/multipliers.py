@@ -7,6 +7,13 @@ indicator chi equal to 1 on (0, 1], 0 on [2, inf), interpolated by a
 smoothstep in log2; phi(s) = chi(s) - chi(2s) is supported in [1/2, 2] and
 the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 
+The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
+built once per (domain, band, profile) as a read-only ``DyadicTable``, which
+also records the rows that are identically zero: the spare block that
+``j_range`` adds at each end always is, since phi vanishes at the edges of
+its support.  ``dyadic_block`` reads its weights from that table, and Besov
+norms multiply a field by all live rows at once.
+
 The square root of the Laplacian is also computable without fractional
 powers through the resolvent identity
 
@@ -97,9 +104,71 @@ def apply_multiplier(field: SpectralField, fn) -> SpectralField:
     return SpectralField(field.domain, "SS", field.coefficients * vals)
 
 
+def _block_weights(s: np.ndarray, j: int, profile: DyadicProfile) -> np.ndarray:
+    return profile.phi(np.ldexp(s, -j))
+
+
+@dataclass(frozen=True, eq=False)
+class DyadicTable:
+    """Read-only weights phi(2^-j sqrt(lambda)) over a sine band.
+
+    ``weights[i]`` is the block j = ``js[i]``; ``live[i]`` is False exactly
+    when that row is identically zero.
+    """
+
+    js: range
+    weights: np.ndarray
+    live: np.ndarray
+
+
+def dyadic_table(domain: DomainSpec, band: tuple[int, int], profile: DyadicProfile) -> DyadicTable:
+    """Block weights for every j in ``j_range(domain, band)``.
+
+    Built and checked once per (domain, band, profile) and then shared; each
+    row is bit-identical to the weights ``dyadic_block`` applies for that j.
+    """
+    return _dyadic_table(domain, (int(band[0]), int(band[1])), profile)
+
+
+# Bounded: one entry per (domain, band, profile) a run touches, usually a few.
+@lru_cache(maxsize=32)
+def _dyadic_table(domain: DomainSpec, band: tuple[int, int], profile: DyadicProfile) -> DyadicTable:
+    s = np.sqrt(lambda_table(domain, band))
+    js = j_range(domain, band)
+    weights = np.stack([_block_weights(s, j, profile) for j in js])
+    if not np.all(np.isfinite(weights)):
+        raise FloatingPointError("multiplier produced non-finite values")
+    live = np.any(weights != 0.0, axis=(1, 2))
+    weights.setflags(write=False)
+    live.setflags(write=False)
+    return DyadicTable(js, weights, live)
+
+
+def is_live_block(domain: DomainSpec, band: tuple[int, int], j: int, profile: DyadicProfile) -> bool:
+    """Whether row j of ``dyadic_table(domain, band, profile)`` exists and is
+    not identically zero.
+
+    Evaluates that one row, so that checking a config does not build and
+    cache a whole table (1.4 MB at 128x128 modes) for runs that never take
+    a dyadic block.
+    """
+    if j not in j_range(domain, band):
+        return False
+    return bool(np.any(_block_weights(np.sqrt(lambda_table(domain, band)), j, profile) != 0.0))
+
+
 def dyadic_block(field: SpectralField, j: int, profile: DyadicProfile) -> SpectralField:
-    """Frequency block phi(2^-j sqrt(lambda)) applied to the field."""
-    return apply_multiplier(field, lambda s: profile.phi(np.ldexp(s, -j)))
+    """Frequency block phi(2^-j sqrt(lambda)) applied to the field.
+
+    For j in ``j_range`` the weights come from the shared ``dyadic_table``;
+    outside it they are computed directly.  Both give the same bits.
+    """
+    if field.parity != "SS":
+        raise ValueError("spectral multipliers act on SS fields only")
+    table = dyadic_table(field.domain, field.coefficients.shape, profile)
+    if j in table.js:
+        return SpectralField(field.domain, "SS", field.coefficients * table.weights[j - table.js.start])
+    return apply_multiplier(field, lambda s: _block_weights(s, j, profile))
 
 
 def _heat_weights(s: np.ndarray, t: float) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -185,7 +186,8 @@ def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     for k in range(1, n + 1):
         n0 = nonlinear_term(theta)
         record_diag((k - 1) * dt, theta, n0)
-        last_l2 = diag_l2[-1]
+        if math.isfinite(diag_l2[-1]):  # finite coefficients can still overflow the norm
+            last_l2 = diag_l2[-1]
         theta = _advance(theta, config, n0)
         if not np.all(np.isfinite(theta.coefficients)):
             raise BlowUpError(k * dt, last_l2)

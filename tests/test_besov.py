@@ -55,6 +55,43 @@ def test_single_mode_oracle(square16):
     assert all(len(row) == 3 for row in profile.rows)
 
 
+def _per_block_reference(f, params, prof, grid):
+    """The block-by-block definition: dyadic_block, synthesize, lp_norm, l^q."""
+    rows = []
+    for j in j_range(f.domain, f.band):
+        bn = lp_norm(synthesize(dyadic_block(f, j, prof), grid), params.p)
+        rows.append((j, bn, 2.0 ** (j * params.s) * bn))
+    terms = [t for _, _, t in rows]
+    value = max(terms) if math.isinf(params.q) else sum(t**params.q for t in terms) ** (1.0 / params.q)
+    return value, rows
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("grid", [None, (41, 57)], ids=["domain-grid", "refined-grid"])
+def test_besov_norm_matches_per_block_reference(rect, p, q, grid):
+    f = _random_ss(rect, np.random.default_rng([5, int(10 * min(p, 9)), int(min(q, 9))]))
+    prof = DyadicProfile(3)
+    params = BesovParams(0.5, p, q)
+    value, profile = besov_norm(f, params, prof, grid)
+    ref_value, ref_rows = _per_block_reference(f, params, prof, grid)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert [r[0] for r in profile.rows] == [r[0] for r in ref_rows]
+    for (_, bn, term), (_, ref_bn, ref_term) in zip(profile.rows, ref_rows):
+        assert bn == pytest.approx(ref_bn, rel=1e-12, abs=0.0)
+        assert term == pytest.approx(ref_term, rel=1e-12, abs=0.0)
+
+
+def test_spare_blocks_read_exactly_zero(rect, rng):
+    f = _random_ss(rect, rng)
+    js = j_range(rect, f.band)
+    _, profile = besov_norm(f, BesovParams(-0.5, 3.0, 2.0))
+    assert [r[0] for r in profile.rows] == list(js)
+    assert profile.rows[0] == (js[0], 0.0, 0.0)
+    assert profile.rows[-1] == (js[-1], 0.0, 0.0)
+    assert all(bn > 0.0 for _, bn, _ in profile.rows[1:-1])
+
+
 def test_q_monotonicity(square16, rng):
     f = _random_ss(square16, rng)
     vals = {

@@ -10,11 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from sqgbox import unit_mode, write_field
+from sqgbox import BlowUpError, simulate, unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
     RunDir,
     build_domain,
+    build_initial,
+    build_solver,
     default_config,
     load_config,
     run,
@@ -190,6 +192,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
         ("verify-uniqueness", "uniqueness.dt=0"),
         ("verify-uniqueness", "uniqueness.horizon=NaN"),
         ("verify-uniqueness", "uniqueness.cross_dt=3e-3"),
+        ("verify-structure", "structure.j_f=40"),
+        ("verify-structure", "structure.j_g=-1"),
+        ("verify-structure", "structure.j_g=1.5"),
+        ("verify-structure", 'structure.threshold="x"'),
+        ("verify-structure", "structure.threshold=0"),
+        ("simulate", 'initial.amplitude="x"'),
+        ("simulate", "initial.amplitude=Infinity"),
     ],
 )
 def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, override):
@@ -234,7 +243,20 @@ def test_blow_up_exits_1_with_message(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "simulate: blow-up: non-finite state at t=" in err
-    assert "last finite L2 norm" in err
+    last = float(err.split("last finite L2 norm ")[1].split(")")[0])
+    assert math.isfinite(last)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_blow_up_keeps_the_last_finite_norm(tmp_path):
+    # The state before the blow-up has finite coefficients whose L2 norm
+    # already overflows; the error must report an earlier, finite norm.
+    overrides = ["solver.dt=0.5", "solver.horizon=50", 'initial.type="random"', "initial.amplitude=1e6"]
+    cfg = load_config(_write_cfg(tmp_path), overrides)
+    with pytest.raises(BlowUpError) as info:
+        simulate(build_initial(cfg, build_domain(cfg)), build_solver(cfg))
+    assert math.isfinite(info.value.last_l2) and info.value.last_l2 > 0.0
 
 
 def test_reports_spell_nonfinite_values_as_strings(tmp_path):

@@ -123,6 +123,23 @@ def test_bilinear_battery_shape_and_stability(square16):
     assert len(probes) == 4
 
 
+def test_block_norm_cache_matches_besov_norm(rect, square16):
+    from sqgbox import BesovParams, besov_norm
+    from sqgbox.harness import _BlockNorms
+
+    spec = SampleSpec(mode_count=6, decay=1.0, seed=3, count=1)
+    f = sample_field(spec, rect, 0)
+    prof = DyadicProfile(2)
+    grids = [None, (33, 41)]
+    ps = [1.0, 2.0, 3.0, 6.0]
+    cache = _BlockNorms(f, prof, grids, ps)
+    for gi, grid in enumerate(grids):
+        for p in ps:
+            for s, q in [(-0.5, 1.0), (0.5, 2.0), (1.5, math.inf)]:
+                ref, _ = besov_norm(f, BesovParams(s, p, q), prof, grid)
+                assert cache.besov(gi, s, p, q) == pytest.approx(ref, rel=1e-12)
+
+
 def test_product_decomposition_residual_tiny(square16):
     f = sample_field(SPEC, square16, 2)
     g = sample_field(SPEC, square16, 3)

@@ -7,17 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqgbox import multipliers
 from sqgbox import (
     C0,
+    DomainSpec,
     DyadicProfile,
     QuadratureSpec,
     SpectralField,
     apply_multiplier,
     build_dyadic_profile,
     dyadic_block,
+    dyadic_table,
     eigenvalue,
     fractional_power,
     heat_semigroup,
+    is_live_block,
     j_range,
     lambda_table,
     quadrature_nodes,
@@ -165,6 +169,58 @@ def test_block_multiplier_acts_on_sqrt_lambda(square16):
     b1 = dyadic_block(f, 1, prof)
     expected = prof.phi(np.array([math.sqrt(13.0) / 2.0]))[0]
     np.testing.assert_allclose(b1.coefficients[1, 2], expected, rtol=1e-13)
+
+
+# -- dyadic block table ----------------------------------------------------
+
+
+@pytest.mark.parametrize("sharpness", range(1, 8))
+@pytest.mark.parametrize(
+    "L1, L2, M1, M2",
+    [(math.pi, math.pi, m, m) for m in (5, 8, 9, 16, 32, 40, 128)]
+    + [(1.0, 2.0, 6, 10), (3.0, 0.5, 40, 9)],
+)
+def test_dyadic_table_rows_and_zero_spares(L1, L2, M1, M2, sharpness):
+    domain = DomainSpec(L1, L2, M1, M2, M1, M2)
+    prof = DyadicProfile(sharpness)
+    table = dyadic_table(domain, domain.modes, prof)
+    assert table.js == j_range(domain, domain.modes)
+    assert table.weights.shape == (len(table.js), M1, M2)
+    s = np.sqrt(lambda_table(domain))
+    for i, j in enumerate(table.js):
+        np.testing.assert_array_equal(table.weights[i], prof.phi(np.ldexp(s, -j)))
+    # phi vanishes at the edges of its support, so the spare ends are zero.
+    assert not np.any(table.weights[0]) and not np.any(table.weights[-1])
+    assert table.live.tolist() == [False] + [True] * (len(table.js) - 2) + [False]
+    for j in range(table.js.start - 2, table.js.stop + 2):
+        expected = j in table.js and bool(table.live[j - table.js.start])
+        assert is_live_block(domain, domain.modes, j, prof) == expected
+
+
+def test_dyadic_table_is_read_only_and_cached_per_key():
+    domain = DomainSpec(1.25, 0.75, 11, 7, 23, 15)  # no other test uses this key
+    info = multipliers._dyadic_table.cache_info
+    before = info()
+    a = dyadic_table(domain, (11, 7), DyadicProfile(3))
+    assert info().misses == before.misses + 1
+    assert dyadic_table(domain, (11, 7), DyadicProfile(3)) is a
+    assert info().misses == before.misses + 1 and info().hits == before.hits + 1
+    assert not a.weights.flags.writeable and not a.live.flags.writeable
+    with pytest.raises(ValueError):
+        a.weights[1, 0, 0] = 1.0
+    b = dyadic_table(domain, (11, 7), DyadicProfile(4))
+    assert b is not a and not np.array_equal(a.weights, b.weights)
+    assert info().misses == before.misses + 2
+
+
+@pytest.mark.parametrize("sharpness", [1, 2, 7])
+def test_dyadic_block_is_bitwise_the_direct_multiplier(rect, rng, sharpness):
+    f = _random_ss(rect, rng)
+    prof = DyadicProfile(sharpness)
+    js = j_range(rect, f.band)
+    for j in range(js.start - 3, js.stop + 3):  # inside and outside the table
+        direct = apply_multiplier(f, lambda s: prof.phi(np.ldexp(s, -j)))
+        np.testing.assert_array_equal(dyadic_block(f, j, prof).coefficients, direct.coefficients)
 
 
 # -- quadrature ------------------------------------------------------------
