@@ -7,12 +7,13 @@ A duality pairing gives certified lower bounds, and embedding ratios can be
 measured for parameter pairs on the Bernstein line
 s_A - s_B = 2 (1/p_A - 1/p_B), p_B >= p_A.
 
-All block norms of a field come from one path, ``block_lp_norms``: the field
-is multiplied by the live rows of the cached ``dyadic_table`` (weights built
-once per domain, band and profile), the whole stack is synthesized with one
-broadcast matmul per grid, and every block's L^p norm is reduced in one
-call.  Rows that are identically zero, such as the spare block at each end
-of ``j_range``, get the norm 0.0 exactly and are never synthesized.
+All block norms of a field come from one path, ``block_lp_norms``:
+``dyadic_blocks`` stacks the live blocks (weights built once per domain,
+band and profile), ``synthesize`` evaluates the stack on each grid and
+``lp_norm`` reduces every block's norm in one call.  Rows that are
+identically zero, such as the spare block at each end of ``j_range``, get
+the norm 0.0 exactly and are never synthesized.  ``besov_aggregate`` turns
+block norms into the norm; the bilinear battery reuses it across indices.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SpectralField, _lp_norms, _synthesize_array, spectral_inner
-from .multipliers import DyadicProfile, dyadic_table
+from .domain import SpectralField, lp_norm, spectral_inner, synthesize
+from .multipliers import DyadicProfile, dyadic_blocks, dyadic_table
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ def besov_norm(
         profile = DyadicProfile()
     js, norms = block_lp_norms(field, profile, [grid], [params.p])
     bn = norms[(0, params.p)]
-    terms = _weighted_terms(js, bn, params.s)
+    value, terms = besov_aggregate(js, bn, params.s, params.q)
     rows = [(j, float(b), float(t)) for j, b, t in zip(js, bn, terms)]
-    return _lq_aggregate(terms, params.q), BesovProfile(rows)
+    return value, BesovProfile(rows)
 
 
 def block_lp_norms(
@@ -85,33 +86,24 @@ def block_lp_norms(
     if field.parity != "SS":
         raise ValueError("Besov norms are defined on SS fields")
     table = dyadic_table(field.domain, field.band, profile)
-    stack = field.coefficients * table.weights[table.live]
-    dom = field.domain
+    _, blocks = dyadic_blocks(field, profile)  # the rows where table.live
     norms = {}
     for gi, grid in enumerate(grids):
-        n1, n2 = grid if grid is not None else dom.grid
-        a = _synthesize_array(stack, "SS", (n1, n2))
-        np.abs(a, out=a)
-        weight = (dom.L1 / (n1 + 1)) * (dom.L2 / (n2 + 1))
+        stack = synthesize(blocks, grid)
         for p in ps:
-            out = np.zeros(len(table.js))
-            # A lone exponent may overwrite the stack with its powers.
-            out[table.live] = _lp_norms(a, weight, p, out=a if len(ps) == 1 else None)
-            norms[(gi, p)] = out
+            norms[(gi, p)] = np.zeros(len(table.js))
+            norms[(gi, p)][table.live] = lp_norm(stack, p)
+        del stack  # before the next grid's stack is built
     return table.js, norms
 
 
-def _weighted_terms(js: range, block_norms: np.ndarray, s: float) -> np.ndarray:
-    """Block terms 2^{js} ||phi_j f||_p."""
-    return np.array([2.0 ** (j * s) for j in js]) * block_norms
-
-
-def _lq_aggregate(terms, q: float) -> float:
-    """l^q norm of the weighted block terms (max for q = inf, 0 when empty)."""
-    terms = np.asarray(terms)
+def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[float, np.ndarray]:
+    """The l^q norm (max for q = inf, 0 when empty) of the weighted block
+    terms 2^{js} ||phi_j f||_p, and those terms."""
+    terms = np.array([2.0 ** (j * s) for j in js]) * block_norms
     if np.isinf(q):
-        return float(terms.max()) if terms.size else 0.0
-    return float(np.sum(terms**q) ** (1.0 / q))
+        return (float(terms.max()) if terms.size else 0.0), terms
+    return float(np.sum(terms**q) ** (1.0 / q)), terms
 
 
 def conjugate_exponent(p: float) -> float:

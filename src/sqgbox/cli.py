@@ -9,7 +9,8 @@ written last.  Wall-clock timestamps appear only in the run log, which is
 excluded from the manifest inventory.
 
 Exit codes: 0 on success, 1 when an asserted property fails or the
-integration blows up, 2 on config validation errors.  Non-finite report
+integration blows up, 2 on config validation errors and on a field file
+that cannot be loaded.  Non-finite report
 values are written as the strings "nan", "inf" and "-inf".
 """
 
@@ -306,6 +307,8 @@ def validate_config(cfg: dict) -> list[str]:
             steps_fit("uniqueness", _num(un["horizon"]), (dt, dt / 2.0, dt / 4.0, _num(un["cross_dt"])))
     except (KeyError, TypeError, ValueError) as exc:
         bad.append(f"uniqueness section malformed: {exc}")
+    field_file = cfg.get("field_file")
+    check(field_file is None or isinstance(field_file, str), "field_file must be a path string or null")
     try:
         ini = cfg["initial"]
         check(
@@ -696,12 +699,18 @@ def _cmd_verify_uniqueness(cfg: dict) -> int:
 
 
 def _cmd_besov_norm(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("besov-norm start")
     if cfg.get("field_file"):
-        field = read_field(cfg["field_file"])
+        try:
+            field = read_field(cfg["field_file"])
+            if field.parity != "SS":
+                raise ValueError(f"Besov norms need an SS field, the file holds {field.parity}")
+        except (OSError, ValueError) as exc:
+            print(f"config error: field_file {cfg['field_file']!r}: {exc}", file=sys.stderr)
+            return 2
     else:
         field = build_initial(cfg, build_domain(cfg))
+    run = RunDir(cfg)
+    run.log("besov-norm start")
     bz = cfg["besov"]
     params = BesovParams(_num(bz["s"]), _num(bz["p"]), _num(bz["q"]))
     value, prof = besov_norm(field, params, build_profile(cfg))

@@ -9,6 +9,11 @@ Differentiation maps S <-> C per axis, so a sine axis with modes 1..M pairs
 with a cosine axis carrying modes 0..M (M+1 coefficients); with that
 convention single differentiation closes exactly on the band.
 
+Coefficient and value arrays may carry leading stack axes, (..., r1, r2).
+``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``
+and ``lp_norm`` act on a whole stack, with the same bits as field by field;
+the exact inner products and snapshot files take single fields.
+
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
 discrete Gram matrix is exactly diagonal up to full band, so quadrature
@@ -90,8 +95,9 @@ class SpectralField:
     Shape convention: a sine axis with b modes stores b coefficients
     (modes 1..b), a cosine axis with top mode b stores b+1 coefficients
     (modes 0..b).  ``band`` reports the per-axis top mode either way.
-    The field remembers its domain; arithmetic requires matching domain,
-    parity, and shape.
+    Leading axes of ``coefficients`` are a stack of fields that share the
+    domain, parity and band.  The field remembers its domain; arithmetic
+    requires matching domain, parity, and shape.
     """
 
     domain: DomainSpec
@@ -101,13 +107,13 @@ class SpectralField:
     def __post_init__(self):
         _validate_parity(self.parity)
         c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-            raise ValueError("coefficients must be a 2d array with positive shape")
+        if c.ndim < 2 or c.shape[-2] < 1 or c.shape[-1] < 1:
+            raise ValueError("coefficients must be a (..., r1, r2) array with positive r1, r2")
         self.coefficients = c
 
     @property
     def band(self) -> tuple[int, int]:
-        r1, r2 = self.coefficients.shape
+        r1, r2 = self.coefficients.shape[-2:]
         b1 = r1 if self.parity[0] == "S" else r1 - 1
         b2 = r2 if self.parity[1] == "S" else r2 - 1
         return (b1, b2)
@@ -142,20 +148,20 @@ class SpectralField:
 
 @dataclass
 class GridField:
-    """Interior collocation samples; the value shape fixes the grid."""
+    """Interior collocation samples; the last two axes fix the grid."""
 
     domain: DomainSpec
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError("values must be a 2d array with positive shape")
+        if v.ndim < 2 or v.shape[-2] < 1 or v.shape[-1] < 1:
+            raise ValueError("values must be a (..., n1, n2) array with positive n1, n2")
         self.values = v
 
     @property
     def weights(self) -> tuple[float, float]:
-        n1, n2 = self.values.shape
+        n1, n2 = self.values.shape[-2:]
         return (self.domain.L1 / (n1 + 1), self.domain.L2 / (n2 + 1))
 
 
@@ -190,7 +196,7 @@ def lambda_table(field_or_domain, band: tuple[int, int] | None = None) -> np.nda
         f = field_or_domain
         if f.parity != "SS":
             raise ValueError("eigenvalue table applies to SS fields only")
-        b1, b2 = f.coefficients.shape
+        b1, b2 = f.coefficients.shape[-2:]
         return _lambda_table(f.domain.L1, f.domain.L2, b1, b2)
     domain = field_or_domain
     b1, b2 = band if band is not None else (domain.M1, domain.M2)
@@ -234,16 +240,11 @@ def grid_points(domain: DomainSpec, grid: tuple[int, int] | None = None) -> tupl
 
 def synthesize(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
     """Evaluate the field at the interior collocation points of ``grid``."""
-    grid = grid if grid is not None else (field.domain.N1, field.domain.N2)
-    return GridField(field.domain, _synthesize_array(field.coefficients, field.parity, grid))
-
-
-def _synthesize_array(coefficients: np.ndarray, parity: str, grid: tuple[int, int]) -> np.ndarray:
-    # B1 @ C @ B2.T on the last two axes; leading axes of C are a stack.
-    r1, r2 = coefficients.shape[-2:]
-    B1 = _basis(grid[0], r1, parity[0])
-    B2 = _basis(grid[1], r2, parity[1])
-    return B1 @ coefficients @ B2.T
+    n1, n2 = grid if grid is not None else (field.domain.N1, field.domain.N2)
+    r1, r2 = field.coefficients.shape[-2:]
+    B1 = _basis(n1, r1, field.parity[0])
+    B2 = _basis(n2, r2, field.parity[1])
+    return GridField(field.domain, B1 @ field.coefficients @ B2.T)  # one matmul per stacked field
 
 
 def analyze(
@@ -262,7 +263,7 @@ def analyze(
     product band plus the target band stays below twice the grid Nyquist.
     """
     _validate_parity(parity)
-    n1, n2 = grid_field.values.shape
+    n1, n2 = grid_field.values.shape[-2:]
     if modes is None:
         modes = (grid_field.domain.M1, grid_field.domain.M2)
     r1 = modes[0] + (1 if parity[0] == "C" else 0)
@@ -293,22 +294,23 @@ def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
         raise ValueError("axis must be 1 or 2")
     fam = field.parity[axis - 1]
     L = field.domain.L1 if axis == 1 else field.domain.L2
-    A = field.coefficients if axis == 1 else field.coefficients.T
-    r = A.shape[0]
+    # Work on axis -2; axis 2 goes through a transposed view and back.
+    A = field.coefficients if axis == 1 else field.coefficients.swapaxes(-1, -2)
+    *stack, r, r_other = A.shape
     if fam == "S":
         scale = np.pi * np.arange(1, r + 1) / L
-        out = np.zeros((r + 1, A.shape[1]))
-        out[1:] = scale[:, None] * A
+        out = np.zeros((*stack, r + 1, r_other))
+        out[..., 1:, :] = scale[:, None] * A
         new_fam = "C"
     else:
         if r < 2:
-            out = np.zeros((1, A.shape[1]))
+            out = np.zeros((*stack, 1, r_other))
         else:
             scale = np.pi * np.arange(1, r) / L
-            out = -scale[:, None] * A[1:]
+            out = -scale[:, None] * A[..., 1:, :]
         new_fam = "S"
     if axis == 2:
-        out = out.T
+        out = out.swapaxes(-1, -2)
         parity = field.parity[0] + new_fam
     else:
         parity = new_fam + field.parity[1]
@@ -329,43 +331,41 @@ def product_parity(pa: str, pb: str) -> str:
     return _FAMILY_PRODUCT[(pa[0], pb[0])] + _FAMILY_PRODUCT[(pa[1], pb[1])]
 
 
-def lp_norm(grid_field: GridField, p: float) -> float:
-    """Composite interior-point L^p norm; p = inf gives the grid maximum."""
+def lp_norm(grid_field: GridField, p: float):
+    """Composite interior-point L^p norm, p = inf the grid maximum: a float
+    for one field, an array of norms for a stack."""
     h1, h2 = grid_field.weights
-    a = np.abs(grid_field.values)
-    return float(_lp_norms(a, h1 * h2, p, out=a))
-
-
-def _lp_norms(a: np.ndarray, weight: float, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """L^p norms over the last two axes of ``a`` = |values|, with quadrature
-    weight ``weight`` per point; leading axes of ``a`` are a stack.
-
-    Powers are written to ``out`` (pass ``a`` itself to reuse its memory);
-    p = inf gives the maxima.
-    """
+    weight = h1 * h2
+    v = grid_field.values
     axes = (-2, -1)
-    if np.isinf(p):
-        return a.max(axis=axes)
-    if p < 1:
-        raise ValueError("p must be >= 1 or inf")
-    if p == 1:
-        return weight * a.sum(axis=axes)
     if p == 2:
-        # Row-by-row dot products through matmul: the same sums as np.vdot.
-        rows = a.reshape(a.shape[:-2] + (1, -1))
-        return np.sqrt(weight * (rows @ rows.swapaxes(-1, -2))[..., 0, 0])
-    sums = weight * np.power(a, p, out=out).sum(axis=axes)
-    # Roots in scalar arithmetic: numpy's vectorised pow can differ from
-    # libm's in the last bit, which would make a norm depend on its stack.
-    return np.reshape([t ** (1.0 / p) for t in np.ravel(sums)], np.shape(sums))
+        # Field-by-field dot products through matmul: the same sums as np.vdot.
+        rows = v.reshape(v.shape[:-2] + (1, -1))
+        norms = np.sqrt(weight * (rows @ rows.swapaxes(-1, -2))[..., 0, 0])
+        return float(norms) if v.ndim == 2 else norms
+    if p < 1 and not np.isinf(p):
+        raise ValueError("p must be >= 1 or inf")
+    # Other exponents need |v|: one field at a time, so a stack costs no
+    # stack-sized temporary, with roots in scalar arithmetic, as numpy's
+    # vectorised pow can differ from libm's in the last bit.
+    norms = []
+    for one in v.reshape(-1, *v.shape[-2:]):
+        a = np.abs(one)
+        if np.isinf(p):
+            norms.append(a.max(axis=axes))
+        elif p == 1:
+            norms.append(weight * a.sum(axis=axes))
+        else:
+            norms.append((weight * np.power(a, p, out=a).sum(axis=axes)) ** (1.0 / p))
+    return float(norms[0]) if v.ndim == 2 else np.reshape(norms, v.shape[:-2])
 
 
 def inner_product(a: GridField, b: GridField) -> float:
     """Quadrature L2 pairing of two grid fields on the same grid."""
     if a.domain != b.domain:
         raise ValueError("grid fields live on different domains")
-    if a.values.shape != b.values.shape:
-        raise ValueError("grid fields sampled on different grids")
+    if a.values.shape != b.values.shape or a.values.ndim != 2:
+        raise ValueError("inner_product pairs two single fields sampled on the same grid")
     h1, h2 = a.weights
     return float(h1 * h2 * np.vdot(a.values, b.values).real)
 
@@ -447,6 +447,8 @@ def pointwise_product(a: SpectralField, b: SpectralField, grid: tuple[int, int])
 
 
 def write_field(path, field: SpectralField) -> None:
+    if field.coefficients.ndim != 2:
+        raise ValueError("snapshot files hold a single field, not a stack")
     header = {
         "lengths": [field.domain.L1, field.domain.L2],
         "modes": [field.domain.M1, field.domain.M2],
@@ -462,23 +464,24 @@ def write_field(path, field: SpectralField) -> None:
 
 
 def read_field(path) -> SpectralField:
+    """Load a snapshot; a malformed header or payload raises ValueError."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    header = json.loads(header_line.decode("ascii"))
-    if header.get("dtype") != "f64" or header.get("layout") != "row-major":
-        raise ValueError("unsupported snapshot payload format")
-    shape = tuple(header["shape"])
+    try:
+        header = json.loads(header_line.decode("ascii"))
+        if header.get("dtype") != "f64" or header.get("layout") != "row-major":
+            raise ValueError("unsupported snapshot payload format")
+        shape = tuple(header["shape"])
+        if len(shape) != 2 or not all(isinstance(n, int) and n >= 1 for n in shape):
+            raise ValueError(f"snapshot shape must be two positive integers, got {header['shape']!r}")
+        (L1, L2), (M1, M2), (N1, N2) = header["lengths"], header["modes"], header["grid"]
+        domain = DomainSpec(L1, L2, M1, M2, N1, N2)
+        parity = header["parity"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed snapshot header: {exc}") from None
     expected = 8 * shape[0] * shape[1]
     if len(payload) != expected:
         raise ValueError(f"snapshot payload has {len(payload)} bytes, expected {expected}")
     coeff = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
-    domain = DomainSpec(
-        header["lengths"][0],
-        header["lengths"][1],
-        header["modes"][0],
-        header["modes"][1],
-        header["grid"][0],
-        header["grid"][1],
-    )
-    return SpectralField(domain, header["parity"], coeff)
+    return SpectralField(domain, parity, coeff)

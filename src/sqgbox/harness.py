@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .besov import BesovParams, _lq_aggregate, _weighted_terms, besov_norm, block_lp_norms
+from .besov import BesovParams, besov_aggregate, besov_norm, block_lp_norms
 from .domain import (
     DomainSpec,
     GridField,
@@ -46,9 +46,9 @@ from .multipliers import (
     DyadicProfile,
     QuadratureSpec,
     dyadic_block,
+    dyadic_blocks,
     fractional_power,
     heat_semigroup,
-    j_range,
     quadrature_nodes,
     resolvent,
 )
@@ -104,26 +104,16 @@ class EstimateReport:
     details: dict = dataclass_field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """Plain Python values; the report writer spells non-finite floats."""
         return {
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
+            "params": {k: float(v) for k, v in self.params.items()},
             "ratios": [float(r) for r in self.ratios],
             "max_ratio": float(self.max_ratio),
             "mean_ratio": float(self.mean_ratio),
             "refined_max_ratio": float(self.refined_max_ratio),
             "stable": bool(self.stable),
-            "details": {k: _jsonable(v) for k, v in self.details.items()},
+            "details": dict(self.details),
         }
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        v = float(v)
-        return "inf" if math.isinf(v) else v
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def holder_target(p1: float, p2: float) -> float:
@@ -192,16 +182,6 @@ def verify_bilinear(
     return (lhs / rhs if rhs > 0 else math.nan), parts
 
 
-class _BlockNorms:
-    """Per-field cache of dyadic-block L^p norms across norm grids."""
-
-    def __init__(self, field, profile, grids, ps):
-        self.js, self.norms = block_lp_norms(field, profile, grids, ps)
-
-    def besov(self, gi: int, s: float, p: float, q: float) -> float:
-        return _lq_aggregate(_weighted_terms(self.js, self.norms[(gi, p)], s), q)
-
-
 DEFAULT_BATTERY = {
     "s": [-0.5, 0.0, 0.5, 1.0, 1.5],
     "q": [1.0, 2.0, math.inf],
@@ -242,7 +222,7 @@ def bilinear_battery(
         f = sample_field(sample_spec, domain, 2 * i)
         g = sample_field(sample_spec, domain, 2 * i + 1)
         T1, T2 = symmetrized_product(f, g)
-        tables = {name: _BlockNorms(fld, profile, grids, block_ps)
+        tables = {name: block_lp_norms(fld, profile, grids, block_ps)
                   for name, fld in (("f", f), ("g", g), ("T1", T1), ("T2", T2))}
         plain = {}
         for gi, grid in enumerate(grids):
@@ -255,6 +235,10 @@ def bilinear_battery(
 
     cached = [per_sample(i) for i in range(sample_spec.count)]
 
+    def besov(table, gi, s, p, q):
+        js, norms = table
+        return besov_aggregate(js, norms[(gi, p)], s, q)[0]
+
     reports = []
     for s, probe in s_values:
         for p1, p2 in pairs:
@@ -266,11 +250,11 @@ def bilinear_battery(
                 for tables, plain in cached:
                     for gi in (0, 1):
                         lhs = math.hypot(
-                            tables["T1"].besov(gi, s, p, q), tables["T2"].besov(gi, s, p, q)
+                            besov(tables["T1"], gi, s, p, q), besov(tables["T2"], gi, s, p, q)
                         )
                         rhs = (
-                            tables["f"].besov(gi, s, p1, q) * plain[(gi, "g", p2)]
-                            + plain[(gi, "f", p3)] * tables["g"].besov(gi, s, p4, q)
+                            besov(tables["f"], gi, s, p1, q) * plain[(gi, "g", p2)]
+                            + plain[(gi, "f", p3)] * besov(tables["g"], gi, s, p4, q)
                         )
                         ratios[gi].append(lhs / rhs)
                 base = np.asarray(ratios[0])
@@ -303,19 +287,20 @@ def verify_product_decomposition(
     band = (max(f.band[0], g.band[0]), max(f.band[1], g.band[1]))
     grid = dealias_grid(band)
     fg = pointwise_product(f, g, grid)
-    js_f = list(j_range(f.domain, f.band))
-    js_g = list(j_range(g.domain, g.band))
-    js = sorted(set(js_f) | set(js_g))
-    bf = {j: synthesize(dyadic_block(f, j, profile), grid).values for j in js}
-    bg = {j: synthesize(dyadic_block(g, j, profile), grid).values for j in js}
+    # The bands may differ: align the live blocks of f and g by j.
+    js_f, blocks_f = dyadic_blocks(f, profile)
+    js_g, blocks_g = dyadic_blocks(g, profile)
+    bf = dict(zip(js_f, synthesize(blocks_f, grid).values))
+    bg = dict(zip(js_g, synthesize(blocks_g, grid).values))
     acc = np.zeros_like(fg.values)
     cum_g = np.zeros_like(acc)
     cum_f_strict = np.zeros_like(acc)
-    for j in js:  # ascending: cum_g holds sum_{l<=k}, cum_f_strict holds sum_{k<l}
-        cum_g += bg[j]
-        acc += bf[j] * cum_g
-        acc += bg[j] * cum_f_strict
-        cum_f_strict += bf[j]
+    for j in sorted(bf.keys() | bg.keys()):  # ascending: cum_g holds sum_{l<=k}, cum_f_strict sum_{k<l}
+        fj, gj = bf.get(j, 0.0), bg.get(j, 0.0)  # a zero block adds nothing
+        cum_g += gj
+        acc += fj * cum_g
+        acc += gj * cum_f_strict
+        cum_f_strict += fj
     denom = lp_norm(fg, 2)
     if denom == 0:
         raise ValueError("product decomposition undefined for zero product")
@@ -459,9 +444,9 @@ def uniqueness_experiment(
 
 
 def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
-    gx = synthesize(partial_derivative(field, 1), grid)
-    gy = synthesize(partial_derivative(field, 2), grid)
-    return GridField(field.domain, np.hypot(gx.values, gy.values))
+    gx = synthesize(partial_derivative(field, 1), grid).values
+    gy = synthesize(partial_derivative(field, 2), grid).values
+    return GridField(field.domain, np.hypot(gx, gy, out=gx))
 
 
 def multiplier_bound_study(
@@ -477,27 +462,28 @@ def multiplier_bound_study(
         profile = DyadicProfile()
     if grids is None:
         grids = [(domain.N1, domain.N2)]
-    js = list(j_range(domain, (sample_spec.mode_count, sample_spec.mode_count)))
 
     def per_sample(i):
         f = sample_field(sample_spec, domain, i)
+        js, blocks = dyadic_blocks(f, profile)  # zero blocks give zero ratios
         out = []
         for gi, grid in enumerate(grids):
             gf = synthesize(f, grid)
             base = {p: lp_norm(gf, p) for p in ps}
             base_l2 = base[2.0] if 2.0 in base else lp_norm(gf, 2)
-            for j in js:
-                block = dyadic_block(f, j, profile)
-                gb = synthesize(block, grid)
-                gradb = gradient_magnitude(block, grid)
-                sup = lp_norm(gb, math.inf)
+            gb = synthesize(blocks, grid)
+            bn = {p: lp_norm(gb, p) for p in {*ps, math.inf}}
+            del gb  # one grid stack alive at a time
+            gradb = gradient_magnitude(blocks, grid)
+            gn = {p: lp_norm(gradb, p) for p in ps}
+            del gradb
+            for k, j in enumerate(js):
                 for p in ps:
-                    bn = lp_norm(gb, p)
                     if base[p] > 0:
-                        out.append(("block", p, gi, bn / base[p]))
-                        out.append(("gradient", p, gi, lp_norm(gradb, p) / (2.0**j * base[p])))
+                        out.append(("block", p, gi, float(bn[p][k]) / base[p]))
+                        out.append(("gradient", p, gi, float(gn[p][k]) / (2.0**j * base[p])))
                 if base_l2 > 0:
-                    out.append(("smoothing_2_inf", None, gi, sup / (2.0**j * base_l2)))
+                    out.append(("smoothing_2_inf", None, gi, float(bn[math.inf][k]) / (2.0**j * base_l2)))
         return out
 
     rows = [r for i in range(sample_spec.count) for r in per_sample(i)]
@@ -527,8 +513,9 @@ def heat_smoothing_study(
     if grids is None:
         grids = [(field.domain.N1, field.domain.N2)]
     rates = {}
-    for j in j_range(field.domain, field.band):
-        block = dyadic_block(field, j, profile)
+    js, blocks = dyadic_blocks(field, profile)  # a zero block has no rate
+    for j, c in zip(js, blocks.coefficients):
+        block = SpectralField(field.domain, "SS", c)
         b0 = spectral_norm(block)
         if b0 == 0:
             continue

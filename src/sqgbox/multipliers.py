@@ -11,8 +11,10 @@ The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which
 also records the rows that are identically zero: the spare block that
 ``j_range`` adds at each end always is, since phi vanishes at the edges of
-its support.  ``dyadic_block`` reads its weights from that table, and Besov
-norms multiply a field by all live rows at once.
+its support, and so is every block outside ``j_range``.  ``dyadic_blocks``
+returns all live blocks as one stacked field for ``synthesize`` and
+``lp_norm``; ``dyadic_block`` reads one row.  Every multiplier here acts on
+the last two coefficient axes, so it also takes a stack.
 
 The square root of the Laplacian is also computable without fractional
 powers through the resolvent identity
@@ -97,7 +99,7 @@ def apply_multiplier(field: SpectralField, fn) -> SpectralField:
     if field.parity != "SS":
         raise ValueError("spectral multipliers act on SS fields only")
     vals = np.asarray(fn(np.sqrt(lambda_table(field))), dtype=np.float64)
-    if vals.shape != field.coefficients.shape:
+    if vals.shape != field.coefficients.shape[-2:]:
         raise ValueError("multiplier did not preserve the coefficient shape")
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("multiplier produced non-finite values")
@@ -160,15 +162,29 @@ def is_live_block(domain: DomainSpec, band: tuple[int, int], j: int, profile: Dy
 def dyadic_block(field: SpectralField, j: int, profile: DyadicProfile) -> SpectralField:
     """Frequency block phi(2^-j sqrt(lambda)) applied to the field.
 
-    For j in ``j_range`` the weights come from the shared ``dyadic_table``;
-    outside it they are computed directly.  Both give the same bits.
+    The weights are row j of the shared ``dyadic_table``.  Outside
+    ``j_range`` the block is the zero field: there 2^-j sqrt(lambda) is at
+    least 2 (j below the range) or at most 1/2 (above it) on the whole
+    band, where phi vanishes.
     """
     if field.parity != "SS":
         raise ValueError("spectral multipliers act on SS fields only")
-    table = dyadic_table(field.domain, field.coefficients.shape, profile)
-    if j in table.js:
-        return SpectralField(field.domain, "SS", field.coefficients * table.weights[j - table.js.start])
-    return apply_multiplier(field, lambda s: _block_weights(s, j, profile))
+    table = dyadic_table(field.domain, field.band, profile)
+    if j not in table.js:
+        return SpectralField(field.domain, "SS", np.zeros_like(field.coefficients))
+    return SpectralField(field.domain, "SS", field.coefficients * table.weights[j - table.js.start])
+
+
+def dyadic_blocks(field: SpectralField, profile: DyadicProfile) -> tuple[list[int], SpectralField]:
+    """(js, blocks): the live rows of ``dyadic_table`` in ascending order,
+    and one stacked field whose row i is ``dyadic_block(field, js[i],
+    profile)``, bit for bit.  Every other block is zero."""
+    if field.parity != "SS":
+        raise ValueError("spectral multipliers act on SS fields only")
+    table = dyadic_table(field.domain, field.band, profile)
+    js = [j for j, live in zip(table.js, table.live) if live]
+    blocks = field.coefficients[..., None, :, :] * table.weights[table.live]
+    return js, SpectralField(field.domain, "SS", blocks)
 
 
 def _heat_weights(s: np.ndarray, t: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from sqgbox import BlowUpError, simulate, unit_mode, write_field
+from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
     RunDir,
@@ -199,6 +199,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
         ("verify-structure", "structure.threshold=0"),
         ("simulate", 'initial.amplitude="x"'),
         ("simulate", "initial.amplitude=Infinity"),
+        ("besov-norm", "field_file=5"),
     ],
 )
 def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, override):
@@ -211,6 +212,53 @@ def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, overri
     )
     assert proc.returncode == 2
     assert "config violation" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _broken_field_file(tmp_path, case):
+    """A field file path that ``besov-norm`` must refuse as a config error."""
+    if case == "missing":
+        return tmp_path / "nope.field"
+    if case == "directory":
+        return tmp_path
+    domain = build_domain(load_config(_write_cfg(tmp_path)))
+    path = tmp_path / "theta.field"
+    if case == "non-SS parity":
+        write_field(path, SpectralField(domain, "CS", np.ones((9, 8))))
+        return path
+    write_field(path, unit_mode(domain, 1, 1))
+    header, payload = path.read_bytes().split(b"\n", 1)
+    meta = json.loads(header)
+    if case == "garbage header":
+        header = b"not a header"
+    elif case == "header missing keys":
+        del meta["lengths"]
+        header = json.dumps(meta).encode()
+    elif case == "non-2-D shape":
+        meta["shape"] = [64]
+        header = json.dumps(meta).encode()
+    elif case == "truncated payload":
+        payload = payload[:-8]
+    path.write_bytes(header + b"\n" + payload)
+    return path
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing", "directory", "garbage header", "header missing keys", "non-2-D shape",
+     "truncated payload", "non-SS parity"],
+)
+def test_bad_field_file_exits_2_without_traceback(tmp_path, case):
+    path = _broken_field_file(tmp_path, case)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sqgbox.cli", "besov-norm", "--config", _write_cfg(tmp_path),
+         "--set", f"field_file={json.dumps(str(path))}", "--out", str(tmp_path / "x")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: field_file ")
+    assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
 
 
@@ -272,6 +320,20 @@ def test_reports_spell_nonfinite_values_as_strings(tmp_path):
     rd.write_csv("r.csv", ["a", "b", "c", "d", "e"], [values])
     row = (tmp_path / "r" / "r.csv").read_text().splitlines()[1]
     assert row == "nan,inf,-inf,nan,0.25"
+
+
+def test_estimate_report_params_keep_the_sign_of_infinity(tmp_path):
+    def strict(token):
+        raise ValueError(f"bare {token} in a report")
+
+    report = EstimateReport(
+        params={"s": 0.5, "p": -math.inf, "q": math.inf},
+        ratios=[0.5], max_ratio=0.5, mean_ratio=0.5, refined_max_ratio=0.5, stable=True,
+    )
+    rd = RunDir(dict(DEFAULT_CONFIG, output_dir=str(tmp_path / "r")))
+    rd.write_json("bilinear.json", [report.to_json_dict()])
+    back = json.loads((tmp_path / "r" / "bilinear.json").read_text(), parse_constant=strict)
+    assert back[0]["params"] == {"s": 0.5, "p": "-inf", "q": "inf"}
 
 
 def test_seed_flag_changes_samples(tmp_path):

@@ -226,6 +226,40 @@ def test_norm_scaling(square16, rng):
     assert spectral_norm(f * -2.5) == pytest.approx(2.5 * spectral_norm(f), rel=1e-14)
 
 
+# -- stacks ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])
+@pytest.mark.parametrize("grid", [(12, 16), (13, 11)])
+def test_stacked_transforms_and_norms_match_field_by_field(rect, rng, parity, grid):
+    # A stack must give every field the same bits it gets alone: reports
+    # built from stacked blocks stay byte-identical to single-field runs.
+    shape = _random_field(rect, parity, rng).coefficients.shape
+    stack = SpectralField(rect, parity, rng.standard_normal((2, 3) + shape))
+    singles = {i: SpectralField(rect, parity, stack.coefficients[i].copy()) for i in np.ndindex(2, 3)}
+
+    def check(stacked, single, get):
+        assert get(stacked).shape[:2] == (2, 3)
+        for i, f in singles.items():
+            np.testing.assert_array_equal(get(stacked)[i], get(single(f)))
+
+    values = synthesize(stack, grid)
+    check(values, lambda f: synthesize(f, grid), lambda g: g.values)
+    check(analyze(values, parity), lambda f: analyze(synthesize(f, grid), parity), lambda f: f.coefficients)
+    for axis in (1, 2):
+        deriv = partial_derivative(stack, axis)
+        check(deriv, lambda f: partial_derivative(f, axis), lambda f: f.coefficients)
+        check(synthesize(deriv, grid), lambda f: synthesize(partial_derivative(f, axis), grid), lambda g: g.values)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        norms = lp_norm(values, p)
+        for i, f in singles.items():
+            single = lp_norm(synthesize(f, grid), p)
+            assert type(single) is float
+            np.testing.assert_array_equal(norms[i], single)
+    with pytest.raises(ValueError):  # a stack has no single pairing
+        inner_product(values, values)
+
+
 # -- products --------------------------------------------------------------
 
 

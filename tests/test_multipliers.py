@@ -223,6 +223,23 @@ def test_dyadic_block_is_bitwise_the_direct_multiplier(rect, rng, sharpness):
         np.testing.assert_array_equal(dyadic_block(f, j, prof).coefficients, direct.coefficients)
 
 
+def test_dyadic_blocks_stack_the_live_blocks(rect, rng):
+    f = _random_ss(rect, rng)
+    prof = DyadicProfile(2)
+    table = dyadic_table(rect, f.band, prof)
+    js, blocks = multipliers.dyadic_blocks(f, prof)
+    assert js == [j for j, live in zip(table.js, table.live) if live]
+    assert blocks.coefficients.shape == (len(js),) + f.coefficients.shape
+    for j, row in zip(js, blocks.coefficients):
+        np.testing.assert_array_equal(row, dyadic_block(f, j, prof).coefficients)
+    # The blocks partition the resolved spectrum.
+    np.testing.assert_allclose(blocks.coefficients.sum(axis=0), f.coefficients, rtol=1e-13, atol=1e-15)
+    # A stacked input keeps its stack axes in front of the block axis.
+    pair = SpectralField(rect, "SS", np.stack([f.coefficients, -f.coefficients]))
+    _, pair_blocks = multipliers.dyadic_blocks(pair, prof)
+    np.testing.assert_array_equal(pair_blocks.coefficients[1], -blocks.coefficients)
+
+
 # -- quadrature ------------------------------------------------------------
 
 
