@@ -35,6 +35,7 @@ from .harness import (
     SampleSpec,
     adapted_quadrature,
     bilinear_battery,
+    duhamel_ensemble,
     elliptic_ratio_study,
     heat_smoothing_study,
     multiplier_bound_study,
@@ -42,7 +43,6 @@ from .harness import (
     single_block_sample,
     uniqueness_experiment,
     verify_derivative_structure,
-    verify_duhamel_growth,
 )
 from .multipliers import DyadicProfile, QuadratureSpec, is_live_block
 from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
@@ -56,6 +56,9 @@ SUBCOMMANDS = (
     "verify-uniqueness",
     "besov-norm",
 )
+
+# verify-duhamel steps its draws together, at most this many per stack.
+DUHAMEL_MEMBERS = 8
 
 DEFAULT_CONFIG = {
     "domain": {"lengths": [math.pi, math.pi], "modes": [32, 32], "grid": [64, 64]},
@@ -616,20 +619,31 @@ def _cmd_verify_duhamel(cfg: dict) -> int:
     du = cfg["duhamel"]
     p = _num(du["p"])
     seed = int(cfg["samples"]["seed"])
-    rows = []
-    ok = True
-    for i in range(int(du["count"])):
+    count = int(du["count"])
+    draws = []
+    for i in range(count):
         rng = np.random.default_rng([seed, 7000 + i])
         theta0 = None
         for m, n in du["modes"]:
             amp = _num(du["amplitude"]) * float(rng.uniform(-1.0, 1.0))
             piece = unit_mode(domain, int(m), int(n), amp)
             theta0 = piece if theta0 is None else theta0 + piece
+        draws.append(theta0.coefficients)
+    draws = np.stack(draws)
+    columns = []
+    for dt in (_num(du["dt"]), _num(du["dt"]) / 2.0):
+        config = build_solver(cfg, dt=dt, horizon=du["horizon"], stride=1)
         ratios = []
-        for dt in (_num(du["dt"]), _num(du["dt"]) / 2.0):
-            traj = simulate(theta0, build_solver(cfg, dt=dt, horizon=du["horizon"], stride=1))
-            ratio, _ = verify_duhamel_growth(traj, p, profile)
-            ratios.append(ratio)
+        for lo in range(0, count, DUHAMEL_MEMBERS):
+            members = SpectralField(domain, "SS", draws[lo : lo + DUHAMEL_MEMBERS])
+            try:
+                ratios += duhamel_ensemble(members, config, p, profile)
+            except BlowUpError as exc:
+                raise BlowUpError(exc.time, exc.last_l2, lo + exc.member) from None
+        columns.append(ratios)
+    rows = []
+    ok = True
+    for i, ratios in enumerate(zip(*columns)):
         stable = (
             math.isfinite(ratios[0])
             and math.isfinite(ratios[1])

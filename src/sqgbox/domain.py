@@ -10,9 +10,10 @@ with a cosine axis carrying modes 0..M (M+1 coefficients); with that
 convention single differentiation closes exactly on the band.
 
 Coefficient and value arrays may carry leading stack axes, (..., r1, r2).
-``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``
-and ``lp_norm`` act on a whole stack, with the same bits as field by field;
-the exact inner products and snapshot files take single fields.
+``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``,
+``lp_norm``, ``spectral_inner`` and ``spectral_norm`` act on a whole stack,
+with the same bits as field by field; the grid ``inner_product`` and
+snapshot files take single fields.
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
@@ -378,18 +379,26 @@ def _axis_weight(L: float, r: int, family: str) -> np.ndarray:
     return w
 
 
-def spectral_inner(a: SpectralField, b: SpectralField) -> float:
-    """Exact continuum L2 inner product of two same-parity fields."""
+def spectral_inner(a: SpectralField, b: SpectralField):
+    """Exact continuum L2 inner product of two same-parity fields: a float
+    for one field, an array over the stack axes for a stack, each member
+    with the bits it gets alone."""
     a._check_compatible(b)
-    r1, r2 = a.coefficients.shape
+    r1, r2 = a.coefficients.shape[-2:]
     w1 = _axis_weight(a.domain.L1, r1, a.parity[0])
     w2 = _axis_weight(a.domain.L2, r2, a.parity[1])
-    return float(np.einsum("ij,ij,i,j->", a.coefficients, b.coefficients, w1, w2))
+    if a.coefficients.ndim == 2:
+        return float(np.einsum("ij,ij,i,j->", a.coefficients, b.coefficients, w1, w2))
+    return np.einsum("...ij,...ij,i,j->...", a.coefficients, b.coefficients, w1, w2)
 
 
-def spectral_norm(f: SpectralField) -> float:
-    """Exact continuum L2 norm via Parseval in the field's parity basis."""
-    return float(np.sqrt(max(spectral_inner(f, f), 0.0)))
+def spectral_norm(f: SpectralField):
+    """Exact continuum L2 norm via Parseval in the field's parity basis: a
+    float for one field, an array over the stack axes for a stack."""
+    sq = spectral_inner(f, f)
+    if f.coefficients.ndim == 2:
+        return float(np.sqrt(max(sq, 0.0)))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
 def evaluate_at(field: SpectralField, x: np.ndarray, y: np.ndarray) -> np.ndarray:

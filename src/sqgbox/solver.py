@@ -18,13 +18,19 @@ Time stepping treats the heat factor exactly:
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
 Both reduce to the exact heat flow when N vanishes.  The factor
 e^{dt Delta} is the cached table ``heat_factor(domain, band, dt)``.
+
+``integrate`` is the one time-stepping loop.  It yields every state with
+its advection term and exact L2 norm, and steps a state with leading stack
+axes (an ensemble) in lockstep, each member with the bits it gets alone;
+``BlowUpError`` names the first member that leaves the finite range.
+``simulate`` consumes it for one field and records a ``TrajectoryRecord``;
+the Duhamel ensemble in the harness consumes it without storing states.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -56,12 +62,16 @@ _SCHEMES = ("IF-Euler", "ETD2")
 
 
 class BlowUpError(RuntimeError):
-    """Raised when the state leaves the finite range during integration."""
+    """Raised when the state leaves the finite range during integration;
+    ``member`` is the flat stack index of the first failing member of a
+    stacked state, None for a single field."""
 
-    def __init__(self, time: float, last_l2: float):
-        super().__init__(f"non-finite state at t={time:.6g} (last finite L2 norm {last_l2:.6g})")
+    def __init__(self, time: float, last_l2: float, member: int | None = None):
+        where = "" if member is None else f" in member {member}"
+        super().__init__(f"non-finite state{where} at t={time:.6g} (last finite L2 norm {last_l2:.6g})")
         self.time = time
         self.last_l2 = last_l2
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,10 @@ class SolverConfig:
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-8 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer multiple of dt")
         return n
+
+    def snapshot_due(self, k: int) -> bool:
+        """Whether the state after step k is stored: stride multiples and the last."""
+        return k % self.snapshot_stride == 0 or k == self.n_steps
 
 
 def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
@@ -148,6 +162,37 @@ def step(theta: SpectralField, config: SolverConfig) -> SpectralField:
     return _advance(theta, config, nonlinear_term(theta))
 
 
+def integrate(theta0: SpectralField, config: SolverConfig):
+    """The time-stepping loop: yields ``(k, theta_k, N(theta_k), ||theta_k||_2)``
+    for k = 0..n_steps, the state at t = k dt with its advection term and
+    exact L2 norm.
+
+    ``theta0`` may carry leading stack axes; the members then step in
+    lockstep, each with the bits it gets alone, and the norm is an array
+    over the stack.  A step that leaves the finite range raises
+    ``BlowUpError`` before that state is yielded, naming the first failing
+    member of a stack and its last finite norm.
+    """
+    if theta0.parity != "SS":
+        raise ValueError("initial state must be an SS field")
+    n = config.n_steps
+    stacked = theta0.coefficients.ndim > 2
+    theta = theta0
+    l2 = last_l2 = spectral_norm(theta)
+    for k in range(n + 1):
+        nl = nonlinear_term(theta)
+        yield k, theta, nl, l2
+        if k == n:
+            return
+        theta = _advance(theta, config, nl)
+        finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
+        if not np.all(finite):
+            member = int(np.flatnonzero(~finite)[0]) if stacked else None
+            raise BlowUpError((k + 1) * config.dt, float(np.ravel(last_l2)[member or 0]), member)
+        l2 = spectral_norm(theta)
+        last_l2 = np.where(np.isfinite(l2), l2, last_l2)  # finite coefficients can still overflow the norm
+
+
 @dataclass
 class TrajectoryRecord:
     domain: DomainSpec
@@ -160,41 +205,25 @@ class TrajectoryRecord:
 
 
 def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
-    """Integrate from t=0 to the horizon, recording snapshots and diagnostics.
+    """Integrate one field from t=0 to the horizon, recording snapshots and
+    diagnostics.
 
     Snapshots are stored at stride multiples plus the final time; the
     diagnostics (exact L2 norm and the relative advection orthogonality
     residual |<N(theta), theta>| / ||theta||^2) are recorded every step.
+    A stack of initial states is stepped by ``integrate`` itself.
     """
-    if theta0.parity != "SS":
-        raise ValueError("initial state must be an SS field")
-    n = config.n_steps
-    dt = config.dt
-    theta = theta0.copy()
-    times = [0.0]
-    snapshots = [theta.copy()]
+    if theta0.coefficients.ndim != 2:
+        raise ValueError("simulate records one trajectory: pass a single field, or step a stack with integrate")
+    times, snapshots = [], []
     diag_times, diag_l2, diag_orth = [], [], []
-
-    def record_diag(t: float, state: SpectralField, nl: SpectralField) -> None:
-        l2 = spectral_norm(state)
-        orth = abs(spectral_inner(nl, state)) / l2**2 if l2 > 0 else 0.0
-        diag_times.append(t)
+    for k, theta, nl, l2 in integrate(theta0, config):
+        diag_times.append(k * config.dt)
         diag_l2.append(l2)
-        diag_orth.append(orth)
-
-    last_l2 = spectral_norm(theta)
-    for k in range(1, n + 1):
-        n0 = nonlinear_term(theta)
-        record_diag((k - 1) * dt, theta, n0)
-        if math.isfinite(diag_l2[-1]):  # finite coefficients can still overflow the norm
-            last_l2 = diag_l2[-1]
-        theta = _advance(theta, config, n0)
-        if not np.all(np.isfinite(theta.coefficients)):
-            raise BlowUpError(k * dt, last_l2)
-        if k % config.snapshot_stride == 0 or k == n:
-            times.append(k * dt)
+        diag_orth.append(abs(spectral_inner(nl, theta)) / l2**2 if l2 > 0 else 0.0)
+        if config.snapshot_due(k):
+            times.append(k * config.dt)
             snapshots.append(theta.copy())
-    record_diag(n * dt, theta, nonlinear_term(theta))
     return TrajectoryRecord(
         domain=theta0.domain,
         config=config,

@@ -146,6 +146,20 @@ def test_verify_uniqueness_run(tmp_path):
     assert rep["cross_scheme_relative_distance"] <= 1e-5
 
 
+def test_verify_duhamel_reports_are_pinned(tmp_path):
+    # Hashes of the reports of the per-draw implementation that the streamed
+    # ensemble replaced: the ensemble must keep every reported bit.
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "duhamel"
+    assert run(["verify-duhamel", "--config", cfg, "--out", str(out)]) == 0
+    pinned = {
+        "duhamel.csv": "5445e4ec8dda6932fc2918accc90bbd88c134ce610eadd5a1debf9651533ee12",
+        "duhamel.json": "de77b464b67272ef2fab6137109d9ca2619a7eb1a730dd9db09b59c69b4aacb8",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_besov_norm_from_field_file(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     cfg = load_config(cfg_path)
@@ -305,6 +319,24 @@ def test_blow_up_keeps_the_last_finite_norm(tmp_path):
     with pytest.raises(BlowUpError) as info:
         simulate(build_initial(cfg, build_domain(cfg)), build_solver(cfg))
     assert math.isfinite(info.value.last_l2) and info.value.last_l2 > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("members", [1, 8])
+def test_verify_duhamel_names_the_exploding_draw(tmp_path, capsys, monkeypatch, members):
+    # With this seed draw 1 blows up at t=0.12 and draw 0 stays finite; the
+    # draw is named by its index, however the draws are split into stacks.
+    monkeypatch.setattr("sqgbox.cli.DUHAMEL_MEMBERS", members)
+    code = run(
+        ["verify-duhamel", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "x"),
+         "--set", "samples.seed=13", "--set", "duhamel.amplitude=300",
+         "--set", "duhamel.dt=0.01", "--set", "duhamel.horizon=0.2"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "verify-duhamel: blow-up: non-finite state in member 1 at t=0.12 " in err
+    assert "Traceback" not in err
 
 
 def test_reports_spell_nonfinite_values_as_strings(tmp_path):

@@ -260,6 +260,27 @@ def test_stacked_transforms_and_norms_match_field_by_field(rect, rng, parity, gr
         inner_product(values, values)
 
 
+@pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])
+def test_spectral_inner_and_norm_broadcast_over_stacks(rect, rng, parity):
+    # One field gives a float; a stack gives an array over its stack axes,
+    # each member with the bits it gets alone (the solver's per-member
+    # diagnostics of an ensemble depend on it).
+    shape = _random_field(rect, parity, rng).coefficients.shape
+    a = SpectralField(rect, parity, rng.standard_normal((4, 5) + shape))
+    b = SpectralField(rect, parity, rng.standard_normal((4, 5) + shape))
+    inner, norm = spectral_inner(a, b), spectral_norm(a)
+    assert inner.shape == norm.shape == (4, 5)
+    for i in np.ndindex(4, 5):
+        fa = SpectralField(rect, parity, a.coefficients[i].copy())
+        fb = SpectralField(rect, parity, b.coefficients[i].copy())
+        single_inner, single_norm = spectral_inner(fa, fb), spectral_norm(fa)
+        assert type(single_inner) is float and type(single_norm) is float
+        assert inner[i] == single_inner
+        assert norm[i] == single_norm
+    with pytest.raises(ValueError):  # stacks must have matching shapes
+        spectral_inner(a, SpectralField(rect, parity, b.coefficients[0]))
+
+
 # -- products --------------------------------------------------------------
 
 

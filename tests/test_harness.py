@@ -6,20 +6,30 @@ import numpy as np
 import pytest
 
 from sqgbox import (
+    BesovParams,
+    DuhamelSupremum,
     DyadicProfile,
     QuadratureSpec,
     SampleSpec,
     SolverConfig,
+    SpectralField,
     adapted_quadrature,
+    besov_norm,
     bilinear_battery,
+    block_lp_bounds,
+    duhamel_ensemble,
+    dyadic_table,
     elliptic_ratio_study,
+    heat_semigroup,
     heat_smoothing_study,
     holder_target,
+    lp_norm,
     multiplier_bound_study,
     sample_field,
     simulate,
     single_block_sample,
     symmetrized_product,
+    synthesize,
     uniqueness_experiment,
     unit_mode,
     verify_bilinear,
@@ -193,12 +203,75 @@ def test_duhamel_growth_zero_data(square16):
     assert math.isnan(ratio)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_block_lp_bounds_hold_on_every_grid(rect, rng, p):
+    field = SpectralField(rect, "SS", rng.standard_normal((5, 6, 10)) * rng.uniform(1e-3, 1e3, (5, 1, 1)))
+    table = dyadic_table(rect, field.band, DyadicProfile())
+    weights = table.weights[table.live]
+    bounds = block_lp_bounds(field, weights, p)
+    assert bounds.shape == (5, len(weights))
+    blocks = SpectralField(rect, "SS", field.coefficients[:, None] * weights)
+    for grid in (None, (6, 10), (41, 29)):
+        assert np.all(bounds >= lp_norm(synthesize(blocks, grid), p))
+
+
+def test_block_lp_bound_is_tight_for_one_mode_at_p2(square16):
+    # One mode makes Hoelder an equality at p = 2: the bound exceeds the grid
+    # norm only by its round-off margin, so a looser margin or bound fails.
+    f = unit_mode(square16, 3, 5, -0.7)
+    bound = float(block_lp_bounds(f, np.ones((1, 16, 16)), 2.0)[0])
+    exact = lp_norm(synthesize(f), 2.0)
+    assert bound * (1.0 - 1e-6) < exact <= bound
+
+
+def _duhamel_members(domain):
+    """Two-mode draws as verify-duhamel makes them, a full-band draw, the zero
+    field and an eigenfunction, as one stack."""
+    fields = []
+    for i in range(3):
+        rng = np.random.default_rng([1234, 7000 + i])
+        fields.append(unit_mode(domain, 1, 1, 0.5 * rng.uniform(-1, 1)) + unit_mode(domain, 1, 2, 0.5 * rng.uniform(-1, 1)))
+    fields.append(sample_field(SPEC, domain, 0) * 0.3)
+    fields.append(unit_mode(domain, 1, 1, 0.0))
+    fields.append(unit_mode(domain, 2, 3, 0.8))
+    return SpectralField(domain, "SS", np.stack([f.coefficients for f in fields]))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_duhamel_ensemble_matches_each_member_alone(square16, p):
+    stack = _duhamel_members(square16)
+    for cfg in (SolverConfig(1e-3, 0.02), SolverConfig(1e-3, 0.02, snapshot_stride=3)):
+        ratios = duhamel_ensemble(stack, cfg, p)
+        alone = [
+            verify_duhamel_growth(simulate(SpectralField(square16, "SS", c), cfg), p)[0]
+            for c in stack.coefficients
+        ]
+        np.testing.assert_array_equal(ratios, alone)  # nan only where nan
+        assert all(type(r) is float for r in ratios)
+        assert math.isnan(ratios[4]) and ratios[5] <= 1e-10
+        assert all(0.0 < r < 1.0 for r in ratios[:4])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_duhamel_supremum_matches_full_evaluation(square16, p):
+    # Reference: every block norm of every snapshot, no pruning.
+    params = BesovParams(-1.0 + 2.0 / p, p, math.inf)
+    for theta0 in _duhamel_members(square16).coefficients[[0, 3, 5]]:
+        traj = simulate(SpectralField(square16, "SS", theta0), SolverConfig(1e-3, 0.02))
+        sup = DuhamelSupremum(traj.snapshots[0], p)
+        num = 0.0
+        for t, snap in zip(traj.times, traj.snapshots):
+            sup.add(float(t), snap)
+            num = max(num, besov_norm(snap - heat_semigroup(traj.snapshots[0], float(t)), params)[0])
+        assert float(sup.numerator) == num
+    blocks = len(traj.snapshots) * int(np.sum(dyadic_table(square16, (16, 16), DyadicProfile()).live))
+    assert sup.evaluated < blocks
+
+
 def test_initial_smallness_curve_oracle(square16):
     theta0 = unit_mode(square16, 1, 1)
     rows = verify_initial_smallness(theta0, 2.0, np.array([1e-2, 1e-4]))
     # t^{1/4} ||e^{2t(-1)}... sin sin||_4; heat factor e^{-2t}
-    from sqgbox import lp_norm, synthesize
-
     l4 = lp_norm(synthesize(theta0), 4.0)
     for t, val in rows:
         assert val == pytest.approx(t**0.25 * math.exp(-2.0 * t) * l4, rel=1e-10)

@@ -16,6 +16,7 @@ from sqgbox import (
     grid_points,
     heat_factor,
     heat_semigroup,
+    integrate,
     lambda_table,
     load_trajectory,
     mild_residual,
@@ -240,6 +241,45 @@ def test_blow_up_detection(square16):
     with pytest.raises(BlowUpError) as info:
         simulate(bad, SolverConfig(dt=1e-3, horizon=0.01))
     assert info.value.time <= 0.01
+
+
+@pytest.mark.parametrize("scheme", ["ETD2", "IF-Euler"])
+def test_integrate_steps_a_stack_with_member_bits(square16, rng, scheme):
+    # The ensemble loop must give every member the bits simulate gives it
+    # alone: verify-duhamel reports stay byte-identical through it.
+    members = [_random_ss(square16, rng) for _ in range(3)]
+    stack = SpectralField(square16, "SS", np.stack([m.coefficients for m in members]))
+    cfg = SolverConfig(dt=1e-3, horizon=0.01, scheme=scheme)
+    alone = [simulate(m, cfg) for m in members]
+    steps = 0
+    for k, theta, nl, l2 in integrate(stack, cfg):
+        assert theta.coefficients.shape == (3, 16, 16) and l2.shape == (3,)
+        for i, traj in enumerate(alone):
+            assert np.array_equal(theta.coefficients[i], traj.snapshots[k].coefficients)
+            assert l2[i] == traj.diag_l2[k]
+            assert np.array_equal(nl.coefficients[i], nonlinear_term(traj.snapshots[k]).coefficients)
+        steps += 1
+    assert steps == cfg.n_steps + 1
+
+
+def test_simulate_rejects_a_stack(square16, rng):
+    stack = SpectralField(square16, "SS", rng.standard_normal((2, 16, 16)))
+    with pytest.raises(ValueError, match="single field"):
+        simulate(stack, SolverConfig(dt=1e-3, horizon=0.01))
+
+
+def test_blow_up_names_the_stack_member(square16, rng):
+    coeff = np.stack([_random_ss(square16, rng).coefficients for _ in range(4)]).reshape(2, 2, 16, 16)
+    coeff[1, 0] = np.nan
+    cfg = SolverConfig(dt=1e-3, horizon=0.01)
+    with pytest.raises(BlowUpError, match="in member 2 at") as info:
+        for _ in integrate(SpectralField(square16, "SS", coeff), cfg):
+            pass
+    assert info.value.member == 2  # flat index over the stack axes
+    with pytest.raises(BlowUpError) as alone:
+        simulate(SpectralField(square16, "SS", coeff[1, 0]), cfg)
+    assert alone.value.member is None and "member" not in str(alone.value)
+    assert info.value.time == alone.value.time
 
 
 def test_orthogonality_diagnostic_small(square16, rng):
