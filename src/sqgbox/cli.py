@@ -8,6 +8,13 @@ the config hash, package version, and an inventory of output files is
 written last.  Wall-clock timestamps appear only in the run log, which is
 excluded from the manifest inventory.
 
+``SCHEMA`` maps every dotted config key to its kind and default, and
+``DEFAULT_CONFIG`` is built from it.  ``parse_config`` converts each key by
+its kind, reports keys outside the table as unknown, checks the few
+``_CROSS_RULES`` between keys, and returns either the violations or a typed
+config that ``build_*`` and the handlers read without converting again.
+``config.json`` records the merged config as written.
+
 Exit codes: 0 on success, 1 when an asserted property fails or the
 integration blows up, 2 on config validation errors and on a field file
 that cannot be loaded.  Non-finite report
@@ -33,11 +40,11 @@ from .besov import BesovParams, besov_norm
 from .domain import DomainSpec, SpectralField, read_field, spectral_norm, unit_mode
 from .harness import (
     SampleSpec,
-    adapted_quadrature,
     bilinear_battery,
     duhamel_ensemble,
     elliptic_ratio_study,
     heat_smoothing_study,
+    holder_target,
     multiplier_bound_study,
     sample_field,
     single_block_sample,
@@ -47,100 +54,168 @@ from .harness import (
 from .multipliers import DyadicProfile, QuadratureSpec, is_live_block
 from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 
-SUBCOMMANDS = (
-    "simulate",
-    "verify-bilinear",
-    "verify-structure",
-    "verify-multipliers",
-    "verify-duhamel",
-    "verify-uniqueness",
-    "besov-norm",
-)
-
 # verify-duhamel steps its draws together, at most this many per stack.
 DUHAMEL_MEMBERS = 8
 
-DEFAULT_CONFIG = {
-    "domain": {"lengths": [math.pi, math.pi], "modes": [32, 32], "grid": [64, 64]},
-    "refined_grid": [128, 128],
-    "profile": {"sharpness": 2},
-    "quadrature": {"nodes_per_decade": 32, "mu_min": 1e-8, "mu_max": 1e8},
-    "solver": {
-        "dt": 1e-3,
-        "horizon": 0.1,
-        "scheme": "ETD2",
-        "snapshot_stride": 10,
-    },
-    "samples": {"mode_count": 32, "decay": 1.0, "seed": 1234, "count": 100},
-    "battery": {
-        "s": [-0.5, 0.0, 0.5, 1.0, 1.5],
-        "q": [1, 2, "inf"],
-        "pairs": [[2, 2], [3, 6], [6, 3]],
-        "probe_s": [-0.9, 1.9],
-    },
-    "initial": {"type": "single-mode", "m": 1, "n": 1, "amplitude": 1.0},
-    "besov": {"s": 0.5, "p": 2, "q": "inf"},
-    "structure": {"j_f": 3, "j_g": 2, "pair_count": 3, "adapted": True, "threshold": 1e-6},
-    "duhamel": {
-        "p": 1.5,
-        "count": 20,
-        "modes": [[1, 1], [1, 2]],
-        "amplitude": 0.5,
-        "dt": 1e-3,
-        "horizon": 0.1,
-    },
-    "uniqueness": {
-        "dt": 1e-3,
-        "horizon": 0.1,
-        "cross_dt": 1e-4,
-        "amplitude": 0.5,
-        "shrink_factor": 3.5,
-        "cross_tolerance": 1e-5,
-    },
-    "field_file": None,
-    "output_dir": "runs/out",
-    "seed": 1234,
+
+# A config kind is a pair (rule, parse): parse returns the typed value of one JSON
+# value or raises ValueError (or OverflowError, TypeError) to refuse it;
+# rule says what the kind accepts.
+
+
+def _kind(rule: str, accepts, convert=lambda x: x):
+    def parse(x):
+        if not accepts(x):
+            raise ValueError(rule)
+        return convert(x)
+
+    return rule, parse
+
+
+def _integer(lo=None, hi=None):
+    """An int in [lo, hi]; an integral float such as 64.0 reads as 64, a bool is refused."""
+    return _kind(
+        "an integer" + (f" in {lo}..{hi}" if hi else f" >= {lo}" if lo is not None else ""),
+        lambda x: (type(x) is int or (type(x) is float and x.is_integer()))
+        and (lo is None or x >= lo) and (hi is None or x <= hi),
+        int,
+    )
+
+
+def _real(rule: str, accepts=lambda x: True, inf=False):
+    """A float, never NaN; infinite, also spelled "inf"/"-inf", only where ``inf`` is set."""
+    return _kind(
+        rule,
+        lambda x: (x in ("inf", "-inf") if inf and type(x) is str else type(x) in (int, float))
+        and not math.isnan(float(x)) and (inf or math.isfinite(x)) and accepts(float(x)),
+        float,
+    )
+
+
+def _row(*kinds):
+    """A list such as [m, n] with one entry per kind."""
+    return _kind(
+        "[" + ", ".join(rule for rule, _ in kinds) + "]",
+        lambda x: type(x) is list and len(x) == len(kinds),
+        lambda x: [parse(v) for (_, parse), v in zip(kinds, x)],
+    )
+
+
+def _list(kind, empty_ok=False):
+    rule, parse = kind
+    return _kind(
+        f"a list of {'zero' if empty_ok else 'one'} or more items, each {rule}",
+        lambda x: type(x) is list and (empty_ok or len(x) > 0),
+        lambda x: [parse(v) for v in x],
+    )
+
+
+_POSITIVE = _real("a positive finite number", lambda x: x > 0)
+_FINITE = _real("a finite number")
+_AT_LEAST_ONE = _real("a finite number >= 1", lambda x: x >= 1)
+_REGULARITY = _real("a number in (-1, 2)", lambda x: -1 < x < 2)
+_INTEGRABILITY = _real('a number >= 1 or "inf"', lambda x: x >= 1, inf=True)
+_COUNTS = _row(_integer(1), _integer(1))
+
+# Keys that one initial.type reads: absent from DEFAULT_CONFIG, None when unset.
+_NO_DEFAULT = object()
+
+# dotted key -> (kind, default)
+SCHEMA = {
+    "domain.lengths": (_row(_POSITIVE, _POSITIVE), [math.pi, math.pi]),
+    "domain.modes": (_COUNTS, [32, 32]),
+    "domain.grid": (_COUNTS, [64, 64]),
+    "refined_grid": (_COUNTS, [128, 128]),
+    "profile.sharpness": (_integer(1, 7), 2),
+    "quadrature.nodes_per_decade": (_integer(4), 32),
+    "quadrature.mu_min": (_POSITIVE, 1e-8),
+    "quadrature.mu_max": (_POSITIVE, 1e8),
+    "solver.dt": (_POSITIVE, 1e-3),
+    "solver.horizon": (_POSITIVE, 0.1),
+    "solver.scheme": (_kind("ETD2 or IF-Euler in any case", lambda x: str(x).lower() in ("etd2", "if-euler")), "ETD2"),
+    "solver.snapshot_stride": (_integer(1), 10),
+    "samples.mode_count": (_integer(1), 32),
+    "samples.decay": (_real("a finite number >= 0", lambda x: x >= 0), 1.0),
+    "samples.seed": (_integer(0), 1234),
+    "samples.count": (_integer(1), 100),
+    "battery.s": (_list(_REGULARITY), [-0.5, 0.0, 0.5, 1.0, 1.5]),
+    "battery.q": (_list(_INTEGRABILITY), [1, 2, "inf"]),
+    "battery.pairs": (_list(_row(_AT_LEAST_ONE, _real("a finite number > 1", lambda x: x > 1))),
+                      [[2, 2], [3, 6], [6, 3]]),
+    "battery.probe_s": (_list(_REGULARITY, empty_ok=True), [-0.9, 1.9]),
+    "initial.type": (_kind("single-mode, two-mode or random", lambda x: x in ("single-mode", "two-mode", "random")),
+                     "single-mode"),
+    "initial.m": (_integer(1), 1),
+    "initial.n": (_integer(1), 1),
+    "initial.amplitude": (_FINITE, 1.0),
+    "initial.entries": (_list(_row(_integer(1), _integer(1), _FINITE)), _NO_DEFAULT),
+    "initial.index": (_integer(0), _NO_DEFAULT),
+    "besov.s": (_real("a number in (-2, 2)", lambda x: -2 < x < 2), 0.5),
+    "besov.p": (_INTEGRABILITY, 2),
+    "besov.q": (_INTEGRABILITY, "inf"),
+    "structure.j_f": (_integer(), 3),
+    "structure.j_g": (_integer(), 2),
+    "structure.pair_count": (_integer(1), 3),
+    "structure.adapted": (_kind("true or false", lambda x: type(x) is bool), True),
+    "structure.threshold": (_POSITIVE, 1e-6),
+    "duhamel.p": (_AT_LEAST_ONE, 1.5),
+    "duhamel.count": (_integer(1), 20),
+    "duhamel.modes": (_list(_COUNTS), [[1, 1], [1, 2]]),
+    "duhamel.amplitude": (_POSITIVE, 0.5),
+    "duhamel.dt": (_POSITIVE, 1e-3),
+    "duhamel.horizon": (_POSITIVE, 0.1),
+    "uniqueness.dt": (_POSITIVE, 1e-3),
+    "uniqueness.horizon": (_POSITIVE, 0.1),
+    "uniqueness.cross_dt": (_POSITIVE, 1e-4),
+    "uniqueness.amplitude": (_POSITIVE, 0.5),
+    "uniqueness.shrink_factor": (_FINITE, 3.5),
+    "uniqueness.cross_tolerance": (_FINITE, 1e-5),
+    "field_file": (_kind("a path string or null", lambda x: x is None or (type(x) is str and x != "")), None),
+    "output_dir": (_kind("a path string", lambda x: type(x) is str and x != ""), "runs/out"),
+    "seed": (_integer(0), 1234),
 }
 
-
-def _num(x):
-    if isinstance(x, str):
-        if x.lower() in ("inf", "infinity"):
-            return math.inf
-        return float(x)
-    return float(x)
-
-
-def default_config() -> dict:
-    return copy.deepcopy(DEFAULT_CONFIG)
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
+_SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
 
 
 def _set_path(cfg: dict, dotted: str, value) -> None:
     keys = dotted.split(".")
     node = cfg
     for k in keys[:-1]:
-        if not isinstance(node.get(k), dict):
-            node[k] = {}
-        node = node[k]
+        node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ValueError(f"cannot set {dotted!r}: {k!r} is not an object")
     node[keys[-1]] = value
 
 
+def _nest(flat: dict) -> dict:
+    out = {}
+    for key, value in flat.items():
+        _set_path(out, key, value)
+    return out
+
+
+DEFAULT_CONFIG = _nest(
+    {key: copy.deepcopy(default) for key, (_, default) in SCHEMA.items() if default is not _NO_DEFAULT}
+)
+
+
+def default_config() -> dict:
+    return copy.deepcopy(DEFAULT_CONFIG)
+
+
 def load_config(path, overrides=(), out=None, seed=None) -> dict:
+    """The defaults merged with the config file and the overrides, as written."""
     with open(path) as fh:
         user = json.load(fh)
     if not isinstance(user, dict):
         raise ValueError(f"config file must hold a JSON object, not {type(user).__name__}")
-    cfg = _merge(DEFAULT_CONFIG, user)
+    cfg = default_config()
+    for key, val in user.items():
+        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+            cfg[key].update(val)
+        else:
+            cfg[key] = val
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
@@ -153,239 +228,143 @@ def load_config(path, overrides=(), out=None, seed=None) -> dict:
     if out is not None:
         cfg["output_dir"] = out
     if seed is not None:
-        cfg["seed"] = int(seed)
-        cfg["samples"]["seed"] = int(seed)
+        cfg["seed"] = seed
+        _set_path(cfg, "samples.seed", seed)
     return cfg
 
 
-# Keys that only some initial-data types read, so DEFAULT_CONFIG lacks them.
-_OPTIONAL_KEYS = ("initial.entries", "initial.index")
+def _first_eigenvalue(v) -> float:
+    """lambda_11 = (pi/L1)^2 + (pi/L2)^2, inf on overflow."""
+    a, b = (math.pi / L for L in v["domain.lengths"])
+    return a * a + b * b
 
 
-def _unknown_keys(cfg: dict, default: dict, prefix: str = "") -> list[str]:
-    """Dotted paths in ``cfg`` that ``default`` does not define."""
-    out = []
+def _steps_fit(horizon: float, *dts: float) -> bool:
+    try:
+        return all(SolverConfig(dt=dt, horizon=horizon).n_steps for dt in dts)
+    except ValueError:
+        return False
+
+
+def _live(v, key: str) -> bool:
+    band = (v["samples.mode_count"],) * 2
+    domain = DomainSpec(*v["domain.lengths"], *band, *band)
+    return is_live_block(domain, band, v[key], DyadicProfile(v["profile.sharpness"]))
+
+
+def _inside(grid, modes) -> bool:
+    """Whether every [m, n, ...] of ``modes`` lies inside [grid1, grid2]."""
+    return all(m <= grid[0] and n <= grid[1] for m, n, *_ in modes)
+
+
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+# (keys read, holds, message).  A rule runs once every key it reads has
+# parsed; when it fails, its first key counts as invalid for later rules.
+_CROSS_RULES = (
+    (("domain.lengths",), lambda v: 0 < _first_eigenvalue(v) < math.inf,
+     "domain.lengths must give a positive, finite first eigenvalue (pi/L1)^2 + (pi/L2)^2"),
+    (("domain.grid", "domain.modes"), lambda v: _inside(v["domain.grid"], [v["domain.modes"]]),
+     "domain.grid must resolve domain.modes"),
+    (("refined_grid", "domain.modes"), lambda v: _inside(v["refined_grid"], [v["domain.modes"]]),
+     "refined_grid must resolve domain.modes"),
+    (("battery.pairs",), lambda v: all(holder_target(p1, p2) >= 1 for p1, p2 in v["battery.pairs"]),
+     "battery.pairs must satisfy 1/p1 + 1/p2 <= 1"),
+    (("quadrature.mu_min", "quadrature.mu_max"), lambda v: v["quadrature.mu_min"] < v["quadrature.mu_max"],
+     "quadrature needs mu_min < mu_max"),
+    (("samples.mode_count", "domain.modes"), lambda v: v["samples.mode_count"] <= min(v["domain.modes"]),
+     "samples.mode_count must not exceed domain.modes"),
+    # sample_field damps by lambda^(-decay/2), largest at lambda_11; below the
+    # smallest normal float every signed uniform draw can round to zero
+    (("samples.decay", "domain.lengths"),
+     lambda v: _LOG_TINY <= -v["samples.decay"] / 2 * math.log(_first_eigenvalue(v)) < _LOG_HUGE,
+     "samples.decay must leave lambda^(-decay/2) finite and nonzero on the sample band"),
+    (("solver.horizon", "solver.dt"), lambda v: _steps_fit(v["solver.horizon"], v["solver.dt"]),
+     "solver.horizon must be an integer multiple of solver.dt"),
+    # verify-duhamel runs dt and dt/2, verify-uniqueness dt, dt/2, dt/4 and cross_dt
+    (("duhamel.horizon", "duhamel.dt"),
+     lambda v: _steps_fit(v["duhamel.horizon"], v["duhamel.dt"], v["duhamel.dt"] / 2),
+     "duhamel.horizon must be an integer multiple of duhamel.dt and duhamel.dt/2"),
+    (("uniqueness.horizon", "uniqueness.dt", "uniqueness.cross_dt"),
+     lambda v: _steps_fit(v["uniqueness.horizon"], v["uniqueness.dt"], v["uniqueness.dt"] / 2,
+                          v["uniqueness.dt"] / 4, v["uniqueness.cross_dt"]),
+     "uniqueness.horizon must be an integer multiple of uniqueness.dt, dt/2, dt/4 and cross_dt"),
+    *(((key, "domain.lengths", "samples.mode_count", "profile.sharpness"), lambda v, key=key: _live(v, key),
+        f"{key} must name a nonzero dyadic block of the sample band") for key in ("structure.j_f", "structure.j_g")),
+    (("initial.m", "initial.n", "initial.type", "domain.modes"),
+     lambda v: v["initial.type"] != "single-mode" or _inside(v["domain.modes"], [(v["initial.m"], v["initial.n"])]),
+     "initial mode outside the domain truncation"),
+    (("initial.entries", "initial.type", "domain.modes"),
+     lambda v: v["initial.type"] != "two-mode"
+     or (v["initial.entries"] is not None and _inside(v["domain.modes"], v["initial.entries"])),
+     "a two-mode initial.type needs initial.entries of [m, n, amplitude] modes inside the domain truncation"),
+    (("duhamel.modes", "domain.modes"), lambda v: _inside(v["domain.modes"], v["duhamel.modes"]),
+     "duhamel.modes must list [m, n] modes inside the domain truncation"),
+)
+
+
+def parse_config(cfg: dict) -> tuple[dict | None, list[str]]:
+    """The typed config and no violations, or None and every violation.
+
+    Reads each SCHEMA key of a merged config (its default when absent),
+    converts it by its kind, then applies _CROSS_RULES.  Never raises for a
+    config read from JSON.
+    """
+    flat, bad = {}, []
     for key, val in cfg.items():
-        path = prefix + key
-        if key not in default:
-            if path not in _OPTIONAL_KEYS:
-                out.append(path)
-        elif isinstance(val, dict) and isinstance(default[key], dict):
-            out.extend(_unknown_keys(val, default[key], path + "."))
-    return out
-
-
-def validate_config(cfg: dict) -> list[str]:
-    """Structural and hypothesis checks; an empty list means runnable."""
-    bad = [f"unknown config key {path!r}" for path in _unknown_keys(cfg, DEFAULT_CONFIG)]
-
-    def check(cond, msg):
-        if not cond:
-            bad.append(msg)
-
-    try:
-        dom = cfg["domain"]
-        check(all(_num(x) > 0 for x in dom["lengths"]), "domain.lengths must be positive")
-        check(all(int(m) >= 1 for m in dom["modes"]), "domain.modes must be >= 1")
-        check(
-            all(int(n) >= int(m) for n, m in zip(dom["grid"], dom["modes"])),
-            "domain.grid must resolve domain.modes",
-        )
-        check(
-            all(int(n) >= int(m) for n, m in zip(cfg["refined_grid"], dom["modes"])),
-            "refined_grid must resolve domain.modes",
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"domain section malformed: {exc}")
-    try:
-        check(1 <= int(cfg["profile"]["sharpness"]) <= 7, "profile.sharpness must lie in 1..7")
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"profile section malformed: {exc}")
-    try:
-        q = cfg["quadrature"]
-        check(int(q["nodes_per_decade"]) >= 4, "quadrature.nodes_per_decade must be >= 4")
-        check(0 < _num(q["mu_min"]) < _num(q["mu_max"]), "quadrature needs 0 < mu_min < mu_max")
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"quadrature section malformed: {exc}")
-    try:
-        sol = cfg["solver"]
-        SolverConfig(
-            dt=_num(sol["dt"]),
-            horizon=_num(sol["horizon"]),
-            scheme=sol["scheme"],
-            snapshot_stride=int(sol["snapshot_stride"]),
-        ).n_steps
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"solver section invalid: {exc}")
-    try:
-        smp = cfg["samples"]
-        SampleSpec(int(smp["mode_count"]), _num(smp["decay"]), int(smp["seed"]), int(smp["count"]))
-        check(
-            int(smp["mode_count"]) <= min(int(m) for m in cfg["domain"]["modes"]),
-            "samples.mode_count must not exceed domain.modes",
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"samples section invalid: {exc}")
-    try:
-        bat = cfg["battery"]
-        for name in ("s", "q", "pairs"):
-            check(len(bat[name]) >= 1, f"battery.{name} must not be empty")
-        for s in list(bat["s"]) + list(bat.get("probe_s", [])):
-            check(-1.0 < _num(s) < 2.0, f"battery regularity {s} outside (-1, 2)")
-        for pair in bat["pairs"]:
-            p1, p2 = _num(pair[0]), _num(pair[1])
-            check(p1 >= 1, f"battery pair {pair}: p1 must be >= 1")
-            check(1 < p2 < math.inf, f"battery pair {pair}: p2 must be interior to (1, inf)")
-        for qv in bat["q"]:
-            check(_num(qv) >= 1, f"battery q {qv} must be >= 1")
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"battery section malformed: {exc}")
-    try:
-        bz = cfg["besov"]
-        BesovParams(_num(bz["s"]), _num(bz["p"]), _num(bz["q"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"besov section invalid: {exc}")
-    try:
-        st = cfg["structure"]
-        check(int(st["pair_count"]) >= 1, "structure.pair_count must be >= 1")
-        check(
-            0 < _num(st.get("threshold", 1e-6)) < math.inf, "structure.threshold must be positive and finite"
-        )
+        if key in _SECTIONS and isinstance(val, dict):
+            flat.update((f"{key}.{k}", v) for k, v in val.items())
+        elif key in _SECTIONS:
+            bad.append(f"config section {key!r} must be an object")
+        else:
+            flat[key] = val
+    bad += [f"unknown config key {key!r}" for key in flat if key not in SCHEMA]
+    values = {}
+    for key, ((rule, parse), default) in SCHEMA.items():
+        raw = flat.get(key, default)
         try:
-            sample_band = (build_sample_spec(cfg).mode_count,) * 2
-            domain, profile = build_domain(cfg), build_profile(cfg)
-        except (KeyError, TypeError, ValueError):
-            domain = None  # already reported with its own section
-        for key in ("j_f", "j_g"):
-            j = st[key]
-            check(
-                isinstance(j, int)
-                and not isinstance(j, bool)
-                and (domain is None or is_live_block(domain, sample_band, j, profile)),
-                f"structure.{key} must be an integer naming a nonzero dyadic block of the sample band",
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"structure section malformed: {exc}")
-    try:
-        modes = [int(m) for m in cfg["domain"]["modes"]]
-    except (KeyError, TypeError, ValueError):
-        modes = [0, 0]  # already reported with the domain section
-
-    def in_band(m, n):
-        return 1 <= int(m) <= modes[0] and 1 <= int(n) <= modes[1]
-
-    def positive(section, keys):
-        ok = [0 < _num(cfg[section][key]) < math.inf for key in keys]
-        for key, good in zip(keys, ok):
-            check(good, f"{section}.{key} must be positive and finite")
-        return all(ok)
-
-    def steps_fit(section, horizon, dts):
-        # verify-duhamel runs dt and dt/2, verify-uniqueness dt, dt/2, dt/4 and cross_dt
-        for dt in dts:
-            try:
-                SolverConfig(dt=dt, horizon=horizon).n_steps
-            except ValueError:
-                bad.append(f"{section}.horizon must be an integer multiple of step {dt:g}")
-
-    try:
-        du = cfg["duhamel"]
-        check(int(du["count"]) >= 1, "duhamel.count must be >= 1")
-        check(_num(du["p"]) >= 1, "duhamel.p must be >= 1")
-        check(
-            len(du["modes"]) >= 1 and all(in_band(m, n) for m, n in du["modes"]),
-            "duhamel.modes must list [m, n] modes inside the domain truncation",
-        )
-        if positive("duhamel", ("dt", "horizon", "amplitude")):
-            dt = _num(du["dt"])
-            steps_fit("duhamel", _num(du["horizon"]), (dt, dt / 2.0))
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"duhamel section malformed: {exc}")
-    try:
-        un = cfg["uniqueness"]
-        for key in ("shrink_factor", "cross_tolerance"):
-            check(not math.isnan(_num(un[key])), f"uniqueness.{key} must be a number")
-        if positive("uniqueness", ("dt", "horizon", "cross_dt", "amplitude")):
-            dt = _num(un["dt"])
-            steps_fit("uniqueness", _num(un["horizon"]), (dt, dt / 2.0, dt / 4.0, _num(un["cross_dt"])))
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"uniqueness section malformed: {exc}")
-    field_file = cfg.get("field_file")
-    check(field_file is None or isinstance(field_file, str), "field_file must be a path string or null")
-    try:
-        ini = cfg["initial"]
-        check(
-            ini["type"] in ("single-mode", "two-mode", "random"),
-            "initial.type must be single-mode, two-mode, or random",
-        )
-        check(math.isfinite(_num(ini.get("amplitude", 1.0))), "initial.amplitude must be a finite number")
-        if ini["type"] == "single-mode":
-            check(in_band(ini["m"], ini["n"]), "initial mode outside the domain truncation")
-        if ini["type"] == "two-mode":
-            entries = ini.get("entries")
-            check(
-                isinstance(entries, list)
-                and len(entries) >= 1
-                and all(in_band(m, n) and math.isfinite(_num(amp)) for m, n, amp in entries),
-                "initial.entries must list [m, n, amplitude] modes inside the domain truncation",
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        bad.append(f"initial section malformed: {exc}")
-    return bad
+            values[key] = None if raw is _NO_DEFAULT else parse(raw)
+        except (OverflowError, TypeError, ValueError):
+            bad.append(f"{key} must be {rule}, got {json.dumps(raw, default=repr)}")
+    for keys, holds, message in _CROSS_RULES:
+        if all(k in values for k in keys) and not holds(values):
+            bad.append(message)
+            del values[keys[0]]
+    return (None, bad) if bad else (_nest(values), [])
 
 
 # ---------------------------------------------------------------------------
-# config -> objects
+# typed config -> objects
 # ---------------------------------------------------------------------------
 
 
 def build_domain(cfg: dict, grid=None) -> DomainSpec:
     dom = cfg["domain"]
-    g = grid if grid is not None else dom["grid"]
-    return DomainSpec(
-        _num(dom["lengths"][0]),
-        _num(dom["lengths"][1]),
-        int(dom["modes"][0]),
-        int(dom["modes"][1]),
-        int(g[0]),
-        int(g[1]),
-    )
+    return DomainSpec(*dom["lengths"], *dom["modes"], *(dom["grid"] if grid is None else grid))
 
 
 def build_profile(cfg: dict) -> DyadicProfile:
-    return DyadicProfile(int(cfg["profile"]["sharpness"]))
+    return DyadicProfile(cfg["profile"]["sharpness"])
 
 
 def build_sample_spec(cfg: dict) -> SampleSpec:
-    smp = cfg["samples"]
-    return SampleSpec(int(smp["mode_count"]), _num(smp["decay"]), int(smp["seed"]), int(smp["count"]))
+    return SampleSpec(**cfg["samples"])
 
 
-def build_solver(cfg: dict, dt=None, horizon=None, scheme=None, stride=None) -> SolverConfig:
-    sol = cfg["solver"]
-    return SolverConfig(
-        dt=_num(dt if dt is not None else sol["dt"]),
-        horizon=_num(horizon if horizon is not None else sol["horizon"]),
-        scheme=scheme if scheme is not None else sol["scheme"],
-        snapshot_stride=int(stride if stride is not None else sol["snapshot_stride"]),
-    )
+def build_solver(cfg: dict, **changes) -> SolverConfig:
+    """SolverConfig of the ``solver`` section, with ``changes`` to its fields."""
+    return SolverConfig(**{**cfg["solver"], **changes})
 
 
 def build_initial(cfg: dict, domain: DomainSpec) -> SpectralField:
     ini = cfg["initial"]
-    kind = ini["type"]
-    if kind == "single-mode":
-        return unit_mode(domain, int(ini["m"]), int(ini["n"]), _num(ini["amplitude"]))
-    if kind == "two-mode":
-        out = None
-        for m, n, amp in ini["entries"]:
-            piece = unit_mode(domain, int(m), int(n), _num(amp))
-            out = piece if out is None else out + piece
-        return out
-    if kind == "random":
-        spec = build_sample_spec(cfg)
-        return sample_field(spec, domain, int(ini.get("index", 0))) * _num(ini.get("amplitude", 1.0))
-    raise ValueError(f"unknown initial data type {kind!r}")
+    if ini["type"] == "single-mode":
+        return unit_mode(domain, ini["m"], ini["n"], ini["amplitude"])
+    if ini["type"] == "two-mode":
+        pieces = [unit_mode(domain, m, n, amp) for m, n, amp in ini["entries"]]
+        return sum(pieces[1:], pieces[0])
+    # random: initial.index picks the draw, the first one when absent
+    return sample_field(build_sample_spec(cfg), domain, ini["index"] or 0) * ini["amplitude"]
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +373,19 @@ def build_initial(cfg: dict, domain: DomainSpec) -> SpectralField:
 
 
 class RunDir:
-    def __init__(self, cfg: dict):
-        self.path = cfg["output_dir"]
+    """Output directory of the run of subcommand ``name``, with its log and manifest."""
+
+    def __init__(self, cfg: dict, name: str = "run"):
+        self.path, self.name = cfg["output_dir"], name
         os.makedirs(self.path, exist_ok=True)
         self.cfg_text = json.dumps(
             _report_value(cfg), sort_keys=True, indent=2, allow_nan=False, default=_json_default
         )
         self.log_path = os.path.join(self.path, "runlog.txt")
-        self.files = []
         with open(os.path.join(self.path, "config.json"), "w") as fh:
             fh.write(self.cfg_text + "\n")
-        self.files.append("config.json")
+        self.files = ["config.json"]
+        self.log(f"{name} start")
 
     def log(self, message: str) -> None:
         stamp = datetime.datetime.now().isoformat(timespec="seconds")
@@ -433,7 +414,8 @@ class RunDir:
                 full = os.path.join(root, name)
                 self.files.append(os.path.relpath(full, self.path))
 
-    def finish(self) -> None:
+    def finish(self, ok: bool, summary: str) -> int:
+        """Write the manifest and print the summary line; returns the exit code, 1 unless ``ok``."""
         inventory = {}
         for rel in sorted(set(self.files)):
             full = os.path.join(self.path, rel)
@@ -448,13 +430,17 @@ class RunDir:
         with open(os.path.join(self.path, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2)
             fh.write("\n")
+        self.log(f"{self.name} done")
+        print(f"{self.name}: {summary}")
+        return 0 if ok else 1
 
 
 def _report_value(o):
     """Copy of ``o`` with non-finite floats spelled "nan", "inf" or "-inf".
 
-    Strict JSON has no NaN or Infinity; these are the spellings ``_num``
-    reads back.  Arrays become lists, everything else passes through.
+    Strict JSON has no NaN or Infinity; "inf" is also how a config spells
+    infinity where a key admits it.  Arrays become lists, everything else
+    passes through.
     """
     if isinstance(o, dict):
         return {k: _report_value(v) for k, v in o.items()}
@@ -487,9 +473,8 @@ def _csv_cell(c):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("simulate start")
+def _cmd_simulate(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "simulate")
     domain = build_domain(cfg)
     theta0 = build_initial(cfg, domain)
     traj = simulate(theta0, build_solver(cfg))
@@ -503,28 +488,18 @@ def _cmd_simulate(cfg: dict) -> int:
         "energy_nonincreasing": bool(np.all(np.diff(traj.diag_l2) <= 1e-8 * traj.diag_l2[:-1] + 1e-300)),
     }
     run.write_json("simulate.json", summary)
-    run.finish()
-    run.log("simulate done")
-    print(f"simulate: {summary['steps']} steps, final L2 {summary['final_l2']:.6g}")
-    return 0
+    return run.finish(True, f"{summary['steps']} steps, final L2 {summary['final_l2']:.6g}")
 
 
-def _cmd_verify_bilinear(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("verify-bilinear start")
+def _cmd_verify_bilinear(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "verify-bilinear")
     domain = build_domain(cfg)
     refined = build_domain(cfg, grid=cfg["refined_grid"])
-    battery = {
-        "s": [_num(s) for s in cfg["battery"]["s"]],
-        "q": [_num(q) for q in cfg["battery"]["q"]],
-        "pairs": [[_num(a), _num(b)] for a, b in cfg["battery"]["pairs"]],
-        "probe_s": [_num(s) for s in cfg["battery"].get("probe_s", [])],
-    }
-    reports = bilinear_battery(domain, refined, build_sample_spec(cfg), battery, build_profile(cfg))
+    reports = bilinear_battery(domain, refined, build_sample_spec(cfg), cfg["battery"], build_profile(cfg))
     run.write_json("bilinear.json", [r.to_json_dict() for r in reports])
     rows = [
         [
-            r.params["s"], r.params["p1"], r.params["p2"], _fmt_q(r.params["q"]),
+            r.params["s"], r.params["p1"], r.params["p2"], r.params["q"],
             r.max_ratio, r.mean_ratio, r.refined_max_ratio, int(r.stable),
             int(r.details.get("probe", False)),
         ]
@@ -535,104 +510,67 @@ def _cmd_verify_bilinear(cfg: dict) -> int:
         ["s", "p1", "p2", "q", "max_ratio", "mean_ratio", "refined_max_ratio", "stable", "probe"],
         rows,
     )
-    run.finish()
-    run.log("verify-bilinear done")
     asserted = [r for r in reports if not r.details.get("probe", False)]
     ok = all(math.isfinite(r.max_ratio) and r.stable for r in asserted)
     worst = max(r.max_ratio for r in asserted)
-    print(f"verify-bilinear: {len(reports)} tuples, worst asserted max ratio {worst:.4g}, "
-          f"{'stable' if ok else 'UNSTABLE'}")
-    return 0 if ok else 1
+    return run.finish(ok, f"{len(reports)} tuples, worst asserted max ratio {worst:.4g}, "
+                          f"{'stable' if ok else 'UNSTABLE'}")
 
 
-def _fmt_q(q):
-    return "inf" if math.isinf(q) else q
-
-
-def _cmd_verify_structure(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("verify-structure start")
+def _cmd_verify_structure(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "verify-structure")
     domain = build_domain(cfg)
     profile = build_profile(cfg)
     spec = build_sample_spec(cfg)
     st = cfg["structure"]
-    if st.get("adapted", True):
-        qspec = None
-    else:
-        q = cfg["quadrature"]
-        qspec = QuadratureSpec(int(q["nodes_per_decade"]), _num(q["mu_min"]), _num(q["mu_max"]))
+    qspec = None if st["adapted"] else QuadratureSpec(**cfg["quadrature"])
     results = []
-    for i in range(int(st["pair_count"])):
-        f = single_block_sample(spec, domain, 2 * i, int(st["j_f"]), profile)
-        g = single_block_sample(spec, domain, 2 * i + 1, int(st["j_g"]), profile)
+    for i in range(st["pair_count"]):
+        f = single_block_sample(spec, domain, 2 * i, st["j_f"], profile)
+        g = single_block_sample(spec, domain, 2 * i + 1, st["j_g"], profile)
         residual, bound = verify_derivative_structure(f, g, qspec)
         results.append({"pair": i, "residual": residual, "truncation_bound": bound})
     run.write_json("structure.json", results)
-    run.finish()
-    run.log("verify-structure done")
     worst = max(r["residual"] for r in results)
-    ok = worst <= _num(st.get("threshold", 1e-6))
-    print(f"verify-structure: {len(results)} pairs, worst residual {worst:.3e}, "
-          f"{'ok' if ok else 'ABOVE THRESHOLD'}")
-    return 0 if ok else 1
+    ok = worst <= st["threshold"]
+    return run.finish(ok, f"{len(results)} pairs, worst residual {worst:.3e}, {'ok' if ok else 'ABOVE THRESHOLD'}")
 
 
-def _cmd_verify_multipliers(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("verify-multipliers start")
+def _cmd_verify_multipliers(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "verify-multipliers")
     domain = build_domain(cfg)
     profile = build_profile(cfg)
     spec = build_sample_spec(cfg)
     grids = [tuple(cfg["domain"]["grid"]), tuple(cfg["refined_grid"])]
-    grids = [(int(a), int(b)) for a, b in grids]
     bounds = multiplier_bound_study(domain, spec, profile, grids=grids)
     flat_sample = sample_field(SampleSpec(spec.mode_count, 0.0, spec.seed, 1), domain, 0)
     smoothing = heat_smoothing_study(flat_sample, profile, grids=grids)
     elliptic = elliptic_ratio_study(domain, SampleSpec(spec.mode_count, spec.decay, spec.seed, min(spec.count, 20)))
-    report = {"bernstein": bounds, "heat_smoothing": smoothing, "elliptic": elliptic}
-    run.write_json("multipliers.json", report)
-    run.finish()
-    run.log("verify-multipliers done")
-    ok = True
-    for section in ("block_ratio", "gradient_ratio"):
-        for p, per_grid in bounds[section].items():
-            vals = list(per_grid.values())
-            if not all(math.isfinite(v) for v in vals):
-                ok = False
-            if max(vals) > 2.0 * min(vals):
-                ok = False
-    for j, rate in smoothing["block_decay_rates"].items():
-        if rate > -0.25 * 4.0**j * (1 - 1e-12):
-            ok = False
-    sups = list(smoothing["gradient_smoothing_sup"].values())
-    if max(sups) > 2.0 * min(sups):
-        ok = False
-    print(f"verify-multipliers: {'stable' if ok else 'UNSTABLE'} across {grids}")
-    return 0 if ok else 1
+    run.write_json("multipliers.json", {"bernstein": bounds, "heat_smoothing": smoothing, "elliptic": elliptic})
+    # each list is finite and spans at most a factor 2 across grids
+    spreads = [list(per_grid.values()) for section in ("block_ratio", "gradient_ratio")
+               for per_grid in bounds[section].values()] + [list(smoothing["gradient_smoothing_sup"].values())]
+    ok = all(all(map(math.isfinite, vals)) and not max(vals) > 2.0 * min(vals) for vals in spreads) and not any(
+        rate > -0.25 * 4.0**j * (1 - 1e-12) for j, rate in smoothing["block_decay_rates"].items()
+    )
+    return run.finish(ok, f"{'stable' if ok else 'UNSTABLE'} across {grids}")
 
 
-def _cmd_verify_duhamel(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("verify-duhamel start")
+def _cmd_verify_duhamel(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "verify-duhamel")
     domain = build_domain(cfg)
     profile = build_profile(cfg)
     du = cfg["duhamel"]
-    p = _num(du["p"])
-    seed = int(cfg["samples"]["seed"])
-    count = int(du["count"])
+    p, count = du["p"], du["count"]
     draws = []
     for i in range(count):
-        rng = np.random.default_rng([seed, 7000 + i])
-        theta0 = None
-        for m, n in du["modes"]:
-            amp = _num(du["amplitude"]) * float(rng.uniform(-1.0, 1.0))
-            piece = unit_mode(domain, int(m), int(n), amp)
-            theta0 = piece if theta0 is None else theta0 + piece
-        draws.append(theta0.coefficients)
+        rng = np.random.default_rng([cfg["samples"]["seed"], 7000 + i])
+        pieces = [unit_mode(domain, m, n, du["amplitude"] * float(rng.uniform(-1.0, 1.0))) for m, n in du["modes"]]
+        draws.append(sum(pieces[1:], pieces[0]).coefficients)
     draws = np.stack(draws)
     columns = []
-    for dt in (_num(du["dt"]), _num(du["dt"]) / 2.0):
-        config = build_solver(cfg, dt=dt, horizon=du["horizon"], stride=1)
+    for dt in (du["dt"], du["dt"] / 2.0):
+        config = build_solver(cfg, dt=dt, horizon=du["horizon"], snapshot_stride=1)
         ratios = []
         for lo in range(0, count, DUHAMEL_MEMBERS):
             members = SpectralField(domain, "SS", draws[lo : lo + DUHAMEL_MEMBERS])
@@ -641,79 +579,55 @@ def _cmd_verify_duhamel(cfg: dict) -> int:
             except BlowUpError as exc:
                 raise BlowUpError(exc.time, exc.last_l2, lo + exc.member) from None
         columns.append(ratios)
-    rows = []
-    ok = True
-    for i, ratios in enumerate(zip(*columns)):
-        stable = (
-            math.isfinite(ratios[0])
-            and math.isfinite(ratios[1])
-            and (ratios[1] <= 2.0 * ratios[0] + 1e-300)
-            and (ratios[0] <= 2.0 * ratios[1] + 1e-300)
-        )
-        ok = ok and stable
-        rows.append([i, ratios[0], ratios[1], int(stable)])
+    rows = [
+        [i, a, b, int(math.isfinite(a) and math.isfinite(b) and b <= 2.0 * a + 1e-300 and a <= 2.0 * b + 1e-300)]
+        for i, (a, b) in enumerate(zip(*columns))
+    ]
+    ok = all(row[3] for row in rows)
     run.write_csv("duhamel.csv", ["index", "ratio", "ratio_half_dt", "stable"], rows)
     run.write_json(
         "duhamel.json",
-        {"p": p, "s": -1.0 + 2.0 / p, "count": int(du["count"]),
+        {"p": p, "s": -1.0 + 2.0 / p, "count": count,
          "max_ratio": max(r[1] for r in rows), "all_stable": bool(ok)},
     )
-    run.finish()
-    run.log("verify-duhamel done")
-    print(f"verify-duhamel: max ratio {max(r[1] for r in rows):.4g}, "
-          f"{'stable' if ok else 'UNSTABLE'} under dt halving")
-    return 0 if ok else 1
+    return run.finish(ok, f"max ratio {max(r[1] for r in rows):.4g}, {'stable' if ok else 'UNSTABLE'} under dt halving")
 
 
-def _cmd_verify_uniqueness(cfg: dict) -> int:
-    run = RunDir(cfg)
-    run.log("verify-uniqueness start")
+def _cmd_verify_uniqueness(cfg: dict, written: dict) -> int:
+    run = RunDir(written, "verify-uniqueness")
     domain = build_domain(cfg)
     un = cfg["uniqueness"]
-    amp = _num(un["amplitude"])
+    amp, dt, horizon, cross_dt = un["amplitude"], un["dt"], un["horizon"], un["cross_dt"]
     # distinct eigenvalues so the advection term is active
     theta0 = unit_mode(domain, 1, 1, amp) + unit_mode(domain, 1, 2, -amp)
-    dt = _num(un["dt"])
-    horizon = _num(un["horizon"])
 
-    def twin(dta, dtb):
-        ca = build_solver(cfg, dt=dta, horizon=horizon, stride=max(1, round(horizon / dta / 20)))
-        cb = build_solver(cfg, dt=dtb, horizon=horizon, stride=max(1, round(horizon / dtb / 20)))
-        return uniqueness_experiment(theta0, ca, cb)
+    def solver(step, **scheme):
+        return build_solver(cfg, dt=step, horizon=horizon, snapshot_stride=max(1, round(horizon / step / 20)),
+                            **scheme)
 
-    t1, d1 = twin(dt, dt / 2)
-    t2, d2 = twin(dt / 2, dt / 4)
+    t1, d1 = uniqueness_experiment(theta0, solver(dt), solver(dt / 2))
+    t2, d2 = uniqueness_experiment(theta0, solver(dt / 2), solver(dt / 4))
     shrink = float(np.max(d1) / np.max(d2)) if np.max(d2) > 0 else math.inf
-    cross_dt = _num(un["cross_dt"])
-    ca = build_solver(cfg, dt=cross_dt, horizon=horizon, scheme="IF-Euler",
-                      stride=max(1, round(horizon / cross_dt / 20)))
-    cb = build_solver(cfg, dt=cross_dt, horizon=horizon, scheme="ETD2",
-                      stride=max(1, round(horizon / cross_dt / 20)))
-    tc, dc = uniqueness_experiment(theta0, ca, cb)
+    tc, dc = uniqueness_experiment(theta0, solver(cross_dt, scheme="IF-Euler"), solver(cross_dt, scheme="ETD2"))
     rel_cross = float(np.max(dc) / spectral_norm(theta0))
-    report = {
+    run.write_json("uniqueness.json", {
         "max_distance_coarse": float(np.max(d1)),
         "max_distance_fine": float(np.max(d2)),
         "shrink_factor": shrink,
         "cross_scheme_relative_distance": rel_cross,
-    }
-    run.write_json("uniqueness.json", report)
+    })
     run.write_csv(
         "uniqueness_distance.csv",
         ["time", "coarse_pair", "fine_pair"],
         [[t, a, b] for t, a, b in zip(t1, d1, np.interp(t1, t2, d2))],
     )
     run.write_csv("uniqueness_cross.csv", ["time", "distance"], list(zip(tc, dc)))
-    run.finish()
-    run.log("verify-uniqueness done")
-    ok = shrink >= _num(un["shrink_factor"]) and rel_cross <= _num(un["cross_tolerance"])
-    print(f"verify-uniqueness: shrink {shrink:.3g}, cross-scheme rel distance {rel_cross:.3e}, "
-          f"{'ok' if ok else 'FAILED'}")
-    return 0 if ok else 1
+    ok = shrink >= un["shrink_factor"] and rel_cross <= un["cross_tolerance"]
+    return run.finish(ok, f"shrink {shrink:.3g}, cross-scheme rel distance {rel_cross:.3e}, {'ok' if ok else 'FAILED'}")
 
 
-def _cmd_besov_norm(cfg: dict) -> int:
-    if cfg.get("field_file"):
+def _cmd_besov_norm(cfg: dict, written: dict) -> int:
+    if cfg["field_file"] is not None:
         try:
             field = read_field(cfg["field_file"])
             if field.parity != "SS":
@@ -723,21 +637,13 @@ def _cmd_besov_norm(cfg: dict) -> int:
             return 2
     else:
         field = build_initial(cfg, build_domain(cfg))
-    run = RunDir(cfg)
-    run.log("besov-norm start")
-    bz = cfg["besov"]
-    params = BesovParams(_num(bz["s"]), _num(bz["p"]), _num(bz["q"]))
+    run = RunDir(written, "besov-norm")
+    params = BesovParams(**cfg["besov"])
     value, prof = besov_norm(field, params, build_profile(cfg))
     prof.to_csv(os.path.join(run.path, "besov_profile.csv"))
     run.files.append("besov_profile.csv")
-    run.write_json(
-        "besov.json",
-        {"s": params.s, "p": _fmt_q(params.p), "q": _fmt_q(params.q), "value": value},
-    )
-    run.finish()
-    run.log("besov-norm done")
-    print(f"besov-norm: {value:.12g}")
-    return 0
+    run.write_json("besov.json", {"s": params.s, "p": params.p, "q": params.q, "value": value})
+    return run.finish(True, f"{value:.12g}")
 
 
 _HANDLERS = {
@@ -749,6 +655,7 @@ _HANDLERS = {
     "verify-uniqueness": _cmd_verify_uniqueness,
     "besov-norm": _cmd_besov_norm,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run(argv=None) -> int:
@@ -766,17 +673,17 @@ def run(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None, help="seed override")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set, args.out, args.seed)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        written = load_config(args.config, args.set, args.out, args.seed)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    violations = validate_config(cfg)
+    cfg, violations = parse_config(written)
     if violations:
         for v in violations:
             print(f"config violation: {v}", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.subcommand](cfg)
+        return _HANDLERS[args.subcommand](cfg, written)
     except BlowUpError as exc:
         print(f"{args.subcommand}: blow-up: {exc}", file=sys.stderr)
         return 1

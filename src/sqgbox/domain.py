@@ -36,6 +36,8 @@ convective SQG term needs.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -58,8 +60,10 @@ class DomainSpec:
     N2: int
 
     def __post_init__(self):
-        if not (self.L1 > 0 and self.L2 > 0):
-            raise ValueError("domain side lengths must be positive")
+        if not (0 < self.L1 < math.inf and 0 < self.L2 < math.inf):
+            raise ValueError("domain side lengths must be positive and finite")
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (*self.modes, *self.grid)):
+            raise ValueError("mode counts and grid sizes must be integers")
         if not (self.M1 >= 1 and self.M2 >= 1):
             raise ValueError("spectral truncation must be at least 1 per axis")
         if self.N1 < self.M1 or self.N2 < self.M2:
@@ -482,7 +486,7 @@ def read_field(path) -> SpectralField:
         if header.get("dtype") != "f64" or header.get("layout") != "row-major":
             raise ValueError("unsupported snapshot payload format")
         shape = tuple(header["shape"])
-        if len(shape) != 2 or not all(isinstance(n, int) and n >= 1 for n in shape):
+        if len(shape) != 2 or not all(type(n) is int and n >= 1 for n in shape):
             raise ValueError(f"snapshot shape must be two positive integers, got {header['shape']!r}")
         (L1, L2), (M1, M2), (N1, N2) = header["lengths"], header["modes"], header["grid"]
         domain = DomainSpec(L1, L2, M1, M2, N1, N2)

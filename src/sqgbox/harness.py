@@ -266,7 +266,7 @@ def bilinear_battery(
                             besov(tables["f"], gi, s, p1, q) * plain[(gi, "g", p2)]
                             + plain[(gi, "f", p3)] * besov(tables["g"], gi, s, p4, q)
                         )
-                        ratios[gi].append(lhs / rhs)
+                        ratios[gi].append(lhs / rhs if rhs > 0 else math.nan)
                 base = np.asarray(ratios[0])
                 refined = np.asarray(ratios[1])
                 reports.append(
@@ -613,7 +613,7 @@ def heat_smoothing_study(
     for j, c in zip(js, blocks.coefficients):
         block = SpectralField(field.domain, "SS", c)
         b0 = spectral_norm(block)
-        if b0 == 0:
+        if not 0 < b0 < math.inf:  # nor does one whose L2 norm overflows
             continue
         ts = np.linspace(0.0, 4.0 ** (-j), n_times)
         logr = np.array([math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts])

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -96,7 +97,8 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        n = int(round(self.horizon / self.dt))
+        ratio = self.horizon / self.dt
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(n * self.dt - self.horizon) > 1e-8 * max(1.0, self.horizon):
             raise ValueError("horizon must be an integer multiple of dt")
         return n

@@ -1,26 +1,34 @@
 """Config handling, subcommand execution, and run-directory contracts."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
+    SCHEMA,
+    SUBCOMMANDS,
     RunDir,
+    _report_value,
     build_domain,
     build_initial,
     build_solver,
     default_config,
     load_config,
+    parse_config,
     run,
-    validate_config,
 )
 
 
@@ -42,11 +50,33 @@ def _write_cfg(tmp_path, overrides=None):
     return str(path)
 
 
+def _typed(path, overrides=()):
+    cfg, violations = parse_config(load_config(path, overrides))
+    assert violations == []
+    return cfg
+
+
 # -- config ----------------------------------------------------------------
 
 
 def test_default_config_is_valid():
-    assert validate_config(default_config()) == []
+    assert parse_config(default_config())[1] == []
+
+
+def test_schema_defaults_parse_to_themselves():
+    # DEFAULT_CONFIG is built from the schema rows: each default must be a
+    # value that its own kind accepts and reads back unchanged.
+    typed, violations = parse_config(DEFAULT_CONFIG)
+    assert violations == []
+    for key, ((_, parse), default) in SCHEMA.items():
+        section, _, name = key.rpartition(".")
+        value = (typed[section] if section else typed)[name]
+        if key in ("initial.entries", "initial.index"):  # rows without a default
+            assert value is None and name not in DEFAULT_CONFIG["initial"]
+            continue
+        assert _report_value(value) == default, key
+        assert isinstance(value, float) or type(value) is type(default), key
+        assert parse(value) == value, key
 
 
 def test_default_config_deep_copied():
@@ -79,14 +109,15 @@ def test_validate_config_flags_violations():
     cfg["profile"]["sharpness"] = 9
     cfg["battery"]["s"] = [0.0, 2.5]
     cfg["domain"]["grid"] = [16, 16]  # cannot resolve 32 modes
-    out = validate_config(cfg)
+    typed, out = parse_config(cfg)
+    assert typed is None
     assert len(out) >= 4
     assert any("sharpness" in v for v in out)
     assert any("2.5" in v for v in out)
 
 
 def test_build_domain_uses_grid_argument():
-    cfg = default_config()
+    cfg, _ = parse_config(default_config())
     d = build_domain(cfg, grid=[128, 96])
     assert (d.N1, d.N2) == (128, 96)
     assert (d.M1, d.M2) == (32, 32)
@@ -162,8 +193,7 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
 
 def test_besov_norm_from_field_file(tmp_path):
     cfg_path = _write_cfg(tmp_path)
-    cfg = load_config(cfg_path)
-    field = unit_mode(build_domain(cfg), 1, 1)
+    field = unit_mode(build_domain(_typed(cfg_path)), 1, 1)
     field_file = tmp_path / "theta.field"
     write_field(field_file, field)
     out = tmp_path / "bn"
@@ -192,6 +222,22 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
     assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
+# Cases that parse_config refuses before any work, so they run in-process.
+_IN_PROCESS_VIOLATIONS = [
+    ("simulate", 'initial={"type": "random", "index": 1.5}'),
+    ("simulate", 'initial={"type": "random", "index": -1}'),
+    ("simulate", 'initial={"type": "random", "index": "a"}'),
+    ("simulate", "initial.n=true"),
+    ("verify-structure", 'structure.adapted="no"'),
+    ("simulate", "solver.horizon=1e308"),
+    ("verify-uniqueness", "uniqueness.horizon=1e308"),
+    ("verify-bilinear", "samples.decay=Infinity"),
+    ("verify-bilinear", "samples.decay=3000"),
+    ("simulate", "domain.lengths=[1e400, 3]"),
+    ("simulate", 'domain.lengths=["3.1", 3]'),
+]
+
+
 @pytest.mark.parametrize(
     "subcommand, override",
     [
@@ -214,19 +260,30 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
         ("simulate", 'initial.amplitude="x"'),
         ("simulate", "initial.amplitude=Infinity"),
         ("besov-norm", "field_file=5"),
+        # integer keys refuse fractions
+        ("simulate", "domain.grid=[64.9, 64]"),
+        ("simulate", "solver.snapshot_stride=2.5"),
+        ("verify-bilinear", "samples.seed=1.5"),
+        ("verify-structure", "structure.pair_count=1.7"),
+        ("verify-duhamel", "duhamel.count=1.5"),
+        # lists have a fixed shape
+        ("simulate", "domain.modes=[8, 8, 8]"),
+        ("verify-bilinear", "refined_grid=[32]"),
+        ("simulate", "domain.lengths=[3]"),
+        ("verify-bilinear", "battery.pairs=[[2]]"),
+        *_IN_PROCESS_VIOLATIONS,
     ],
 )
-def test_config_violation_exits_2_without_traceback(tmp_path, subcommand, override):
-    cfg = _write_cfg(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "sqgbox.cli", subcommand, "--config", cfg, "--set", override,
-         "--out", str(tmp_path / "x")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "config violation" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_config_violation_exits_2_without_traceback(tmp_path, capsys, subcommand, override):
+    args = [subcommand, "--config", _write_cfg(tmp_path), "--set", override, "--out", str(tmp_path / "x")]
+    if (subcommand, override) in _IN_PROCESS_VIOLATIONS:
+        code, err = run(args), capsys.readouterr().err
+    else:
+        proc = subprocess.run([sys.executable, "-m", "sqgbox.cli", *args], capture_output=True, text=True)
+        code, err = proc.returncode, proc.stderr
+    assert code == 2
+    assert "config violation" in err
+    assert "Traceback" not in err
 
 
 def _broken_field_file(tmp_path, case):
@@ -235,7 +292,7 @@ def _broken_field_file(tmp_path, case):
         return tmp_path / "nope.field"
     if case == "directory":
         return tmp_path
-    domain = build_domain(load_config(_write_cfg(tmp_path)))
+    domain = build_domain(_typed(_write_cfg(tmp_path)))
     path = tmp_path / "theta.field"
     if case == "non-SS parity":
         write_field(path, SpectralField(domain, "CS", np.ones((9, 8))))
@@ -251,6 +308,15 @@ def _broken_field_file(tmp_path, case):
     elif case == "non-2-D shape":
         meta["shape"] = [64]
         header = json.dumps(meta).encode()
+    elif case == "bool in shape":
+        meta["shape"] = [True, 8]
+        header, payload = json.dumps(meta).encode(), payload[: 8 * 8]  # the bytes of a 1 x 8 field
+    elif case == "infinite length":
+        meta["lengths"] = [math.inf, 3]
+        header = json.dumps(meta).encode()
+    elif case == "bool in modes":
+        meta["modes"] = [True, 8]
+        header = json.dumps(meta).encode()
     elif case == "truncated payload":
         payload = payload[:-8]
     path.write_bytes(header + b"\n" + payload)
@@ -260,7 +326,7 @@ def _broken_field_file(tmp_path, case):
 @pytest.mark.parametrize(
     "case",
     ["missing", "directory", "garbage header", "header missing keys", "non-2-D shape",
-     "truncated payload", "non-SS parity"],
+     "truncated payload", "non-SS parity", "bool in shape", "infinite length", "bool in modes"],
 )
 def test_bad_field_file_exits_2_without_traceback(tmp_path, case):
     path = _broken_field_file(tmp_path, case)
@@ -315,7 +381,7 @@ def test_blow_up_keeps_the_last_finite_norm(tmp_path):
     # The state before the blow-up has finite coefficients whose L2 norm
     # already overflows; the error must report an earlier, finite norm.
     overrides = ["solver.dt=0.5", "solver.horizon=50", 'initial.type="random"', "initial.amplitude=1e6"]
-    cfg = load_config(_write_cfg(tmp_path), overrides)
+    cfg = _typed(_write_cfg(tmp_path), overrides)
     with pytest.raises(BlowUpError) as info:
         simulate(build_initial(cfg, build_domain(cfg)), build_solver(cfg))
     assert math.isfinite(info.value.last_l2) and info.value.last_l2 > 0.0
@@ -337,6 +403,17 @@ def test_verify_duhamel_names_the_exploding_draw(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert "verify-duhamel: blow-up: non-finite state in member 1 at t=0.12 " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_multipliers_fails_when_a_smoothing_sup_is_not_finite(tmp_path, capsys):
+    # On a 1e308 x pi rectangle every L2 norm overflows, so the smoothing sup is nan.
+    out = tmp_path / "vm"
+    code = run(["verify-multipliers", "--config", _write_cfg(tmp_path), "--out", str(out),
+                "--set", f"domain.lengths=[1e308, {math.pi}]"])
+    report = json.loads((out / "multipliers.json").read_text())
+    assert report["heat_smoothing"]["gradient_smoothing_sup"] == {"16x16": "nan", "32x32": "nan"}
+    assert code == 1 and "UNSTABLE" in capsys.readouterr().out
 
 
 def test_reports_spell_nonfinite_values_as_strings(tmp_path):
@@ -386,3 +463,123 @@ def test_runlog_holds_timestamps_and_reports_do_not(tmp_path):
         assert line[:4].isdigit() and line[4] == "-"
     report = (out / "structure.json").read_text()
     assert "20" not in json.loads(report)[0].keys()
+
+
+# -- fuzzing the exit-code contract -------------------------------------------
+
+_FUZZ_BASE = {
+    "domain": {"modes": [8, 8], "grid": [16, 16]},
+    "refined_grid": [16, 16],
+    "samples": {"mode_count": 8, "count": 2},
+    "battery": {"s": [0.5], "q": [2], "pairs": [[2, 2]], "probe_s": []},
+    "solver": {"dt": 1e-3, "horizon": 0.01, "snapshot_stride": 5},
+    "structure": {"j_f": 2, "j_g": 1, "pair_count": 1},
+    "duhamel": {"count": 2, "horizon": 0.01},
+    "uniqueness": {"dt": 2e-3, "horizon": 0.01, "cross_dt": 1e-3},
+}
+_WRONG_VALUES = [None, True, False, "x", "inf", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 1.5, -2.5]
+# Subcommands that read a section; domain, profile and samples are read by most.
+_READERS = {
+    "battery": ["verify-bilinear"],
+    "besov": ["besov-norm"],
+    "duhamel": ["verify-duhamel"],
+    "field_file": ["besov-norm"],
+    "initial": ["simulate", "besov-norm"],
+    "quadrature": ["verify-structure"],
+    "solver": ["simulate", "verify-duhamel", "verify-uniqueness"],
+    "structure": ["verify-structure"],
+    "uniqueness": ["verify-uniqueness"],
+}
+
+
+@st.composite
+def _config_mutation(draw):
+    """A subcommand and one schema key of the fuzz base set to a wrong value,
+    or a list of it with one entry, at any depth, wrong or of a wrong length."""
+    key = draw(st.sampled_from(sorted(SCHEMA)))
+    subcommand = draw(st.sampled_from(_READERS.get(key.split(".")[0], SUBCOMMANDS)))
+    section, _, name = key.rpartition(".")
+    if section:
+        node = {**DEFAULT_CONFIG[section], **_FUZZ_BASE.get(section, {})}
+    else:
+        node = {**DEFAULT_CONFIG, **_FUZZ_BASE}
+
+    def mutate(value):
+        if isinstance(value, list) and value and draw(st.booleans()):
+            i = draw(st.integers(0, len(value) - 1))
+            return value[:i] + [mutate(value[i])] + value[i + 1 :]
+        if isinstance(value, list) and draw(st.booleans()):
+            return value[:-1] if draw(st.booleans()) else value + value[-1:]
+        return draw(st.sampled_from(_WRONG_VALUES))
+
+    return subcommand, key, mutate(node.get(name))
+
+
+def _cheap(cfg):
+    """Whether running a typed config stays inside the fuzz test's cost bound."""
+    sol, du, un, q, bat = cfg["solver"], cfg["duhamel"], cfg["uniqueness"], cfg["quadrature"], cfg["battery"]
+    sizes = [*cfg["domain"]["modes"], *cfg["domain"]["grid"], *cfg["refined_grid"]]
+    steps = [sol["horizon"] / sol["dt"], 2 * du["horizon"] / du["dt"], 4 * un["horizon"] / un["dt"],
+             un["horizon"] / un["cross_dt"]]
+    counts = [cfg["samples"]["count"], du["count"], len(du["modes"]), cfg["structure"]["pair_count"],
+              len(cfg["initial"]["entries"] or [])]
+    tuples = (len(bat["s"]) + len(bat["probe_s"])) * len(bat["q"]) * len(bat["pairs"])
+    nodes = 0 if cfg["structure"]["adapted"] else q["nodes_per_decade"] * math.log10(q["mu_max"] / q["mu_min"])
+    return max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16 and nodes <= 1000
+
+
+def _quiet_run(args):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(args)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(mutation=_config_mutation())
+# inputs on which longer runs of this test found a traceback: a target
+# exponent p < 1, a zero Hoelder bound, an L2 norm that overflows, and
+# lambda_11 = 0
+@example(mutation=("verify-bilinear", "battery.pairs", [[1.5, 2]]))
+@example(mutation=("verify-bilinear", "battery.pairs", [[1e308, 2]]))
+@example(mutation=("verify-multipliers", "domain.lengths", [1e308, math.pi]))
+@example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
+def test_cli_contract_holds_for_mutated_configs(mutation):
+    # A refused config exits 2; an accepted one that is cheap to run exits
+    # 0, 1 or 2.  Loading and parsing never raise.
+    subcommand, key, value = mutation
+    override = f"{key}={json.dumps(value)}"
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(path, "w") as fh:
+            json.dump(_FUZZ_BASE, fh)
+        cfg, violations = parse_config(load_config(path, [override], out=out))
+        args = [subcommand, "--config", path, "--set", override, "--out", out]
+        if cfg is None:
+            assert violations and _quiet_run(args) == 2
+        elif _cheap(cfg):
+            assert _quiet_run(args) in (0, 1, 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_contract_holds_for_damaged_field_files(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, field_file = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "theta.field")
+        with open(path, "w") as fh:
+            json.dump(_FUZZ_BASE, fh)
+        domain = build_domain(_typed(path))
+        write_field(field_file, SpectralField(domain, "SS", np.random.default_rng(0).uniform(-1, 1, (8, 8))))
+        with open(field_file, "rb") as fh:
+            raw = fh.read()
+        # half the draws land in the header, which holds the parsed fields
+        at = data.draw(st.one_of(st.integers(0, raw.index(b"\n")), st.integers(0, len(raw) - 1)))
+        if data.draw(st.booleans()):
+            raw = raw[:at]
+        else:
+            raw = raw[:at] + bytes([raw[at] ^ data.draw(st.integers(1, 255))]) + raw[at + 1 :]
+        with open(field_file, "wb") as fh:
+            fh.write(raw)
+        args = ["besov-norm", "--config", path, "--set", f"field_file={json.dumps(field_file)}",
+                "--out", os.path.join(tmp, "out")]
+        assert _quiet_run(args) in (0, 1, 2)

@@ -356,6 +356,10 @@ def test_domain_validation():
         DomainSpec(1.0, 1.0, 0, 4, 8, 8)
     with pytest.raises(ValueError):
         DomainSpec(1.0, 1.0, 9, 4, 8, 8)  # grid cannot resolve the band
+    for bad in [(math.inf, 1.0, 4, 4, 8, 8), (1.0, math.nan, 4, 4, 8, 8), (1.0, 1.0, True, 4, 8, 8),
+                (1.0, 1.0, 4, 4.5, 8, 8), (1.0, 1.0, 4, 4, 8.0, 8)]:
+        with pytest.raises(ValueError):
+            DomainSpec(*bad)
 
 
 def test_field_validation(square16):

@@ -54,6 +54,8 @@ def test_config_validation():
         SolverConfig(dt=1e-3, horizon=1.0, scheme="rk9")
     with pytest.raises(ValueError):
         SolverConfig(dt=3e-3, horizon=1.0).n_steps  # not an integer multiple
+    with pytest.raises(ValueError):
+        SolverConfig(dt=1e-3, horizon=1e308).n_steps  # horizon/dt overflows
     assert SolverConfig(dt=1e-3, horizon=0.05).n_steps == 50
     assert SolverConfig(dt=1e-3, horizon=1.0, scheme="etd2").scheme == "ETD2"
     assert SolverConfig(dt=1e-3, horizon=1.0, scheme="if-euler").scheme == "IF-Euler"
