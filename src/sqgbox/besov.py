@@ -13,7 +13,10 @@ band and profile), ``synthesize`` evaluates the stack on each grid and
 ``lp_norm`` reduces every block's norm in one call.  Rows that are
 identically zero, such as the spare block at each end of ``j_range``, get
 the norm 0.0 exactly and are never synthesized.  ``besov_aggregate`` turns
-block norms into the norm; the bilinear battery reuses it across indices.
+block norms into the norm.  It also takes a stack of block-norm rows
+(..., J) and returns one value per row with the bits of that row alone, so
+the bilinear battery aggregates a table stacked over its samples in one
+call per index.
 """
 
 from __future__ import annotations
@@ -97,13 +100,25 @@ def block_lp_norms(
     return table.js, norms
 
 
-def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[float, np.ndarray]:
+def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[float | np.ndarray, np.ndarray]:
     """The l^q norm (max for q = inf, 0 when empty) of the weighted block
-    terms 2^{js} ||phi_j f||_p, and those terms."""
-    terms = np.array([2.0 ** (j * s) for j in js]) * block_norms
+    terms 2^{js} ||phi_j f||_p, and those terms.
+
+    ``block_norms`` holds the block norms over ``js`` on its last axis; its
+    leading axes are a stack of fields, for which the value is an array,
+    one per row, with the bits that row gets alone.  One field gives a
+    float.  The rows are summed along contiguous rows, and the 1/q roots
+    are taken in scalar arithmetic, as numpy's vectorised pow can differ
+    from libm's in the last bit.
+    """
+    norms = np.ascontiguousarray(block_norms, dtype=np.float64)
+    terms = np.array([2.0 ** (j * s) for j in js]) * norms
     if np.isinf(q):
-        return (float(terms.max()) if terms.size else 0.0), terms
-    return float(np.sum(terms**q) ** (1.0 / q)), terms
+        values = terms.max(axis=-1) if terms.shape[-1] else np.zeros(terms.shape[:-1])
+    else:
+        sums = np.sum(terms**q, axis=-1)
+        values = np.reshape([row ** (1.0 / q) for row in np.ravel(sums)], np.shape(sums))
+    return (float(values) if terms.ndim == 1 else values), terms
 
 
 def conjugate_exponent(p: float) -> float:

@@ -48,7 +48,7 @@ from .harness import (
     multiplier_bound_study,
     sample_field,
     single_block_sample,
-    uniqueness_experiment,
+    twin_distances,
     verify_derivative_structure,
 )
 from .multipliers import DyadicProfile, QuadratureSpec, is_live_block
@@ -56,6 +56,11 @@ from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 
 # verify-duhamel steps its draws together, at most this many per stack.
 DUHAMEL_MEMBERS = 8
+
+# Fixed size caps: a valid but huge size exits 2 instead of exhausting memory or time.
+MAX_GRID = 4096  # points per axis of domain.grid and refined_grid
+MAX_STEPS = 10**6  # time steps of any one run
+MAX_QUADRATURE_NODES = 10**5  # nodes_per_decade times the decades of [mu_min, mu_max]
 
 
 # A config kind is a pair (rule, parse): parse returns the typed value of one JSON
@@ -116,6 +121,7 @@ _AT_LEAST_ONE = _real("a finite number >= 1", lambda x: x >= 1)
 _REGULARITY = _real("a number in (-1, 2)", lambda x: -1 < x < 2)
 _INTEGRABILITY = _real('a number >= 1 or "inf"', lambda x: x >= 1, inf=True)
 _COUNTS = _row(_integer(1), _integer(1))
+_GRID = _row(_integer(1, MAX_GRID), _integer(1, MAX_GRID))
 
 # Keys that one initial.type reads: absent from DEFAULT_CONFIG, None when unset.
 _NO_DEFAULT = object()
@@ -124,10 +130,10 @@ _NO_DEFAULT = object()
 SCHEMA = {
     "domain.lengths": (_row(_POSITIVE, _POSITIVE), [math.pi, math.pi]),
     "domain.modes": (_COUNTS, [32, 32]),
-    "domain.grid": (_COUNTS, [64, 64]),
-    "refined_grid": (_COUNTS, [128, 128]),
+    "domain.grid": (_GRID, [64, 64]),
+    "refined_grid": (_GRID, [128, 128]),
     "profile.sharpness": (_integer(1, 7), 2),
-    "quadrature.nodes_per_decade": (_integer(4), 32),
+    "quadrature.nodes_per_decade": (_integer(4, MAX_QUADRATURE_NODES), 32),
     "quadrature.mu_min": (_POSITIVE, 1e-8),
     "quadrature.mu_max": (_POSITIVE, 1e8),
     "solver.dt": (_POSITIVE, 1e-3),
@@ -137,7 +143,7 @@ SCHEMA = {
     "samples.mode_count": (_integer(1), 32),
     "samples.decay": (_real("a finite number >= 0", lambda x: x >= 0), 1.0),
     "samples.seed": (_integer(0), 1234),
-    "samples.count": (_integer(1), 100),
+    "samples.count": (_integer(1, 10**5), 100),
     "battery.s": (_list(_REGULARITY), [-0.5, 0.0, 0.5, 1.0, 1.5]),
     "battery.q": (_list(_INTEGRABILITY), [1, 2, "inf"]),
     "battery.pairs": (_list(_row(_AT_LEAST_ONE, _real("a finite number > 1", lambda x: x > 1))),
@@ -155,11 +161,11 @@ SCHEMA = {
     "besov.q": (_INTEGRABILITY, "inf"),
     "structure.j_f": (_integer(), 3),
     "structure.j_g": (_integer(), 2),
-    "structure.pair_count": (_integer(1), 3),
+    "structure.pair_count": (_integer(1, 10**3), 3),
     "structure.adapted": (_kind("true or false", lambda x: type(x) is bool), True),
     "structure.threshold": (_POSITIVE, 1e-6),
     "duhamel.p": (_AT_LEAST_ONE, 1.5),
-    "duhamel.count": (_integer(1), 20),
+    "duhamel.count": (_integer(1, 10**4), 20),
     "duhamel.modes": (_list(_COUNTS), [[1, 1], [1, 2]]),
     "duhamel.amplitude": (_POSITIVE, 0.5),
     "duhamel.dt": (_POSITIVE, 1e-3),
@@ -246,6 +252,17 @@ def _steps_fit(horizon: float, *dts: float) -> bool:
         return False
 
 
+def _longest_run(v) -> float:
+    """Steps of the longest run: simulate at solver.dt, verify-duhamel down to
+    duhamel.dt/2, verify-uniqueness down to uniqueness.dt/4 and at cross_dt."""
+    return max(v["solver.horizon"] / v["solver.dt"], 2 * v["duhamel.horizon"] / v["duhamel.dt"],
+               4 * v["uniqueness.horizon"] / v["uniqueness.dt"], v["uniqueness.horizon"] / v["uniqueness.cross_dt"])
+
+
+def _quadrature_nodes(v) -> float:
+    return v["quadrature.nodes_per_decade"] * math.log10(v["quadrature.mu_max"] / v["quadrature.mu_min"])
+
+
 def _live(v, key: str) -> bool:
     band = (v["samples.mode_count"],) * 2
     domain = DomainSpec(*v["domain.lengths"], *band, *band)
@@ -272,6 +289,9 @@ _CROSS_RULES = (
      "battery.pairs must satisfy 1/p1 + 1/p2 <= 1"),
     (("quadrature.mu_min", "quadrature.mu_max"), lambda v: v["quadrature.mu_min"] < v["quadrature.mu_max"],
      "quadrature needs mu_min < mu_max"),
+    (("quadrature.nodes_per_decade", "quadrature.mu_min", "quadrature.mu_max"),
+     lambda v: _quadrature_nodes(v) <= MAX_QUADRATURE_NODES,
+     f"quadrature may take at most {MAX_QUADRATURE_NODES} nodes (nodes_per_decade * log10(mu_max/mu_min))"),
     (("samples.mode_count", "domain.modes"), lambda v: v["samples.mode_count"] <= min(v["domain.modes"]),
      "samples.mode_count must not exceed domain.modes"),
     # sample_field damps by lambda^(-decay/2), largest at lambda_11; below the
@@ -289,6 +309,10 @@ _CROSS_RULES = (
      lambda v: _steps_fit(v["uniqueness.horizon"], v["uniqueness.dt"], v["uniqueness.dt"] / 2,
                           v["uniqueness.dt"] / 4, v["uniqueness.cross_dt"]),
      "uniqueness.horizon must be an integer multiple of uniqueness.dt, dt/2, dt/4 and cross_dt"),
+    (("solver.horizon", "solver.dt", "duhamel.horizon", "duhamel.dt", "uniqueness.horizon", "uniqueness.dt",
+      "uniqueness.cross_dt"), lambda v: _longest_run(v) <= MAX_STEPS,
+     f"a run may take at most {MAX_STEPS} steps (horizon/dt of solver, duhamel at dt/2, uniqueness at dt/4 "
+     "and cross_dt)"),
     *(((key, "domain.lengths", "samples.mode_count", "profile.sharpness"), lambda v, key=key: _live(v, key),
         f"{key} must name a nonzero dyadic block of the sample band") for key in ("structure.j_f", "structure.j_g")),
     (("initial.m", "initial.n", "initial.type", "domain.modes"),
@@ -601,14 +625,19 @@ def _cmd_verify_uniqueness(cfg: dict, written: dict) -> int:
     # distinct eigenvalues so the advection term is active
     theta0 = unit_mode(domain, 1, 1, amp) + unit_mode(domain, 1, 2, -amp)
 
-    def solver(step, **scheme):
-        return build_solver(cfg, dt=step, horizon=horizon, snapshot_stride=max(1, round(horizon / step / 20)),
-                            **scheme)
+    runs = {}  # each distinct solver config is simulated once
 
-    t1, d1 = uniqueness_experiment(theta0, solver(dt), solver(dt / 2))
-    t2, d2 = uniqueness_experiment(theta0, solver(dt / 2), solver(dt / 4))
+    def twin(step, **scheme):
+        config = build_solver(cfg, dt=step, horizon=horizon, snapshot_stride=max(1, round(horizon / step / 20)),
+                              **scheme)
+        if config not in runs:
+            runs[config] = simulate(theta0, config)
+        return runs[config]
+
+    t1, d1 = twin_distances(twin(dt), twin(dt / 2))
+    t2, d2 = twin_distances(twin(dt / 2), twin(dt / 4))
     shrink = float(np.max(d1) / np.max(d2)) if np.max(d2) > 0 else math.inf
-    tc, dc = uniqueness_experiment(theta0, solver(cross_dt, scheme="IF-Euler"), solver(cross_dt, scheme="ETD2"))
+    tc, dc = twin_distances(twin(cross_dt, scheme="IF-Euler"), twin(cross_dt, scheme="ETD2"))
     rel_cross = float(np.max(dc) / spectral_norm(theta0))
     run.write_json("uniqueness.json", {
         "max_distance_coarse": float(np.max(d1)),

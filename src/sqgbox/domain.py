@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -287,6 +288,14 @@ def full_band(grid_shape: tuple[int, int], parity: str) -> tuple[int, int]:
     return (b1, b2)
 
 
+@lru_cache(maxsize=None)
+def _derivative_scale(L: float, b: int) -> np.ndarray:
+    # The column m pi / L, m = 1..b, of one axis (read-only).
+    scale = (np.pi * np.arange(1, b + 1) / L)[:, None]
+    scale.setflags(write=False)
+    return scale
+
+
 def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     """Exact spectral derivative along ``axis`` (1 or 2); flips S <-> C there.
 
@@ -303,16 +312,14 @@ def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     A = field.coefficients if axis == 1 else field.coefficients.swapaxes(-1, -2)
     *stack, r, r_other = A.shape
     if fam == "S":
-        scale = np.pi * np.arange(1, r + 1) / L
         out = np.zeros((*stack, r + 1, r_other))
-        out[..., 1:, :] = scale[:, None] * A
+        np.multiply(_derivative_scale(L, r), A, out=out[..., 1:, :])
         new_fam = "C"
     else:
         if r < 2:
             out = np.zeros((*stack, 1, r_other))
         else:
-            scale = np.pi * np.arange(1, r) / L
-            out = -scale[:, None] * A[..., 1:, :]
+            out = -_derivative_scale(L, r - 1) * A[..., 1:, :]
         new_fam = "S"
     if axis == 2:
         out = out.swapaxes(-1, -2)
@@ -338,7 +345,9 @@ def product_parity(pa: str, pb: str) -> str:
 
 def lp_norm(grid_field: GridField, p: float):
     """Composite interior-point L^p norm, p = inf the grid maximum: a float
-    for one field, an array of norms for a stack."""
+    for one field, an array of norms for a stack.  A sum of |v|^p that
+    overflows or falls below the smallest normal float is taken again
+    scaled by max|v|."""
     h1, h2 = grid_field.weights
     weight = h1 * h2
     v = grid_field.values
@@ -353,16 +362,30 @@ def lp_norm(grid_field: GridField, p: float):
     # Other exponents need |v|: one field at a time, so a stack costs no
     # stack-sized temporary, with roots in scalar arithmetic, as numpy's
     # vectorised pow can differ from libm's in the last bit.
-    norms = []
-    for one in v.reshape(-1, *v.shape[-2:]):
-        a = np.abs(one)
-        if np.isinf(p):
-            norms.append(a.max(axis=axes))
-        elif p == 1:
-            norms.append(weight * a.sum(axis=axes))
-        else:
-            norms.append((weight * np.power(a, p, out=a).sum(axis=axes)) ** (1.0 / p))
+    fields = v.reshape(-1, *v.shape[-2:])
+    if np.isinf(p):
+        norms = [np.abs(one).max(axis=axes) for one in fields]
+    elif p == 1:
+        norms = [weight * np.abs(one).sum(axis=axes) for one in fields]
+    else:
+        with np.errstate(over="ignore"):  # an overflowing sum is taken again, scaled
+            norms = [_power_sum_root(one, p, weight) for one in fields]
     return float(norms[0]) if v.ndim == 2 else np.reshape(norms, v.shape[:-2])
+
+
+def _power_sum_root(v: np.ndarray, p: float, weight: float):
+    """(weight sum |v|^p)^(1/p) over one field; when the sum overflows or
+    falls below the smallest normal float (where it keeps few significant
+    bits) and max|v| is finite and nonzero, the sum of (|v| / max|v|)^p
+    instead, which lies in [1, v.size]."""
+    a = np.abs(v)
+    total = weight * np.power(a, p, out=a).sum(axis=(-2, -1))
+    if total < sys.float_info.min or total == math.inf:
+        top = float(np.abs(v).max())
+        if 0.0 < top < math.inf:
+            scaled = float(np.power(np.abs(v) / top, p).sum())
+            return top * weight ** (1.0 / p) * scaled ** (1.0 / p)
+    return total ** (1.0 / p)
 
 
 def inner_product(a: GridField, b: GridField) -> float:
@@ -375,11 +398,13 @@ def inner_product(a: GridField, b: GridField) -> float:
     return float(h1 * h2 * np.vdot(a.values, b.values).real)
 
 
+@lru_cache(maxsize=None)
 def _axis_weight(L: float, r: int, family: str) -> np.ndarray:
     # int_0^L sin^2 = L/2; int_0^L cos^2 = L/2 for m >= 1 and L for m = 0.
     w = np.full(r, L / 2.0)
     if family == "C":
         w[0] = L
+    w.setflags(write=False)
     return w
 
 

@@ -10,11 +10,15 @@ Ratio batteries and identity checks exercised here:
   resolvent quadrature, checked against direct spectral evaluation;
 * heat/block smoothing and Bernstein ratios for multiplier bounds;
 * Duhamel-difference growth, initial-data smallness curves, and twin-run
-  uniqueness refinement for the SQG integrator.
+  uniqueness refinement for the SQG integrator (``twin_distances`` pairs
+  two stored runs, so a run shared by two pairs is simulated once).
 
 Samples are deterministic in (seed, index); reports carry per-sample ratios
 plus refinement-stability flags so distribution maxima can be compared
-across grid refinement.
+across grid refinement.  The battery takes each field's block norms only at
+the exponents it reads (the Hoelder targets for the product components, p1
+for the factors), stacks every table over the samples, and aggregates it
+with one ``besov_aggregate`` call per (s, p, q, field, grid).
 
 The Duhamel supremum is reduced state by state (``DuhamelSupremum``), for
 one trajectory or for a stacked ensemble stepped by ``solver.integrate``
@@ -225,29 +229,35 @@ def bilinear_battery(
     s_values += [(float(s), True) for s in battery.get("probe_s", [])]
     q_values = [float(q) for q in battery["q"]]
 
-    block_ps = sorted({holder_target(p1, p2) for p1, p2 in pairs} | {p for pr in pairs for p in pr})
-    plain_ps = sorted({p for pr in pairs for p in pr})
+    # Each field is read at its own exponents only: T1, T2 at the Hoelder
+    # targets p; f and g in Besov norm at p1 (= p4) and in L^p at p2 (= p3).
+    target_ps = sorted({holder_target(p1, p2) for p1, p2 in pairs})
+    factor_ps = sorted({p1 for p1, _ in pairs})
+    plain_ps = sorted({p2 for _, p2 in pairs})
 
     def per_sample(i):
         f = sample_field(sample_spec, domain, 2 * i)
         g = sample_field(sample_spec, domain, 2 * i + 1)
         T1, T2 = symmetrized_product(f, g)
-        tables = {name: block_lp_norms(fld, profile, grids, block_ps)
-                  for name, fld in (("f", f), ("g", g), ("T1", T1), ("T2", T2))}
-        plain = {}
+        norms = {}
+        for name, fld, ps in (("f", f, factor_ps), ("g", g, factor_ps), ("T1", T1, target_ps), ("T2", T2, target_ps)):
+            js, table = block_lp_norms(fld, profile, grids, ps)
+            norms.update(((name, gi, p), bn) for (gi, p), bn in table.items())
         for gi, grid in enumerate(grids):
             gf = synthesize(f, grid)
             gg = synthesize(g, grid)
             for p in plain_ps:
-                plain[(gi, "f", p)] = lp_norm(gf, p)
-                plain[(gi, "g", p)] = lp_norm(gg, p)
-        return tables, plain
+                norms[("lp_f", gi, p)] = lp_norm(gf, p)
+                norms[("lp_g", gi, p)] = lp_norm(gg, p)
+        return js, norms
 
     cached = [per_sample(i) for i in range(sample_spec.count)]
+    js = cached[0][0]  # the four fields share the sample band
+    # every table stacked over samples: (count, len(js)) block norms, (count,) L^p norms
+    stacked = {key: np.stack([norms[key] for _, norms in cached]) for key in cached[0][1]}
 
-    def besov(table, gi, s, p, q):
-        js, norms = table
-        return besov_aggregate(js, norms[(gi, p)], s, q)[0]
+    def besov(name, gi, s, p, q):
+        return besov_aggregate(js, stacked[(name, gi, p)], s, q)[0]
 
     reports = []
     for s, probe in s_values:
@@ -256,16 +266,15 @@ def bilinear_battery(
             p3, p4 = p2, p1
             _validate_bilinear_params(s, p, p1, p2, p3, p4)
             for q in q_values:
-                ratios = {0: [], 1: []}
-                for tables, plain in cached:
-                    for gi in (0, 1):
-                        lhs = math.hypot(
-                            besov(tables["T1"], gi, s, p, q), besov(tables["T2"], gi, s, p, q)
-                        )
-                        rhs = (
-                            besov(tables["f"], gi, s, p1, q) * plain[(gi, "g", p2)]
-                            + plain[(gi, "f", p3)] * besov(tables["g"], gi, s, p4, q)
-                        )
+                ratios = {}
+                for gi in (0, 1):
+                    columns = (
+                        besov("T1", gi, s, p, q), besov("T2", gi, s, p, q), besov("f", gi, s, p1, q),
+                        stacked[("lp_g", gi, p2)], stacked[("lp_f", gi, p3)], besov("g", gi, s, p4, q),
+                    )
+                    ratios[gi] = []
+                    for t1, t2, bf, lg, lf, bg in zip(*(c.tolist() for c in columns)):  # Python floats
+                        lhs, rhs = math.hypot(t1, t2), bf * lg + lf * bg
                         ratios[gi].append(lhs / rhs if rhs > 0 else math.nan)
                 base = np.asarray(ratios[0])
                 refined = np.asarray(ratios[1])
@@ -524,12 +533,8 @@ def verify_initial_smallness(
     return rows
 
 
-def uniqueness_experiment(
-    theta0: SpectralField, config_a: SolverConfig, config_b: SolverConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Twin runs from identical data; exact L2 distance at common snapshot times."""
-    traj_a = simulate(theta0, config_a)
-    traj_b = simulate(theta0, config_b)
+def twin_distances(traj_a: TrajectoryRecord, traj_b: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
+    """Exact L2 distance between two runs at their common snapshot times."""
     times, dists = [], []
     for i, t in enumerate(traj_a.times):
         hits = np.nonzero(np.isclose(traj_b.times, t, rtol=0.0, atol=1e-10))[0]
@@ -538,6 +543,13 @@ def uniqueness_experiment(
         times.append(float(t))
         dists.append(spectral_norm(traj_a.snapshots[i] - traj_b.snapshots[int(hits[0])]))
     return np.asarray(times), np.asarray(dists)
+
+
+def uniqueness_experiment(
+    theta0: SpectralField, config_a: SolverConfig, config_b: SolverConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Twin runs from identical data; exact L2 distance at common snapshot times."""
+    return twin_distances(simulate(theta0, config_a), simulate(theta0, config_b))
 
 
 def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:

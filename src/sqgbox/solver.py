@@ -11,6 +11,11 @@ only needs the SS projection of its product onto band b, so it runs on the
 3/2-rule ``projection_grid``; the divergence form analyzes the fluxes at
 their full product band and ``mild_residual`` pairs the fluxes with
 gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
+The velocity multiplier sqrt(lambda)^-1 is built once per (domain, band)
+with the bits of ``fractional_power``, so a convective step calls neither
+``fractional_power``, ``apply_multiplier`` nor ``velocity``: it takes the
+four derivatives with ``partial_derivative``, whose scale columns are
+cached too, and goes through ``synthesize`` and ``analyze`` only.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
@@ -34,6 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +53,7 @@ from .domain import (
     dealias_grid,
     full_band,
     inner_product,
+    lambda_table,
     partial_derivative,
     pointwise_product,
     product_parity,
@@ -57,7 +64,7 @@ from .domain import (
     synthesize,
     write_field,
 )
-from .multipliers import fractional_power, heat_factor, heat_semigroup
+from .multipliers import heat_factor, heat_semigroup
 
 _SCHEMES = ("IF-Euler", "ETD2")
 
@@ -108,12 +115,30 @@ class SolverConfig:
         return k % self.snapshot_stride == 0 or k == self.n_steps
 
 
+# Bounded like heat_factor: one entry per (domain, band) a run steps, usually one.
+@lru_cache(maxsize=64)
+def _velocity_multiplier(domain: DomainSpec, band: tuple[int, int]) -> np.ndarray:
+    """sqrt(lambda)^-1 over a sine band, the weights ``fractional_power(.,
+    -1)`` applies (read-only)."""
+    mult = np.sqrt(lambda_table(domain, band)) ** -1.0
+    if not np.all(np.isfinite(mult)):
+        raise FloatingPointError("multiplier produced non-finite values")
+    mult.setflags(write=False)
+    return mult
+
+
+def _stream_function(theta: SpectralField) -> SpectralField:
+    """psi = Lambda^{-1} theta, with the bits of ``fractional_power(theta, -1)``."""
+    if theta.parity != "SS":
+        raise ValueError("spectral multipliers act on SS fields only")
+    mult = _velocity_multiplier(theta.domain, theta.band)
+    return SpectralField(theta.domain, "SS", theta.coefficients * mult)
+
+
 def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """u = grad^perp Lambda^{-1} theta; components have parity (SC, CS)."""
-    psi = fractional_power(theta, -1.0)
-    u1 = -1.0 * partial_derivative(psi, 2)
-    u2 = partial_derivative(psi, 1)
-    return u1, u2
+    psi = _stream_function(theta)
+    return -partial_derivative(psi, 2), partial_derivative(psi, 1)
 
 
 def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralField:
@@ -128,14 +153,19 @@ def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralFi
     if theta.parity != "SS":
         raise ValueError("state must be an SS field")
     band = theta.band
-    u1, u2 = velocity(theta)
     if form == "convective":
+        # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
+        # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
         grid = projection_grid(band)
-        t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
-        t2 = pointwise_product(u2, partial_derivative(theta, 2), grid)
-        total = GridField(theta.domain, t1.values + t2.values)
-        return analyze(total, "SS", modes=band)
+        psi = _stream_function(theta)
+        t1 = synthesize(partial_derivative(psi, 2), grid).values
+        t1 *= synthesize(partial_derivative(theta, 1), grid).values
+        out = synthesize(partial_derivative(psi, 1), grid).values
+        out *= synthesize(partial_derivative(theta, 2), grid).values
+        out -= t1
+        return analyze(GridField(theta.domain, out), "SS", modes=band)
     if form == "divergence":
+        u1, u2 = velocity(theta)
         grid = dealias_grid(band)
         out = None
         for axis, u in ((1, u1), (2, u2)):

@@ -7,8 +7,10 @@ import pytest
 
 from sqgbox import (
     BesovParams,
+    DomainSpec,
     DyadicProfile,
     SpectralField,
+    besov_aggregate,
     besov_norm,
     conjugate_exponent,
     dual_norm_lower_bound,
@@ -80,6 +82,40 @@ def test_besov_norm_matches_per_block_reference(rect, p, q, grid):
     for (_, bn, term), (_, ref_bn, ref_term) in zip(profile.rows, ref_rows):
         assert bn == pytest.approx(ref_bn, rel=1e-12, abs=0.0)
         assert term == pytest.approx(ref_term, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
+@pytest.mark.parametrize("s", [-0.9, 0.5, 1.9])
+def test_stacked_aggregate_matches_scalar_rows_bit_for_bit(s, q):
+    # 9 blocks at 32 modes, so numpy's unrolled pairwise sum runs on each row
+    js = j_range(DomainSpec.square(math.pi, 32), (32, 32))
+    assert len(js) == 9
+    rng = np.random.default_rng(17)
+    stack = rng.uniform(0.0, 2.0, (5, 4, len(js))) * 10.0 ** rng.integers(-8, 8, (5, 4, 1))
+    stack[..., 0] = stack[..., -1] = 0.0  # the spare blocks
+    stack[0, 0] = 0.0
+    values, terms = besov_aggregate(js, stack, s, q)
+    assert values.shape == (5, 4) and terms.shape == stack.shape
+    for idx in np.ndindex(5, 4):
+        value, row_terms = besov_aggregate(js, stack[idx], s, q)
+        assert isinstance(value, float) and values[idx] == value
+        assert np.array_equal(terms[idx], row_terms)
+        # the scalar formula this aggregation replaced
+        ref_terms = np.array([2.0 ** (j * s) for j in js]) * stack[idx]
+        ref = float(ref_terms.max()) if math.isinf(q) else float(np.sum(ref_terms**q) ** (1.0 / q))
+        assert value == ref
+
+
+def test_besov_norm_at_large_p_neither_underflows_nor_overflows(square16):
+    # Unscaled, sum |v|^p underflows to 0 at p = 2000 for the unit mode's
+    # blocks (values below 1) and overflows at amplitude 1e3.
+    f = unit_mode(square16, 1, 1)
+    small, _ = besov_norm(f, BesovParams(0.5, 2000.0, math.inf))
+    large, _ = besov_norm(f * 1e3, BesovParams(0.5, 2000.0, math.inf))
+    moderate, _ = besov_norm(f, BesovParams(0.5, 1000.0, math.inf))
+    assert 0.0 < small < math.inf
+    assert large == pytest.approx(1e3 * small, rel=1e-12)
+    assert small == pytest.approx(moderate, rel=1e-2)
 
 
 def test_spare_blocks_read_exactly_zero(rect, rng):

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
+    MAX_GRID,
+    MAX_QUADRATURE_NODES,
+    MAX_STEPS,
     SCHEMA,
     SUBCOMMANDS,
     RunDir,
@@ -177,6 +180,21 @@ def test_verify_uniqueness_run(tmp_path):
     assert rep["cross_scheme_relative_distance"] <= 1e-5
 
 
+def test_verify_uniqueness_simulates_each_run_once(tmp_path, monkeypatch):
+    # dt, dt/2, dt/4 and the two cross-scheme runs: the dt/2 run serves both pairs
+    from sqgbox import cli
+
+    configs = []
+
+    def counted(theta0, config):
+        configs.append(config)
+        return simulate(theta0, config)
+
+    monkeypatch.setattr(cli, "simulate", counted)
+    assert run(["verify-uniqueness", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "un")]) == 0
+    assert len(configs) == len(set(configs)) == 5
+
+
 def test_verify_duhamel_reports_are_pinned(tmp_path):
     # Hashes of the reports of the per-draw implementation that the streamed
     # ensemble replaced: the ensemble must keep every reported bit.
@@ -187,6 +205,28 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
         "duhamel.csv": "5445e4ec8dda6932fc2918accc90bbd88c134ce610eadd5a1debf9651533ee12",
         "duhamel.json": "de77b464b67272ef2fab6137109d9ca2619a7eb1a730dd9db09b59c69b4aacb8",
     }
+    for name, digest in pinned.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("subcommand, pinned", [
+    ("verify-bilinear", {
+        "bilinear.json": "2d3e347b3742dee022277dac84292146215adcf712542fcf0ea175396953bc41",
+        "bilinear_ratios.csv": "9de332a9584a65c27c9220066094da0f5216e9c32e7006a2ccee9a0d26931c6e",
+    }),
+    ("verify-uniqueness", {
+        "uniqueness.json": "72a23460c3fc24ea91e21a632b8e6f0e4f91759448c9d524477368c3b9226da7",
+        "uniqueness_distance.csv": "f8f691bc236132d9d54bd384ee3bb2af841bddb927499f4273e7d169041fc922",
+        "uniqueness_cross.csv": "1b84b3a649a53ffc998ab20e20a3c75aee53645db3197325818870f196fa9567",
+    }),
+])
+def test_estimate_reports_are_pinned(tmp_path, subcommand, pinned):
+    # Hashes of the reports of the per-sample aggregation, the union of block
+    # exponents and the convective step through fractional_power: the faster
+    # paths that replaced them must keep every reported bit.
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / subcommand
+    assert run([subcommand, "--config", cfg, "--out", str(out)]) == 0
     for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
@@ -284,6 +324,37 @@ def test_config_violation_exits_2_without_traceback(tmp_path, capsys, subcommand
     assert code == 2
     assert "config violation" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    ["samples.count=1e308"],
+    ["solver.dt=1e-308"],
+    ["domain.grid=[1e308, 16]"],
+    ["refined_grid=[16, 1e308]"],
+    ["domain.grid=[4097, 16]"],
+    ["duhamel.count=1e308"],
+    ["structure.pair_count=1e308"],
+    ["solver.dt=1e-6", "solver.horizon=1.000001"],  # 10**6 + 1 steps
+    ["uniqueness.cross_dt=1e-9"],
+    ["structure.adapted=false", "quadrature.nodes_per_decade=1e308"],
+    ["quadrature.nodes_per_decade=100000"],  # 1.6e6 nodes over the default 16 decades
+])
+def test_huge_sizes_exit_2(tmp_path, capsys, overrides):
+    # Refused by parse_config before any work starts, so they run in-process.
+    path = _write_cfg(tmp_path)
+    cfg, violations = parse_config(load_config(path, overrides))
+    assert cfg is None and violations
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert run(["simulate", "--config", path, *sets, "--out", str(tmp_path / "x")]) == 2
+    assert "config violation" in capsys.readouterr().err
+
+
+def test_size_caps_admit_their_bounds(tmp_path):
+    path = _write_cfg(tmp_path)
+    at_caps = ["domain.grid=[4096, 16]", "refined_grid=[16, 4096]", "samples.count=100000", "duhamel.count=10000",
+               "structure.pair_count=1000", "solver.dt=1e-6", "solver.horizon=1.0",
+               "quadrature.nodes_per_decade=6250"]  # 10**5 nodes over the default 16 decades
+    assert parse_config(load_config(path, at_caps))[1] == []
 
 
 def _broken_field_file(tmp_path, case):
@@ -477,7 +548,7 @@ _FUZZ_BASE = {
     "duhamel": {"count": 2, "horizon": 0.01},
     "uniqueness": {"dt": 2e-3, "horizon": 0.01, "cross_dt": 1e-3},
 }
-_WRONG_VALUES = [None, True, False, "x", "inf", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 1.5, -2.5]
+_WRONG_VALUES = [None, True, False, "x", "inf", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 1e-308, 1.5, -2.5]
 # Subcommands that read a section; domain, profile and samples are read by most.
 _READERS = {
     "battery": ["verify-bilinear"],
@@ -528,6 +599,18 @@ def _cheap(cfg):
     return max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16 and nodes <= 1000
 
 
+def _within_caps(cfg):
+    """Whether a typed config keeps to the fixed size caps of ``cli``."""
+    sol, du, un = cfg["solver"], cfg["duhamel"], cfg["uniqueness"]
+    steps = [sol["horizon"] / sol["dt"], 2 * du["horizon"] / du["dt"], 4 * un["horizon"] / un["dt"],
+             un["horizon"] / un["cross_dt"]]
+    q = cfg["quadrature"]
+    nodes = q["nodes_per_decade"] * math.log10(q["mu_max"] / q["mu_min"])
+    return (max(*cfg["domain"]["grid"], *cfg["refined_grid"]) <= MAX_GRID and max(steps) <= MAX_STEPS
+            and cfg["samples"]["count"] <= 10**5 and du["count"] <= 10**4 and cfg["structure"]["pair_count"] <= 10**3
+            and nodes <= MAX_QUADRATURE_NODES)
+
+
 def _quiet_run(args):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return run(args)
@@ -543,9 +626,14 @@ def _quiet_run(args):
 @example(mutation=("verify-bilinear", "battery.pairs", [[1e308, 2]]))
 @example(mutation=("verify-multipliers", "domain.lengths", [1e308, math.pi]))
 @example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
+# valid but huge sizes, refused by the size caps
+@example(mutation=("verify-bilinear", "samples.count", 1e308))
+@example(mutation=("simulate", "solver.dt", 1e-308))
+@example(mutation=("verify-structure", "quadrature.nodes_per_decade", 1e308))
 def test_cli_contract_holds_for_mutated_configs(mutation):
-    # A refused config exits 2; an accepted one that is cheap to run exits
-    # 0, 1 or 2.  Loading and parsing never raise.
+    # A refused config exits 2; an accepted one stays inside the size caps,
+    # and when it is cheap to run, exits 0, 1 or 2.  Loading and parsing
+    # never raise.
     subcommand, key, value = mutation
     override = f"{key}={json.dumps(value)}"
     with tempfile.TemporaryDirectory() as tmp:
@@ -556,7 +644,9 @@ def test_cli_contract_holds_for_mutated_configs(mutation):
         args = [subcommand, "--config", path, "--set", override, "--out", out]
         if cfg is None:
             assert violations and _quiet_run(args) == 2
-        elif _cheap(cfg):
+            return
+        assert _within_caps(cfg)
+        if _cheap(cfg):
             assert _quiet_run(args) in (0, 1, 2)
 
 

@@ -221,6 +221,25 @@ def test_lp_norm_generic_p_property(n1, n2, p):
     assert lp_norm(g, p) == pytest.approx(_direct_lp(g, p), rel=1e-12)
 
 
+@pytest.mark.parametrize("amplitude", [10.0, 1e-3, 0.158])
+def test_lp_norm_at_large_p_is_scaled_past_under_and_overflow(square16, amplitude):
+    # Unscaled, sum |v|^400 overflows for an amplitude-10 mode, underflows
+    # for amplitude 1e-3, and is subnormal (~4e-323, a few significant bits,
+    # root off by 6e-5) for amplitude 0.158.  The continuum norm of a sin(x) sin(y) on the pi
+    # square is a (int_0^pi sin^p)^(2/p), with
+    # int_0^pi sin^p = sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1).
+    p = 400.0
+    unit = synthesize(unit_mode(square16, 1, 1), (64, 64))
+    g = synthesize(unit_mode(square16, 1, 1, amplitude), (64, 64))
+    got = lp_norm(g, p)
+    assert got == pytest.approx(amplitude * lp_norm(unit, p), rel=1e-14)
+    log_integral = 0.5 * math.log(math.pi) + math.lgamma((p + 1) / 2) - math.lgamma(p / 2 + 1)
+    assert got == pytest.approx(amplitude * math.exp(2.0 / p * log_integral), rel=1e-3)
+    # each member of a stack keeps its bits; an all-zero field stays 0
+    stack = GridField(square16, np.stack([g.values, 0.0 * g.values, unit.values]))
+    assert list(lp_norm(stack, p)) == [got, 0.0, lp_norm(unit, p)]
+
+
 def test_norm_scaling(square16, rng):
     f = _random_field(square16, "SS", rng)
     assert spectral_norm(f * -2.5) == pytest.approx(2.5 * spectral_norm(f), rel=1e-14)

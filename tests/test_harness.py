@@ -17,6 +17,7 @@ from sqgbox import (
     besov_norm,
     bilinear_battery,
     block_lp_bounds,
+    block_lp_norms,
     duhamel_ensemble,
     dyadic_table,
     elliptic_ratio_study,
@@ -131,6 +132,25 @@ def test_bilinear_battery_shape_and_stability(square16):
         assert set(d) >= {"params", "max_ratio", "refined_max_ratio", "stable"}
     probes = [r for r in reports if r.details["probe"]]
     assert len(probes) == 4
+
+
+def test_bilinear_battery_takes_block_norms_only_at_the_exponents_it_reads(square16, monkeypatch):
+    # T1, T2 are read at the Hoelder targets p = (1, 2, 2) of the pairs, f and g
+    # at p1 = (2, 3, 6): no field is asked for the union.
+    from sqgbox import DomainSpec, harness
+
+    asked = []
+
+    def spy(field, profile, grids, ps):
+        asked.append(tuple(ps))
+        return block_lp_norms(field, profile, grids, ps)
+
+    monkeypatch.setattr(harness, "block_lp_norms", spy)
+    refined = DomainSpec(math.pi, math.pi, 16, 16, 48, 48)
+    spec = SampleSpec(mode_count=16, decay=1.0, seed=77, count=2)
+    battery = {"s": [0.5], "q": [2], "pairs": [[2, 2], [3, 6], [6, 3]], "probe_s": []}
+    bilinear_battery(square16, refined, spec, battery)
+    assert sorted(asked) == [(1.0, 2.0)] * 4 + [(2.0, 3.0, 6.0)] * 4
 
 
 def test_block_norm_cache_matches_besov_norm(rect, square16):

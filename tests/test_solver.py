@@ -13,6 +13,7 @@ from sqgbox import (
     SolverConfig,
     SpectralField,
     analyze,
+    fractional_power,
     grid_points,
     heat_factor,
     heat_semigroup,
@@ -123,24 +124,35 @@ def test_dealias_factor_insensitivity(square16, rng):
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("b", [8, 9])
-def test_convective_term_on_projection_grid(rng, b):
-    # u . grad theta projected onto band b: exact on the 3/2-rule grid (and
-    # that is the grid nonlinear_term uses), aliased one point below it
-    domain = DomainSpec(math.pi, 2.0, b, b, 2 * b, 2 * b)
-    theta = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (b, b)))
-    u1, u2 = velocity(theta)
+@pytest.mark.parametrize("band", [(8, 8), (9, 9), (7, 12), (12, 7)])
+def test_convective_term_on_projection_grid(rng, band):
+    # u . grad theta projected onto the band: exact on the 3/2-rule grid (and
+    # that is the grid nonlinear_term uses), aliased one point below it.  The
+    # reference velocity comes from the generic multiplier and derivative
+    # calls; the step and velocity() must match it bit for bit, for a stack
+    # as for each member alone, on a rectangle with b1 != b2, where a table
+    # or derivative taken along the wrong axis fails.
+    b1, b2 = band
+    domain = DomainSpec(math.pi, 2.0, b1, b2, 2 * b1, 2 * b2)
+    theta = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (3, b1, b2)))
+    psi = fractional_power(theta, -1.0)
+    u1, u2 = -1.0 * partial_derivative(psi, 2), partial_derivative(psi, 1)
 
     def convective(grid):
         t1 = pointwise_product(u1, partial_derivative(theta, 1), grid)
         t2 = pointwise_product(u2, partial_derivative(theta, 2), grid)
-        return analyze(GridField(domain, t1.values + t2.values), "SS", modes=theta.band).coefficients
+        return analyze(GridField(domain, t1.values + t2.values), "SS", modes=band).coefficients
 
-    ref = convective((3 * b + 1, 3 * b + 1))
+    ref = convective((3 * b1 + 1, 3 * b2 + 1))
     scale = np.max(np.abs(ref))
-    n1, n2 = projection_grid(theta.band)
-    assert np.max(np.abs(convective((n1, n2)) - ref)) <= 1e-12 * scale
-    assert np.array_equal(nonlinear_term(theta).coefficients, convective((n1, n2)))
+    n1, n2 = projection_grid(band)
+    exact = convective((n1, n2))
+    assert np.max(np.abs(exact - ref)) <= 1e-12 * scale
+    assert np.array_equal(nonlinear_term(theta).coefficients, exact)
+    for member, expected in zip(theta.coefficients, exact):
+        assert np.array_equal(nonlinear_term(SpectralField(domain, "SS", member)).coefficients, expected)
+    for got, want in zip(velocity(theta), (u1, u2)):
+        assert got.parity == want.parity and np.array_equal(got.coefficients, want.coefficients)
     for grid in ((n1 - 1, n2), (n1, n2 - 1)):
         assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
 
