@@ -100,6 +100,12 @@ def block_lp_norms(
     return table.js, norms
 
 
+def block_scales(js, s: float) -> np.ndarray:
+    """The block weights 2^{js} over ``js``, each a Python-float power:
+    numpy's vectorised pow can differ from libm's in the last bit."""
+    return np.array([2.0 ** (j * s) for j in js], dtype=np.float64)
+
+
 def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[float | np.ndarray, np.ndarray]:
     """The l^q norm (max for q = inf, 0 when empty) of the weighted block
     terms 2^{js} ||phi_j f||_p, and those terms.
@@ -112,7 +118,7 @@ def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[fl
     from libm's in the last bit.
     """
     norms = np.ascontiguousarray(block_norms, dtype=np.float64)
-    terms = np.array([2.0 ** (j * s) for j in js]) * norms
+    terms = block_scales(js, s) * norms
     if np.isinf(q):
         values = terms.max(axis=-1) if terms.shape[-1] else np.zeros(terms.shape[:-1])
     else:

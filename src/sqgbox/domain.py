@@ -12,8 +12,10 @@ convention single differentiation closes exactly on the band.
 Coefficient and value arrays may carry leading stack axes, (..., r1, r2).
 ``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``,
 ``lp_norm``, ``spectral_inner`` and ``spectral_norm`` act on a whole stack,
-with the same bits as field by field; the grid ``inner_product`` and
-snapshot files take single fields.
+with the same bits as field by field for arrays of the same memory layout
+(``synthesize`` of the transposed array ``partial_derivative(., 2)``
+returns can differ in the last bit from its C-contiguous copy); the grid
+``inner_product`` and snapshot files take single fields.
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
@@ -39,7 +41,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np

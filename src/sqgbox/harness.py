@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .besov import BesovParams, besov_aggregate, besov_norm, block_lp_norms
+from .besov import BesovParams, besov_aggregate, besov_norm, block_lp_norms, block_scales
 from .domain import (
     DomainSpec,
     GridField,
@@ -66,7 +66,7 @@ from .multipliers import (
     quadrature_nodes,
     resolvent,
 )
-from .solver import SolverConfig, TrajectoryRecord, integrate, simulate, velocity
+from .solver import SolverConfig, TrajectoryRecord, integrate, simulate
 
 
 @dataclass(frozen=True)
@@ -458,8 +458,7 @@ class DuhamelSupremum:
         self.theta0 = theta0
         table = dyadic_table(theta0.domain, theta0.band, profile)
         self._weights = table.weights[table.live]
-        # Python-float powers, as in besov_aggregate
-        self._scale = np.array([2.0 ** (j * self.params.s) for j, live in zip(table.js, table.live) if live])
+        self._scale = block_scales(table.js, self.params.s)[table.live]
         self.numerator = np.zeros(theta0.coefficients.shape[:-2])
         self.evaluated = 0
 

@@ -7,6 +7,11 @@ indicator chi equal to 1 on (0, 1], 0 on [2, inf), interpolated by a
 smoothstep in log2; phi(s) = chi(s) - chi(2s) is supported in [1/2, 2] and
 the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 
+``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by one
+read-only table per (domain, band, kind, parameter) from ``multiplier_table``,
+the one bounded cache of those weights, through ``apply_multiplier``.  No
+other module keeps such a table: the solver's step calls these functions.
+
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which
 also records the rows that are identically zero: the spare block that
@@ -94,18 +99,6 @@ def j_range(domain: DomainSpec, band: tuple[int, int] | None = None) -> range:
     return range(j_min, j_max + 1)
 
 
-def apply_multiplier(field: SpectralField, fn) -> SpectralField:
-    """Apply m(sqrt(lambda)) diagonally; the field must be SS."""
-    if field.parity != "SS":
-        raise ValueError("spectral multipliers act on SS fields only")
-    vals = np.asarray(fn(np.sqrt(lambda_table(field))), dtype=np.float64)
-    if vals.shape != field.coefficients.shape[-2:]:
-        raise ValueError("multiplier did not preserve the coefficient shape")
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("multiplier produced non-finite values")
-    return SpectralField(field.domain, "SS", field.coefficients * vals)
-
-
 def _block_weights(s: np.ndarray, j: int, profile: DyadicProfile) -> np.ndarray:
     return profile.phi(np.ldexp(s, -j))
 
@@ -187,49 +180,64 @@ def dyadic_blocks(field: SpectralField, profile: DyadicProfile) -> tuple[list[in
     return js, SpectralField(field.domain, "SS", blocks)
 
 
-def _heat_weights(s: np.ndarray, t: float) -> np.ndarray:
-    return np.exp(-t * s * s)
+# The named multipliers: weights as functions of sqrt(lambda) and a parameter.
+_WEIGHTS = {
+    "heat": lambda s, t: np.exp(-t * s * s),
+    "power": lambda s, a: s**a,
+    "resolvent": lambda s, mu: 1.0 / (1.0 + mu * s * s),
+}
 
 
-def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
-    """e^{t Delta} via weights exp(-t lambda); t must be nonnegative."""
-    if t < 0:
-        raise ValueError("heat semigroup requires t >= 0")
-    return apply_multiplier(field, lambda s: _heat_weights(s, t))
+def multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, parameter: float) -> np.ndarray:
+    """Read-only weights over the sine ``band``, built and checked once per
+    (domain, band, kind, parameter): exp(-t lambda) for "heat", lambda^{a/2}
+    for "power", 1/(1 + mu lambda) for "resolvent".  A non-finite entry,
+    overflow included, raises ``FloatingPointError``."""
+    if kind not in _WEIGHTS:
+        raise ValueError(f"multiplier kind must be one of {tuple(_WEIGHTS)}")
+    return _multiplier_table(domain, (int(band[0]), int(band[1])), kind, float(parameter))
 
 
-def heat_factor(domain: DomainSpec, band: tuple[int, int], t: float) -> np.ndarray:
-    """Read-only weight table exp(-t lambda) over the sine ``band``.
-
-    Built and checked once per (domain, band, t) and then shared, so a time
-    stepper scales coefficient arrays by it directly; the entries are
-    bit-identical to the weights ``heat_semigroup(., t)`` applies.
-    """
-    if t < 0:
-        raise ValueError("heat semigroup requires t >= 0")
-    return _heat_factor(domain, (int(band[0]), int(band[1])), float(t))
-
-
-# Bounded: keyed on t, which a caller may vary from step to step.
-@lru_cache(maxsize=64)
-def _heat_factor(domain: DomainSpec, band: tuple[int, int], t: float) -> np.ndarray:
-    tab = _heat_weights(np.sqrt(lambda_table(domain, band)), t)
+# Sized from the default config's traffic: 8 entries hold every table a
+# subcommand's runs step with (5 in verify-uniqueness) and the resolvent two
+# fields share at one mu.  The other keys recur in cycles that 64 entries
+# would not hold either (~200 Duhamel snapshot times, one per quadrature
+# node), or would save < 1 ms (44 of 113 heat tables in verify-multipliers).
+@lru_cache(maxsize=8)
+def _multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, parameter: float) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
+        tab = _WEIGHTS[kind](np.sqrt(lambda_table(domain, band)), parameter)
     if not np.all(np.isfinite(tab)):
         raise FloatingPointError("multiplier produced non-finite values")
     tab.setflags(write=False)
     return tab
 
 
+def apply_multiplier(field: SpectralField, kind: str, parameter: float) -> SpectralField:
+    """Scale an SS field by ``multiplier_table(domain, band, kind, parameter)``."""
+    if field.parity != "SS":
+        raise ValueError("spectral multipliers act on SS fields only")
+    weights = multiplier_table(field.domain, field.band, kind, parameter)
+    return SpectralField(field.domain, "SS", field.coefficients * weights)
+
+
+def heat_semigroup(field: SpectralField, t: float) -> SpectralField:
+    """e^{t Delta} via weights exp(-t lambda); t must be nonnegative."""
+    if t < 0:
+        raise ValueError("heat semigroup requires t >= 0")
+    return apply_multiplier(field, "heat", t)
+
+
 def fractional_power(field: SpectralField, s: float) -> SpectralField:
     """Lambda^s via weights lambda^{s/2}; any real s, the spectrum is positive."""
-    return apply_multiplier(field, lambda sp: sp ** float(s))
+    return apply_multiplier(field, "power", s)
 
 
 def resolvent(field: SpectralField, mu: float) -> SpectralField:
     """(1 - mu Delta)^{-1} via weights 1/(1 + mu lambda); mu must be >= 0."""
     if mu < 0:
         raise ValueError("resolvent parameter must be nonnegative")
-    return apply_multiplier(field, lambda s: 1.0 / (1.0 + mu * s * s))
+    return apply_multiplier(field, "resolvent", mu)
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,16 @@ only needs the SS projection of its product onto band b, so it runs on the
 3/2-rule ``projection_grid``; the divergence form analyzes the fluxes at
 their full product band and ``mild_residual`` pairs the fluxes with
 gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
-The velocity multiplier sqrt(lambda)^-1 is built once per (domain, band)
-with the bits of ``fractional_power``, so a convective step calls neither
-``fractional_power``, ``apply_multiplier`` nor ``velocity``: it takes the
-four derivatives with ``partial_derivative``, whose scale columns are
-cached too, and goes through ``synthesize`` and ``analyze`` only.
+A convective step takes psi with ``fractional_power(theta, -1)``, whose
+weight table is cached in ``multipliers``, and its four derivatives with
+``partial_derivative``; it does not call ``velocity``.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
   ETD2:     predictor = IF-Euler, corrector applies trapezoidal Duhamel
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
 Both reduce to the exact heat flow when N vanishes.  The factor
-e^{dt Delta} is the cached table ``heat_factor(domain, band, dt)``.
+e^{dt Delta} is ``heat_semigroup(., dt)``, one cached table per run.
 
 ``integrate`` is the one time-stepping loop.  It yields every state with
 its advection term and exact L2 norm, and steps a state with leading stack
@@ -39,7 +37,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +50,6 @@ from .domain import (
     dealias_grid,
     full_band,
     inner_product,
-    lambda_table,
     partial_derivative,
     pointwise_product,
     product_parity,
@@ -64,7 +60,7 @@ from .domain import (
     synthesize,
     write_field,
 )
-from .multipliers import heat_factor, heat_semigroup
+from .multipliers import fractional_power, heat_semigroup
 
 _SCHEMES = ("IF-Euler", "ETD2")
 
@@ -115,29 +111,9 @@ class SolverConfig:
         return k % self.snapshot_stride == 0 or k == self.n_steps
 
 
-# Bounded like heat_factor: one entry per (domain, band) a run steps, usually one.
-@lru_cache(maxsize=64)
-def _velocity_multiplier(domain: DomainSpec, band: tuple[int, int]) -> np.ndarray:
-    """sqrt(lambda)^-1 over a sine band, the weights ``fractional_power(.,
-    -1)`` applies (read-only)."""
-    mult = np.sqrt(lambda_table(domain, band)) ** -1.0
-    if not np.all(np.isfinite(mult)):
-        raise FloatingPointError("multiplier produced non-finite values")
-    mult.setflags(write=False)
-    return mult
-
-
-def _stream_function(theta: SpectralField) -> SpectralField:
-    """psi = Lambda^{-1} theta, with the bits of ``fractional_power(theta, -1)``."""
-    if theta.parity != "SS":
-        raise ValueError("spectral multipliers act on SS fields only")
-    mult = _velocity_multiplier(theta.domain, theta.band)
-    return SpectralField(theta.domain, "SS", theta.coefficients * mult)
-
-
 def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """u = grad^perp Lambda^{-1} theta; components have parity (SC, CS)."""
-    psi = _stream_function(theta)
+    psi = fractional_power(theta, -1.0)
     return -partial_derivative(psi, 2), partial_derivative(psi, 1)
 
 
@@ -157,7 +133,7 @@ def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralFi
         # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
         # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
         grid = projection_grid(band)
-        psi = _stream_function(theta)
+        psi = fractional_power(theta, -1.0)
         t1 = synthesize(partial_derivative(psi, 2), grid).values
         t1 *= synthesize(partial_derivative(theta, 1), grid).values
         out = synthesize(partial_derivative(psi, 1), grid).values
@@ -180,13 +156,13 @@ def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralFi
 
 def _advance(theta: SpectralField, config: SolverConfig, n0: SpectralField) -> SpectralField:
     dt = config.dt
-    decay = heat_factor(theta.domain, theta.band, dt)
     c, c0 = theta.coefficients, n0.coefficients
-    pred = SpectralField(theta.domain, "SS", (c - c0 * dt) * decay)
+    pred = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * dt), dt)
     if config.scheme == "IF-Euler":
         return pred
     n1 = nonlinear_term(pred)
-    return SpectralField(theta.domain, "SS", (c - c0 * (dt / 2.0)) * decay - n1.coefficients * (dt / 2.0))
+    half = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * (dt / 2.0)), dt)
+    return SpectralField(theta.domain, "SS", half.coefficients - n1.coefficients * (dt / 2.0))
 
 
 def step(theta: SpectralField, config: SolverConfig) -> SpectralField:

@@ -219,11 +219,26 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
         "uniqueness_distance.csv": "f8f691bc236132d9d54bd384ee3bb2af841bddb927499f4273e7d169041fc922",
         "uniqueness_cross.csv": "1b84b3a649a53ffc998ab20e20a3c75aee53645db3197325818870f196fa9567",
     }),
+    # the heat step and the velocity of the solver
+    ("simulate", {
+        "simulate.json": "f6d5284215cdc8e4b8eef393167520854bc0b5d9d436312e8d94c979ffb3a66b",
+        "trajectory/diagnostics.csv": "ebeb8f424e9f8b39dc847ec1c45e1bba42b03bd58911d336e0be997b680b10e3",
+        "trajectory/snapshot_000002.field": "4e862646e3ae1c1075233a7a4dffb9d434f4efd2bb83411afa3ea1045ba53bd3",
+    }),
+    # heat smoothing
+    ("verify-multipliers", {
+        "multipliers.json": "33c530511980a3af77c86326874ca7d96137f60dfb38751f0413907c7ce6ecdd",
+    }),
+    # the resolvent at every quadrature node
+    ("verify-structure", {
+        "structure.json": "13137e314fa164e22c2a2e0b62c5b96e4389cc5cdf0adbb66f6fe551b48b4ff3",
+    }),
 ])
 def test_estimate_reports_are_pinned(tmp_path, subcommand, pinned):
     # Hashes of the reports of the per-sample aggregation, the union of block
-    # exponents and the convective step through fractional_power: the faster
-    # paths that replaced them must keep every reported bit.
+    # exponents, the convective step through fractional_power, and the
+    # solver's private heat and velocity weight tables: the paths that
+    # replaced them must keep every reported bit.
     cfg = _write_cfg(tmp_path)
     out = tmp_path / subcommand
     assert run([subcommand, "--config", cfg, "--out", str(out)]) == 0

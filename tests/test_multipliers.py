@@ -14,7 +14,6 @@ from sqgbox import (
     DyadicProfile,
     QuadratureSpec,
     SpectralField,
-    apply_multiplier,
     build_dyadic_profile,
     dyadic_block,
     dyadic_table,
@@ -24,6 +23,8 @@ from sqgbox import (
     is_live_block,
     j_range,
     lambda_table,
+    multiplier_table,
+    partial_derivative,
     quadrature_nodes,
     resolvent,
     sqrt_via_resolvent,
@@ -148,19 +149,58 @@ def test_resolvent_identity(square16, rng):
         resolvent(f, -0.1)
 
 
-def test_apply_multiplier_requires_ss(square16, rng):
-    from sqgbox import partial_derivative
-
-    f = _random_ss(square16, rng)
-    fx = partial_derivative(f, 1)
-    with pytest.raises(ValueError):
-        apply_multiplier(fx, lambda s: s)
+@pytest.mark.parametrize("multiplier", [heat_semigroup, fractional_power, resolvent])
+def test_named_multipliers_require_ss(square16, rng, multiplier):
+    fx = partial_derivative(_random_ss(square16, rng), 1)
+    with pytest.raises(ValueError, match="SS fields only"):
+        multiplier(fx, 0.5)
 
 
-def test_apply_multiplier_rejects_nonfinite(square16):
+@pytest.mark.parametrize("multiplier, parameter", [
+    (heat_semigroup, math.nan),
+    (fractional_power, math.nan),
+    (fractional_power, 1e3),  # sqrt(lambda) reaches ~22.6 at 16 modes: overflows
+    (resolvent, math.nan),
+])
+def test_named_multipliers_reject_nonfinite_tables(square16, multiplier, parameter):
     f = unit_mode(square16, 1, 1)
-    with pytest.raises(FloatingPointError):
-        apply_multiplier(f, lambda s: np.full_like(s, np.nan))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        multiplier(f, parameter)
+
+
+def test_multiplier_table_is_one_read_only_array_per_key(rng):
+    domain = DomainSpec(1.25, 0.75, 11, 7, 23, 15)
+    band = (11, 7)
+    info = multipliers._multiplier_table.cache_info
+    before = info()
+    a = multiplier_table(domain, band, "heat", 1e-3)
+    assert info().misses == before.misses + 1
+    # integral band and parameter types of numpy key the same table
+    assert multiplier_table(domain, (np.int64(11), 7), "heat", np.float64(1e-3)) is a
+    assert info().misses == before.misses + 1 and info().hits == before.hits + 1
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+    assert multiplier_table(domain, (11, 6), "heat", 1e-3).shape == (11, 6)
+    with pytest.raises(ValueError, match="kind"):
+        multiplier_table(domain, band, "sqrt", 1.0)
+    for key in [
+        (domain, band, "heat", 2e-3),
+        (domain, band, "resolvent", 1e-3),
+        (DomainSpec(1.25, 0.5, 11, 7, 23, 15), band, "heat", 1e-3),
+    ]:
+        assert not np.array_equal(multiplier_table(*key), a), key
+    # each named multiplier scales by its table, whose weights are m(sqrt(lambda))
+    s = np.sqrt(lambda_table(domain, band))
+    f = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (2,) + band))
+    for multiplier, kind, parameter, weights in [
+        (heat_semigroup, "heat", 1e-3, np.exp(-1e-3 * s * s)),
+        (fractional_power, "power", -1.0, s**-1.0),
+        (resolvent, "resolvent", 0.25, 1.0 / (1.0 + 0.25 * s * s)),
+    ]:
+        table = multiplier_table(domain, band, kind, parameter)
+        np.testing.assert_array_equal(table, weights)
+        np.testing.assert_array_equal(multiplier(f, parameter).coefficients, f.coefficients * table)
 
 
 def test_block_multiplier_acts_on_sqrt_lambda(square16):
@@ -219,8 +259,8 @@ def test_dyadic_block_is_bitwise_the_direct_multiplier(rect, rng, sharpness):
     prof = DyadicProfile(sharpness)
     js = j_range(rect, f.band)
     for j in range(js.start - 3, js.stop + 3):  # inside and outside the table
-        direct = apply_multiplier(f, lambda s: prof.phi(np.ldexp(s, -j)))
-        np.testing.assert_array_equal(dyadic_block(f, j, prof).coefficients, direct.coefficients)
+        direct = f.coefficients * prof.phi(np.ldexp(np.sqrt(lambda_table(f)), -j))
+        np.testing.assert_array_equal(dyadic_block(f, j, prof).coefficients, direct)
 
 
 def test_dyadic_blocks_stack_the_live_blocks(rect, rng):
