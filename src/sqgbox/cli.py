@@ -2,11 +2,11 @@
 
 Every subcommand consumes a JSON experiment config (``--config``), optional
 dotted-path overrides (``--set key=value``), an output directory override
-(``--out``), and a seed override (``--seed``).  Runs write deterministic
-reports (JSON plus CSV curves) for a fixed config and seed; a manifest with
-the config hash, package version, and an inventory of output files is
-written last.  Wall-clock timestamps appear only in the run log, which is
-excluded from the manifest inventory.
+(``--out``), and a seed override (``--seed``, which sets ``samples.seed``).
+Runs write deterministic reports (JSON plus CSV curves) for a fixed config
+and seed; a manifest with the config hash, package version, and an
+inventory of output files is written last.  Wall-clock timestamps appear
+only in the run log, which is excluded from the manifest inventory.
 
 ``SCHEMA`` maps every dotted config key to its kind and default, and
 ``DEFAULT_CONFIG`` is built from it.  ``parse_config`` converts each key by
@@ -37,9 +37,10 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, besov_norm
-from .domain import DomainSpec, SpectralField, read_field, spectral_norm, unit_mode
+from .domain import DomainSpec, SpectralField, lambda_table, read_field, spectral_norm, unit_mode
 from .harness import (
     SampleSpec,
+    adapted_quadrature,
     bilinear_battery,
     duhamel_ensemble,
     elliptic_ratio_study,
@@ -51,7 +52,7 @@ from .harness import (
     twin_distances,
     verify_derivative_structure,
 )
-from .multipliers import DyadicProfile, QuadratureSpec, is_live_block
+from .multipliers import DyadicProfile, is_live_block
 from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 
 # verify-duhamel steps its draws together, at most this many per stack.
@@ -60,7 +61,7 @@ DUHAMEL_MEMBERS = 8
 # Fixed size caps: a valid but huge size exits 2 instead of exhausting memory or time.
 MAX_GRID = 4096  # points per axis of domain.grid and refined_grid
 MAX_STEPS = 10**6  # time steps of any one run
-MAX_QUADRATURE_NODES = 10**5  # nodes_per_decade times the decades of [mu_min, mu_max]
+MAX_QUADRATURE_NODES = 10**5  # mu-nodes of the verify-structure quadrature
 
 
 # A config kind is a pair (rule, parse): parse returns the typed value of one JSON
@@ -133,9 +134,9 @@ SCHEMA = {
     "domain.grid": (_GRID, [64, 64]),
     "refined_grid": (_GRID, [128, 128]),
     "profile.sharpness": (_integer(1, 7), 2),
-    "quadrature.nodes_per_decade": (_integer(4, MAX_QUADRATURE_NODES), 32),
-    "quadrature.mu_min": (_POSITIVE, 1e-8),
-    "quadrature.mu_max": (_POSITIVE, 1e8),
+    # verify-structure's adapted_quadrature over an (mc, mc) sample band spans
+    # 37.2 + 2 log10(mc) decades, at most 44.5 with mc <= MAX_GRID
+    "quadrature.nodes_per_decade": (_integer(4, MAX_QUADRATURE_NODES // 45), 32),
     "solver.dt": (_POSITIVE, 1e-3),
     "solver.horizon": (_POSITIVE, 0.1),
     "solver.scheme": (_kind("ETD2 or IF-Euler in any case", lambda x: str(x).lower() in ("etd2", "if-euler")), "ETD2"),
@@ -162,7 +163,6 @@ SCHEMA = {
     "structure.j_f": (_integer(), 3),
     "structure.j_g": (_integer(), 2),
     "structure.pair_count": (_integer(1, 10**3), 3),
-    "structure.adapted": (_kind("true or false", lambda x: type(x) is bool), True),
     "structure.threshold": (_POSITIVE, 1e-6),
     "duhamel.p": (_AT_LEAST_ONE, 1.5),
     "duhamel.count": (_integer(1, 10**4), 20),
@@ -178,7 +178,6 @@ SCHEMA = {
     "uniqueness.cross_tolerance": (_FINITE, 1e-5),
     "field_file": (_kind("a path string or null", lambda x: x is None or (type(x) is str and x != "")), None),
     "output_dir": (_kind("a path string", lambda x: type(x) is str and x != ""), "runs/out"),
-    "seed": (_integer(0), 1234),
 }
 
 _SECTIONS = {key.split(".")[0] for key in SCHEMA if "." in key}
@@ -234,7 +233,6 @@ def load_config(path, overrides=(), out=None, seed=None) -> dict:
     if out is not None:
         cfg["output_dir"] = out
     if seed is not None:
-        cfg["seed"] = seed
         _set_path(cfg, "samples.seed", seed)
     return cfg
 
@@ -257,10 +255,6 @@ def _longest_run(v) -> float:
     duhamel.dt/2, verify-uniqueness down to uniqueness.dt/4 and at cross_dt."""
     return max(v["solver.horizon"] / v["solver.dt"], 2 * v["duhamel.horizon"] / v["duhamel.dt"],
                4 * v["uniqueness.horizon"] / v["uniqueness.dt"], v["uniqueness.horizon"] / v["uniqueness.cross_dt"])
-
-
-def _quadrature_nodes(v) -> float:
-    return v["quadrature.nodes_per_decade"] * math.log10(v["quadrature.mu_max"] / v["quadrature.mu_min"])
 
 
 def _live(v, key: str) -> bool:
@@ -287,11 +281,6 @@ _CROSS_RULES = (
      "refined_grid must resolve domain.modes"),
     (("battery.pairs",), lambda v: all(holder_target(p1, p2) >= 1 for p1, p2 in v["battery.pairs"]),
      "battery.pairs must satisfy 1/p1 + 1/p2 <= 1"),
-    (("quadrature.mu_min", "quadrature.mu_max"), lambda v: v["quadrature.mu_min"] < v["quadrature.mu_max"],
-     "quadrature needs mu_min < mu_max"),
-    (("quadrature.nodes_per_decade", "quadrature.mu_min", "quadrature.mu_max"),
-     lambda v: _quadrature_nodes(v) <= MAX_QUADRATURE_NODES,
-     f"quadrature may take at most {MAX_QUADRATURE_NODES} nodes (nodes_per_decade * log10(mu_max/mu_min))"),
     (("samples.mode_count", "domain.modes"), lambda v: v["samples.mode_count"] <= min(v["domain.modes"]),
      "samples.mode_count must not exceed domain.modes"),
     # sample_field damps by lambda^(-decay/2), largest at lambda_11; below the
@@ -547,7 +536,8 @@ def _cmd_verify_structure(cfg: dict, written: dict) -> int:
     profile = build_profile(cfg)
     spec = build_sample_spec(cfg)
     st = cfg["structure"]
-    qspec = None if st["adapted"] else QuadratureSpec(**cfg["quadrature"])
+    lam = lambda_table(domain, (spec.mode_count, spec.mode_count))
+    qspec = adapted_quadrature(float(lam.min()), float(lam.max()), cfg["quadrature"]["nodes_per_decade"])
     results = []
     for i in range(st["pair_count"]):
         f = single_block_sample(spec, domain, 2 * i, st["j_f"], profile)
@@ -699,7 +689,7 @@ def run(argv=None) -> int:
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="dotted-path config override, value parsed as JSON")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--seed", type=int, default=None, help="seed override")
+        sp.add_argument("--seed", type=int, default=None, help="sets samples.seed")
     args = parser.parse_args(argv)
     try:
         written = load_config(args.config, args.set, args.out, args.seed)

@@ -85,10 +85,6 @@ class DyadicProfile:
         return self.chi(s) - self.chi(2.0 * s)
 
 
-def build_dyadic_profile(sharpness: int = 2) -> DyadicProfile:
-    return DyadicProfile(int(sharpness))
-
-
 def j_range(domain: DomainSpec, band: tuple[int, int] | None = None) -> range:
     """Dyadic indices covering the resolved spectrum with one spare on each end."""
     lam = lambda_table(domain, band)

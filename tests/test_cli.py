@@ -15,7 +15,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
+from sqgbox import (
+    BlowUpError,
+    EstimateReport,
+    SpectralField,
+    adapted_quadrature,
+    lambda_table,
+    quadrature_nodes,
+    simulate,
+    unit_mode,
+    write_field,
+)
 from sqgbox.cli import (
     DEFAULT_CONFIG,
     MAX_GRID,
@@ -95,7 +105,7 @@ def test_load_config_merges_and_overrides(tmp_path):
     assert cfg["profile"]["sharpness"] == 3
     assert cfg["solver"]["horizon"] == 0.01  # from file
     assert cfg["battery"]["pairs"] == [[2, 2], [3, 6], [6, 3]]  # default preserved
-    assert cfg["seed"] == 42 and cfg["samples"]["seed"] == 42
+    assert cfg["samples"]["seed"] == 42 and "seed" not in cfg
 
 
 def test_load_config_string_override(tmp_path):
@@ -269,7 +279,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert "violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["solver.dtt", "workers", "solver.dealias_factor"])
+@pytest.mark.parametrize("key", ["solver.dtt", "workers", "solver.dealias_factor",
+                                 "seed", "structure.adapted", "quadrature.mu_min", "quadrature.mu_max"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, key):
     cfg = _write_cfg(tmp_path)
     code = run(["simulate", "--config", cfg, "--set", f"{key}=2", "--out", str(tmp_path / "x")])
@@ -283,7 +294,7 @@ _IN_PROCESS_VIOLATIONS = [
     ("simulate", 'initial={"type": "random", "index": -1}'),
     ("simulate", 'initial={"type": "random", "index": "a"}'),
     ("simulate", "initial.n=true"),
-    ("verify-structure", 'structure.adapted="no"'),
+    ("verify-structure", "quadrature.nodes_per_decade=3"),
     ("simulate", "solver.horizon=1e308"),
     ("verify-uniqueness", "uniqueness.horizon=1e308"),
     ("verify-bilinear", "samples.decay=Infinity"),
@@ -351,8 +362,8 @@ def test_config_violation_exits_2_without_traceback(tmp_path, capsys, subcommand
     ["structure.pair_count=1e308"],
     ["solver.dt=1e-6", "solver.horizon=1.000001"],  # 10**6 + 1 steps
     ["uniqueness.cross_dt=1e-9"],
-    ["structure.adapted=false", "quadrature.nodes_per_decade=1e308"],
-    ["quadrature.nodes_per_decade=100000"],  # 1.6e6 nodes over the default 16 decades
+    ["quadrature.nodes_per_decade=1e308"],
+    [f"quadrature.nodes_per_decade={MAX_QUADRATURE_NODES // 45 + 1}"],
 ])
 def test_huge_sizes_exit_2(tmp_path, capsys, overrides):
     # Refused by parse_config before any work starts, so they run in-process.
@@ -368,8 +379,11 @@ def test_size_caps_admit_their_bounds(tmp_path):
     path = _write_cfg(tmp_path)
     at_caps = ["domain.grid=[4096, 16]", "refined_grid=[16, 4096]", "samples.count=100000", "duhamel.count=10000",
                "structure.pair_count=1000", "solver.dt=1e-6", "solver.horizon=1.0",
-               "quadrature.nodes_per_decade=6250"]  # 10**5 nodes over the default 16 decades
+               f"quadrature.nodes_per_decade={MAX_QUADRATURE_NODES // 45}"]
     assert parse_config(load_config(path, at_caps))[1] == []
+    # the widest adapted bracket: a MAX_GRID x MAX_GRID sample band, lambda_max / lambda_min = MAX_GRID**2
+    mu, _ = quadrature_nodes(adapted_quadrature(1.0, float(MAX_GRID) ** 2, MAX_QUADRATURE_NODES // 45))
+    assert len(mu) <= MAX_QUADRATURE_NODES
 
 
 def _broken_field_file(tmp_path, case):
@@ -538,6 +552,59 @@ def test_seed_flag_changes_samples(tmp_path):
     assert a["samples"]["seed"] == 1 and b["samples"]["seed"] == 2
 
 
+class _ReadKeys(dict):
+    """A typed config (section) that records the dotted keys read from it."""
+
+    def __init__(self, section, read, prefix=""):
+        super().__init__(section)
+        self.read, self.prefix = read, prefix
+
+    def __getitem__(self, key):
+        self.read.add(self.prefix + key)
+        value = super().__getitem__(key)
+        return _ReadKeys(value, self.read, f"{self.prefix}{key}.") if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def __iter__(self):  # also sends ** unpacking through __getitem__
+        for key in super().__iter__():
+            self.read.add(self.prefix + key)
+            yield key
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch):
+    # output_dir is read by RunDir from the config as written
+    from sqgbox import cli
+
+    read = set()
+
+    def recording(written):
+        cfg, violations = parse_config(written)
+        return (None if cfg is None else _ReadKeys(cfg, read)), violations
+
+    monkeypatch.setattr(cli, "parse_config", recording)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_FUZZ_BASE))
+    runs = [[name] for name in SUBCOMMANDS] + [
+        ["simulate", "--set", 'initial={"type": "two-mode", "entries": [[1, 1, 0.5], [2, 1, -0.5]]}'],
+        ["simulate", "--set", 'initial={"type": "random"}'],
+    ]
+    for i, args in enumerate(runs):
+        assert _quiet_run([*args, "--config", str(path), "--out", str(tmp_path / str(i))]) == 0, args
+    assert sorted(set(SCHEMA) - read) == ["output_dir"]
+
+
+def test_structure_residual_falls_with_nodes_per_decade(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    residuals = []
+    for npd in (4, 8, 32):
+        out = tmp_path / str(npd)
+        run(["verify-structure", "--config", cfg, "--set", f"quadrature.nodes_per_decade={npd}", "--out", str(out)])
+        residuals.append(json.loads((out / "structure.json").read_text())[0]["residual"])
+    assert residuals[0] > residuals[1] > residuals[2]
+
+
 def test_runlog_holds_timestamps_and_reports_do_not(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "log"
@@ -601,17 +668,25 @@ def _config_mutation(draw):
     return subcommand, key, mutate(node.get(name))
 
 
+def _structure_nodes(cfg):
+    """mu-nodes of the adapted bracket that verify-structure integrates over."""
+    mc = cfg["samples"]["mode_count"]
+    lam = lambda_table(build_domain(cfg), (mc, mc))
+    spec = adapted_quadrature(float(lam.min()), float(lam.max()), cfg["quadrature"]["nodes_per_decade"])
+    return len(quadrature_nodes(spec)[0])
+
+
 def _cheap(cfg):
     """Whether running a typed config stays inside the fuzz test's cost bound."""
-    sol, du, un, q, bat = cfg["solver"], cfg["duhamel"], cfg["uniqueness"], cfg["quadrature"], cfg["battery"]
+    sol, du, un, bat = cfg["solver"], cfg["duhamel"], cfg["uniqueness"], cfg["battery"]
     sizes = [*cfg["domain"]["modes"], *cfg["domain"]["grid"], *cfg["refined_grid"]]
     steps = [sol["horizon"] / sol["dt"], 2 * du["horizon"] / du["dt"], 4 * un["horizon"] / un["dt"],
              un["horizon"] / un["cross_dt"]]
     counts = [cfg["samples"]["count"], du["count"], len(du["modes"]), cfg["structure"]["pair_count"],
               len(cfg["initial"]["entries"] or [])]
     tuples = (len(bat["s"]) + len(bat["probe_s"])) * len(bat["q"]) * len(bat["pairs"])
-    nodes = 0 if cfg["structure"]["adapted"] else q["nodes_per_decade"] * math.log10(q["mu_max"] / q["mu_min"])
-    return max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16 and nodes <= 1000
+    return (max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16
+            and _structure_nodes(cfg) <= 1300)  # 1,252 at the fuzz base
 
 
 def _within_caps(cfg):
@@ -619,11 +694,9 @@ def _within_caps(cfg):
     sol, du, un = cfg["solver"], cfg["duhamel"], cfg["uniqueness"]
     steps = [sol["horizon"] / sol["dt"], 2 * du["horizon"] / du["dt"], 4 * un["horizon"] / un["dt"],
              un["horizon"] / un["cross_dt"]]
-    q = cfg["quadrature"]
-    nodes = q["nodes_per_decade"] * math.log10(q["mu_max"] / q["mu_min"])
     return (max(*cfg["domain"]["grid"], *cfg["refined_grid"]) <= MAX_GRID and max(steps) <= MAX_STEPS
             and cfg["samples"]["count"] <= 10**5 and du["count"] <= 10**4 and cfg["structure"]["pair_count"] <= 10**3
-            and nodes <= MAX_QUADRATURE_NODES)
+            and _structure_nodes(cfg) <= MAX_QUADRATURE_NODES)
 
 
 def _quiet_run(args):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqgbox import (
+    DEFAULT_BATTERY,
     BesovParams,
     DuhamelSupremum,
     DyadicProfile,
@@ -132,6 +133,29 @@ def test_bilinear_battery_shape_and_stability(square16):
         assert set(d) >= {"params", "max_ratio", "refined_max_ratio", "stable"}
     probes = [r for r in reports if r.details["probe"]]
     assert len(probes) == 4
+
+
+def test_bilinear_battery_matches_verify_bilinear_bit_for_bit(square16):
+    # verify_bilinear is the one-pair reference: every ratio the battery
+    # assembles from its cached block norms is the reference ratio of that
+    # sample pair, on the base grid and on the refined grid.
+    from sqgbox import DomainSpec
+
+    refined = DomainSpec(math.pi, math.pi, 16, 16, 48, 48)
+    spec = SampleSpec(mode_count=16, decay=1.0, seed=77, count=3)
+    battery = {**DEFAULT_BATTERY, "s": [-0.5, 0.5, 1.5], "probe_s": []}
+    profile = DyadicProfile()
+    pairs = [(sample_field(spec, square16, 2 * i), sample_field(spec, square16, 2 * i + 1)) for i in range(3)]
+    reports = bilinear_battery(square16, refined, spec, battery, profile)
+    assert len(reports) == 27
+    for rep in reports:
+        params = {k: rep.params[k] for k in ("s", "p", "p1", "p2", "p3", "p4", "q")}
+
+        def reference(grid):
+            return [verify_bilinear(f, g, **params, profile=profile, grid=grid)[0] for f, g in pairs]
+
+        assert rep.ratios == reference((32, 32))
+        assert rep.refined_max_ratio == max(reference((48, 48)))
 
 
 def test_bilinear_battery_takes_block_norms_only_at_the_exponents_it_reads(square16, monkeypatch):

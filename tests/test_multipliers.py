@@ -14,7 +14,6 @@ from sqgbox import (
     DyadicProfile,
     QuadratureSpec,
     SpectralField,
-    build_dyadic_profile,
     dyadic_block,
     dyadic_table,
     eigenvalue,
@@ -91,7 +90,6 @@ def test_sharpness_validation():
         DyadicProfile(0)
     with pytest.raises(ValueError):
         DyadicProfile(8)
-    assert build_dyadic_profile(4).sharpness == 4
 
 
 def test_j_range_brackets_spectrum(square16):
