@@ -37,10 +37,9 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, besov_norm
-from .domain import DomainSpec, SpectralField, lambda_table, read_field, spectral_norm, unit_mode
+from .domain import DomainSpec, SpectralField, read_field, spectral_norm, unit_mode
 from .harness import (
     SampleSpec,
-    adapted_quadrature,
     bilinear_battery,
     duhamel_ensemble,
     elliptic_ratio_study,
@@ -61,7 +60,6 @@ DUHAMEL_MEMBERS = 8
 # Fixed size caps: a valid but huge size exits 2 instead of exhausting memory or time.
 MAX_GRID = 4096  # points per axis of domain.grid and refined_grid
 MAX_STEPS = 10**6  # time steps of any one run
-MAX_QUADRATURE_NODES = 10**5  # mu-nodes of the verify-structure quadrature
 
 
 # A config kind is a pair (rule, parse): parse returns the typed value of one JSON
@@ -134,9 +132,6 @@ SCHEMA = {
     "domain.grid": (_GRID, [64, 64]),
     "refined_grid": (_GRID, [128, 128]),
     "profile.sharpness": (_integer(1, 7), 2),
-    # verify-structure's adapted_quadrature over an (mc, mc) sample band spans
-    # 37.2 + 2 log10(mc) decades, at most 44.5 with mc <= MAX_GRID
-    "quadrature.nodes_per_decade": (_integer(4, MAX_QUADRATURE_NODES // 45), 32),
     "solver.dt": (_POSITIVE, 1e-3),
     "solver.horizon": (_POSITIVE, 0.1),
     "solver.scheme": (_kind("ETD2 or IF-Euler in any case", lambda x: str(x).lower() in ("etd2", "if-euler")), "ETD2"),
@@ -536,13 +531,11 @@ def _cmd_verify_structure(cfg: dict, written: dict) -> int:
     profile = build_profile(cfg)
     spec = build_sample_spec(cfg)
     st = cfg["structure"]
-    lam = lambda_table(domain, (spec.mode_count, spec.mode_count))
-    qspec = adapted_quadrature(float(lam.min()), float(lam.max()), cfg["quadrature"]["nodes_per_decade"])
     results = []
     for i in range(st["pair_count"]):
         f = single_block_sample(spec, domain, 2 * i, st["j_f"], profile)
         g = single_block_sample(spec, domain, 2 * i + 1, st["j_g"], profile)
-        residual, bound = verify_derivative_structure(f, g, qspec)
+        residual, bound = verify_derivative_structure(f, g)
         results.append({"pair": i, "residual": residual, "truncation_bound": bound})
     run.write_json("structure.json", results)
     worst = max(r["residual"] for r in results)

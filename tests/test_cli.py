@@ -15,21 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgbox import (
-    BlowUpError,
-    EstimateReport,
-    SpectralField,
-    adapted_quadrature,
-    lambda_table,
-    quadrature_nodes,
-    simulate,
-    unit_mode,
-    write_field,
-)
+from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
 from sqgbox.cli import (
     DEFAULT_CONFIG,
     MAX_GRID,
-    MAX_QUADRATURE_NODES,
     MAX_STEPS,
     SCHEMA,
     SUBCOMMANDS,
@@ -280,12 +269,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["solver.dtt", "workers", "solver.dealias_factor",
-                                 "seed", "structure.adapted", "quadrature.mu_min", "quadrature.mu_max"])
+                                 "seed", "structure.adapted", "quadrature.nodes_per_decade", "quadrature.mu_min",
+                                 "quadrature.mu_max"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, key):
     cfg = _write_cfg(tmp_path)
     code = run(["simulate", "--config", cfg, "--set", f"{key}=2", "--out", str(tmp_path / "x")])
     assert code == 2
-    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    section = key.split(".")[0]  # a key of a removed section is reported by its section
+    named = key if section in DEFAULT_CONFIG else section
+    assert f"unknown config key '{named}'" in capsys.readouterr().err
 
 
 # Cases that parse_config refuses before any work, so they run in-process.
@@ -294,7 +286,7 @@ _IN_PROCESS_VIOLATIONS = [
     ("simulate", 'initial={"type": "random", "index": -1}'),
     ("simulate", 'initial={"type": "random", "index": "a"}'),
     ("simulate", "initial.n=true"),
-    ("verify-structure", "quadrature.nodes_per_decade=3"),
+    ("verify-structure", "structure.j_f=true"),
     ("simulate", "solver.horizon=1e308"),
     ("verify-uniqueness", "uniqueness.horizon=1e308"),
     ("verify-bilinear", "samples.decay=Infinity"),
@@ -362,8 +354,8 @@ def test_config_violation_exits_2_without_traceback(tmp_path, capsys, subcommand
     ["structure.pair_count=1e308"],
     ["solver.dt=1e-6", "solver.horizon=1.000001"],  # 10**6 + 1 steps
     ["uniqueness.cross_dt=1e-9"],
-    ["quadrature.nodes_per_decade=1e308"],
-    [f"quadrature.nodes_per_decade={MAX_QUADRATURE_NODES // 45 + 1}"],
+    ["samples.count=100001"],
+    ["structure.pair_count=1001"],
 ])
 def test_huge_sizes_exit_2(tmp_path, capsys, overrides):
     # Refused by parse_config before any work starts, so they run in-process.
@@ -378,12 +370,8 @@ def test_huge_sizes_exit_2(tmp_path, capsys, overrides):
 def test_size_caps_admit_their_bounds(tmp_path):
     path = _write_cfg(tmp_path)
     at_caps = ["domain.grid=[4096, 16]", "refined_grid=[16, 4096]", "samples.count=100000", "duhamel.count=10000",
-               "structure.pair_count=1000", "solver.dt=1e-6", "solver.horizon=1.0",
-               f"quadrature.nodes_per_decade={MAX_QUADRATURE_NODES // 45}"]
+               "structure.pair_count=1000", "solver.dt=1e-6", "solver.horizon=1.0"]
     assert parse_config(load_config(path, at_caps))[1] == []
-    # the widest adapted bracket: a MAX_GRID x MAX_GRID sample band, lambda_max / lambda_min = MAX_GRID**2
-    mu, _ = quadrature_nodes(adapted_quadrature(1.0, float(MAX_GRID) ** 2, MAX_QUADRATURE_NODES // 45))
-    assert len(mu) <= MAX_QUADRATURE_NODES
 
 
 def _broken_field_file(tmp_path, case):
@@ -595,16 +583,6 @@ def test_every_schema_key_is_read(tmp_path, monkeypatch):
     assert sorted(set(SCHEMA) - read) == ["output_dir"]
 
 
-def test_structure_residual_falls_with_nodes_per_decade(tmp_path):
-    cfg = _write_cfg(tmp_path)
-    residuals = []
-    for npd in (4, 8, 32):
-        out = tmp_path / str(npd)
-        run(["verify-structure", "--config", cfg, "--set", f"quadrature.nodes_per_decade={npd}", "--out", str(out)])
-        residuals.append(json.loads((out / "structure.json").read_text())[0]["residual"])
-    assert residuals[0] > residuals[1] > residuals[2]
-
-
 def test_runlog_holds_timestamps_and_reports_do_not(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "log"
@@ -638,7 +616,6 @@ _READERS = {
     "duhamel": ["verify-duhamel"],
     "field_file": ["besov-norm"],
     "initial": ["simulate", "besov-norm"],
-    "quadrature": ["verify-structure"],
     "solver": ["simulate", "verify-duhamel", "verify-uniqueness"],
     "structure": ["verify-structure"],
     "uniqueness": ["verify-uniqueness"],
@@ -668,14 +645,6 @@ def _config_mutation(draw):
     return subcommand, key, mutate(node.get(name))
 
 
-def _structure_nodes(cfg):
-    """mu-nodes of the adapted bracket that verify-structure integrates over."""
-    mc = cfg["samples"]["mode_count"]
-    lam = lambda_table(build_domain(cfg), (mc, mc))
-    spec = adapted_quadrature(float(lam.min()), float(lam.max()), cfg["quadrature"]["nodes_per_decade"])
-    return len(quadrature_nodes(spec)[0])
-
-
 def _cheap(cfg):
     """Whether running a typed config stays inside the fuzz test's cost bound."""
     sol, du, un, bat = cfg["solver"], cfg["duhamel"], cfg["uniqueness"], cfg["battery"]
@@ -685,8 +654,7 @@ def _cheap(cfg):
     counts = [cfg["samples"]["count"], du["count"], len(du["modes"]), cfg["structure"]["pair_count"],
               len(cfg["initial"]["entries"] or [])]
     tuples = (len(bat["s"]) + len(bat["probe_s"])) * len(bat["q"]) * len(bat["pairs"])
-    return (max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16
-            and _structure_nodes(cfg) <= 1300)  # 1,252 at the fuzz base
+    return max(sizes) <= 32 and max(steps) <= 50 and max(counts) <= 4 and tuples <= 16
 
 
 def _within_caps(cfg):
@@ -695,8 +663,7 @@ def _within_caps(cfg):
     steps = [sol["horizon"] / sol["dt"], 2 * du["horizon"] / du["dt"], 4 * un["horizon"] / un["dt"],
              un["horizon"] / un["cross_dt"]]
     return (max(*cfg["domain"]["grid"], *cfg["refined_grid"]) <= MAX_GRID and max(steps) <= MAX_STEPS
-            and cfg["samples"]["count"] <= 10**5 and du["count"] <= 10**4 and cfg["structure"]["pair_count"] <= 10**3
-            and _structure_nodes(cfg) <= MAX_QUADRATURE_NODES)
+            and cfg["samples"]["count"] <= 10**5 and du["count"] <= 10**4 and cfg["structure"]["pair_count"] <= 10**3)
 
 
 def _quiet_run(args):
@@ -717,7 +684,7 @@ def _quiet_run(args):
 # valid but huge sizes, refused by the size caps
 @example(mutation=("verify-bilinear", "samples.count", 1e308))
 @example(mutation=("simulate", "solver.dt", 1e-308))
-@example(mutation=("verify-structure", "quadrature.nodes_per_decade", 1e308))
+@example(mutation=("verify-structure", "structure.pair_count", 1e308))
 def test_cli_contract_holds_for_mutated_configs(mutation):
     # A refused config exits 2; an accepted one stays inside the size caps,
     # and when it is cheap to run, exits 0, 1 or 2.  Loading and parsing
