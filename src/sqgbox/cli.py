@@ -57,6 +57,10 @@ from .solver import BlowUpError, SolverConfig, save_trajectory, simulate
 # verify-duhamel steps its draws together, at most this many per stack.
 DUHAMEL_MEMBERS = 8
 
+# The BLAS thread count can change the last bits of a dense transform, so
+# the run log records these variables (outside the manifest).
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 # Fixed size caps: a valid but huge size exits 2 instead of exhausting memory or time.
 MAX_GRID = 4096  # points per axis of domain.grid and refined_grid
 MAX_STEPS = 10**6  # time steps of any one run
@@ -232,10 +236,22 @@ def load_config(path, overrides=(), out=None, seed=None) -> dict:
     return cfg
 
 
+def _eigenvalue(lengths, modes) -> float:
+    """lambda_mn = (m pi/L1)^2 + (n pi/L2)^2, inf on overflow."""
+    a, b = (m * math.pi / L for m, L in zip(modes, lengths))
+    return a * a + b * b
+
+
 def _first_eigenvalue(v) -> float:
     """lambda_11 = (pi/L1)^2 + (pi/L2)^2, inf on overflow."""
-    a, b = (math.pi / L for L in v["domain.lengths"])
-    return a * a + b * b
+    return _eigenvalue(v["domain.lengths"], (1, 1))
+
+
+def _top_eigenvalues_finite(v) -> bool:
+    """Whether lambda at the top of every band a run uses is finite: the
+    domain band, the sample band and the refined grid."""
+    bands = (v["domain.modes"], (v["samples.mode_count"],) * 2, v["refined_grid"])
+    return all(math.isfinite(_eigenvalue(v["domain.lengths"], band)) for band in bands)
 
 
 def _steps_fit(horizon: float, *dts: float) -> bool:
@@ -270,6 +286,9 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 _CROSS_RULES = (
     (("domain.lengths",), lambda v: 0 < _first_eigenvalue(v) < math.inf,
      "domain.lengths must give a positive, finite first eigenvalue (pi/L1)^2 + (pi/L2)^2"),
+    (("domain.lengths", "domain.modes", "samples.mode_count", "refined_grid"), _top_eigenvalues_finite,
+     "domain.lengths must give a finite eigenvalue at the top of domain.modes, samples.mode_count "
+     "and refined_grid"),
     (("domain.grid", "domain.modes"), lambda v: _inside(v["domain.grid"], [v["domain.modes"]]),
      "domain.grid must resolve domain.modes"),
     (("refined_grid", "domain.modes"), lambda v: _inside(v["refined_grid"], [v["domain.modes"]]),
@@ -394,6 +413,7 @@ class RunDir:
             fh.write(self.cfg_text + "\n")
         self.files = ["config.json"]
         self.log(f"{name} start")
+        self.log(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARIABLES))
 
     def log(self, message: str) -> None:
         stamp = datetime.datetime.now().isoformat(timespec="seconds")

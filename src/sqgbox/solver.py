@@ -13,7 +13,9 @@ their full product band and ``mild_residual`` pairs the fluxes with
 gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
 A convective step takes psi with ``fractional_power(theta, -1)``, whose
 weight table is cached in ``multipliers``, and its four derivatives with
-``partial_derivative``; it does not call ``velocity``.
+``partial_derivative``; it does not call ``velocity``.  It writes its
+derivatives, syntheses, grid products and first analysis matmul into the
+buffers of a ``StepWorkspace``, built for each call unless one is passed.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
@@ -25,7 +27,13 @@ e^{dt Delta} is ``heat_semigroup(., dt)``, one cached table per run.
 ``integrate`` is the one time-stepping loop.  It yields every state with
 its advection term and exact L2 norm, and steps a state with leading stack
 axes (an ensemble) in lockstep, each member with the bits it gets alone;
-``BlowUpError`` names the first member that leaves the finite range.
+``BlowUpError`` names the first member that leaves the finite range.  It
+owns one ``StepWorkspace`` for its run and passes it to every convective
+term, so a step reuses its transform buffers instead of allocating them:
+at band (128, 128) each projection-grid array is 295 KB, above glibc's mmap
+threshold, and a freed one is faulted back in on the next step.  The
+states and advection terms it yields are new arrays, never the
+workspace's, so they stay valid after later steps.
 ``simulate`` consumes it for one field and records a ``TrajectoryRecord``;
 the Duhamel ensemble in the harness consumes it without storing states.
 """
@@ -117,29 +125,63 @@ def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     return -partial_derivative(psi, 2), partial_derivative(psi, 1)
 
 
-def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralField:
+class StepWorkspace:
+    """The buffers of the convective term of SS states of one coefficient
+    shape (band and stack), reused from call to call.
+
+    Derivative buffers have the layouts ``partial_derivative`` returns (the
+    axis-2 one is the transpose of a C-contiguous array), so every matmul
+    sees the layout it sees without a workspace and gives the same bits.
+    """
+
+    def __init__(self, theta: SpectralField):
+        self.shape = theta.coefficients.shape
+        *stack, b1, b2 = self.shape
+        n1, n2 = projection_grid((b1, b2))
+        # Row 0 is the zero constant mode, which partial_derivative of a sine
+        # axis never writes: it stays zero.
+        self.d1 = np.zeros((*stack, b1 + 1, b2))  # CS: d1 psi, d1 theta
+        self.d2 = np.zeros((*stack, b2 + 1, b1)).swapaxes(-1, -2)  # SC: d2 psi, d2 theta
+        self.synth_sc = np.empty((*stack, n1, b2 + 1))  # B1 @ c of an SC field
+        self.synth_cs = np.empty((*stack, n1, b2))  # B1 @ c of a CS field
+        self.grids = tuple(np.empty((*stack, n1, n2)) for _ in range(3))
+        self.analysis = np.empty((*stack, b1, n2))  # A1 @ v
+
+
+def nonlinear_term(
+    theta: SpectralField, form: str = "convective", workspace: StepWorkspace | None = None
+) -> SpectralField:
     """SS projection of the advection term at the band of ``theta``.
 
     "convective" evaluates u . grad theta on ``projection_grid`` and projects
     by exact sine quadrature; "divergence" analyzes the fluxes u_c theta at
     the full product band on ``dealias_grid``, differentiates, and
     truncates.  Both are exact projections of the same trig polynomial, so
-    they agree to round-off.
+    they agree to round-off.  The convective form works in ``workspace``,
+    a new one when None; the result is a new array either way.
     """
     if theta.parity != "SS":
         raise ValueError("state must be an SS field")
     band = theta.band
     if form == "convective":
+        if workspace is None:
+            workspace = StepWorkspace(theta)
+        elif workspace.shape != theta.coefficients.shape:
+            raise ValueError("workspace was built for states of another band or stack shape")
+        ws = workspace
         # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
         # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
         grid = projection_grid(band)
+        t1, factor, out = ws.grids
         psi = fractional_power(theta, -1.0)
-        t1 = synthesize(partial_derivative(psi, 2), grid).values
-        t1 *= synthesize(partial_derivative(theta, 1), grid).values
-        out = synthesize(partial_derivative(psi, 1), grid).values
-        out *= synthesize(partial_derivative(theta, 2), grid).values
+        synthesize(partial_derivative(psi, 2, out=ws.d2), grid, out=t1, work=ws.synth_sc)
+        synthesize(partial_derivative(theta, 1, out=ws.d1), grid, out=factor, work=ws.synth_cs)
+        t1 *= factor
+        synthesize(partial_derivative(psi, 1, out=ws.d1), grid, out=out, work=ws.synth_cs)
+        synthesize(partial_derivative(theta, 2, out=ws.d2), grid, out=factor, work=ws.synth_sc)
+        out *= factor
         out -= t1
-        return analyze(GridField(theta.domain, out), "SS", modes=band)
+        return analyze(GridField(theta.domain, out), "SS", modes=band, work=ws.analysis)
     if form == "divergence":
         u1, u2 = velocity(theta)
         grid = dealias_grid(band)
@@ -154,20 +196,23 @@ def nonlinear_term(theta: SpectralField, form: str = "convective") -> SpectralFi
     raise ValueError("form must be 'convective' or 'divergence'")
 
 
-def _advance(theta: SpectralField, config: SolverConfig, n0: SpectralField) -> SpectralField:
+def _advance(
+    theta: SpectralField, config: SolverConfig, n0: SpectralField, workspace: StepWorkspace
+) -> SpectralField:
     dt = config.dt
     c, c0 = theta.coefficients, n0.coefficients
     pred = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * dt), dt)
     if config.scheme == "IF-Euler":
         return pred
-    n1 = nonlinear_term(pred)
+    n1 = nonlinear_term(pred, workspace=workspace)
     half = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * (dt / 2.0)), dt)
     return SpectralField(theta.domain, "SS", half.coefficients - n1.coefficients * (dt / 2.0))
 
 
 def step(theta: SpectralField, config: SolverConfig) -> SpectralField:
-    """One time step of the configured scheme."""
-    return _advance(theta, config, nonlinear_term(theta))
+    """One time step of the configured scheme, in a workspace of its own."""
+    workspace = StepWorkspace(theta)
+    return _advance(theta, config, nonlinear_term(theta, workspace=workspace), workspace)
 
 
 def integrate(theta0: SpectralField, config: SolverConfig):
@@ -185,14 +230,15 @@ def integrate(theta0: SpectralField, config: SolverConfig):
         raise ValueError("initial state must be an SS field")
     n = config.n_steps
     stacked = theta0.coefficients.ndim > 2
+    workspace = StepWorkspace(theta0)
     theta = theta0
     l2 = last_l2 = spectral_norm(theta)
     for k in range(n + 1):
-        nl = nonlinear_term(theta)
+        nl = nonlinear_term(theta, workspace=workspace)
         yield k, theta, nl, l2
         if k == n:
             return
-        theta = _advance(theta, config, nl)
+        theta = _advance(theta, config, nl, workspace)
         finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
         if not np.all(finite):
             member = int(np.flatnonzero(~finite)[0]) if stacked else None

@@ -280,6 +280,32 @@ def test_stacked_transforms_and_norms_match_field_by_field(rect, rng, parity, gr
 
 
 @pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])
+def test_transforms_write_into_caller_buffers_with_the_same_bits(rect, rng, parity):
+    # Buffers with the layout of the arrays the allocating calls return give
+    # their bits.  They start as NaN, so an entry left unwritten shows, apart
+    # from the zero constant row that a derivative along a sine axis leaves
+    # as it is.
+    grid = (13, 11)
+    shape = _random_field(rect, parity, rng).coefficients.shape
+    f = SpectralField(rect, parity, rng.standard_normal((2,) + shape))
+    for axis in (1, 2):
+        deriv = partial_derivative(f, axis)
+        c = deriv.coefficients
+        buf = np.full_like(c, np.nan)
+        if parity[axis - 1] == "S":
+            (buf[..., 0, :] if axis == 1 else buf[..., 0]).fill(0.0)
+        got = partial_derivative(f, axis, out=buf).coefficients
+        assert np.array_equal(got, c) and got.strides == c.strides
+        values = synthesize(deriv, grid).values
+        out, work = np.full_like(values, np.nan), np.full((2, grid[0], c.shape[-1]), np.nan)
+        assert np.array_equal(synthesize(deriv, grid, out=out, work=work).values, values)
+        assert np.array_equal(out, values)
+        coeff = analyze(GridField(rect, values), deriv.parity).coefficients
+        work = np.full((2, coeff.shape[-2], grid[1]), np.nan)
+        assert np.array_equal(analyze(GridField(rect, values), deriv.parity, work=work).coefficients, coeff)
+
+
+@pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])
 def test_spectral_inner_and_norm_broadcast_over_stacks(rect, rng, parity):
     # One field gives a float; a stack gives an array over its stack axes,
     # each member with the bits it gets alone (the solver's per-member

@@ -1,7 +1,11 @@
-"""Every name a package module imports is read somewhere in that module."""
+"""Every name a package module imports is read somewhere in that module,
+and no module tunes the allocator or the environment of its process."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -39,3 +43,29 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The library runs inside other people's processes and must leave their
+# allocator alone: MALLOC_TRIM_THRESHOLD_ alone turns off glibc's dynamic
+# mmap threshold and took sqg-m128 simulate from 131k to 521k page faults.
+ALLOCATOR_TUNING = ("MALLOC_", "mallopt", "malloc_trim", "putenv")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_allocator_tuning(path):
+    text = path.read_text()
+    assert [word for word in ALLOCATOR_TUNING if word in text] == []
+
+
+def test_import_sets_no_environment_variable():
+    code = (
+        "import importlib, os, pkgutil\n"
+        "before = dict(os.environ)\n"
+        "import sqgbox\n"
+        "for mod in pkgutil.iter_modules(sqgbox.__path__):\n"
+        "    importlib.import_module('sqgbox.' + mod.name)\n"
+        "print(sorted(set(before.items()) ^ set(os.environ.items())))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sqgbox.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sqgbox import (
     GridField,
     SolverConfig,
     SpectralField,
+    StepWorkspace,
     analyze,
     fractional_power,
     grid_points,
@@ -154,6 +156,21 @@ def test_convective_term_on_projection_grid(rng, band):
         assert got.parity == want.parity and np.array_equal(got.coefficients, want.coefficients)
     for grid in ((n1 - 1, n2), (n1, n2 - 1)):
         assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
+    # One workspace reused over three states gives each time the bits of a
+    # fresh call, for the stack and for one field.  Its buffers start as NaN,
+    # apart from the zero constant row of each derivative buffer, so an
+    # entry the step reads before it writes it shows, and so does a
+    # derivative buffer whose constant row another array overwrites.
+    for shape in ((3, b1, b2), (b1, b2)):
+        states = [SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, shape)) for _ in range(3)]
+        ws = StepWorkspace(states[0])
+        for buf in (ws.synth_sc, ws.synth_cs, *ws.grids, ws.analysis, ws.d1[..., 1:, :], ws.d2[..., 1:]):
+            buf.fill(np.nan)
+        for state in states:
+            fresh = nonlinear_term(state).coefficients
+            assert np.array_equal(nonlinear_term(state, workspace=ws).coefficients, fresh)
+    with pytest.raises(ValueError, match="workspace"):
+        nonlinear_term(theta, workspace=ws)  # built for one field, not the stack
 
 
 # -- stepping --------------------------------------------------------------
@@ -258,6 +275,41 @@ def test_integrate_steps_a_stack_with_member_bits(square16, rng, scheme):
             assert np.array_equal(nl.coefficients[i], nonlinear_term(traj.snapshots[k]).coefficients)
         steps += 1
     assert steps == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("members", [0, 3])
+def test_integrate_yields_fields_no_later_step_overwrites(square16, rng, members):
+    # integrate reuses one workspace from step to step; the states and
+    # advection terms it yields must be its own, so a consumer may keep them
+    # without a copy.  members == 0 steps a single field.
+    fields = [_random_ss(square16, rng) for _ in range(max(members, 1))]
+    coeff = np.stack([f.coefficients for f in fields]) if members else fields[0].coefficients
+    cfg = SolverConfig(dt=1e-3, horizon=0.01)
+    kept = [(theta, nl) for _, theta, nl, _ in integrate(SpectralField(square16, "SS", coeff), cfg)]
+    assert len(kept) == cfg.n_steps + 1 == 11
+    for i, field in enumerate(fields):
+        traj = simulate(field, cfg)
+        for (theta, nl), snap in zip(kept, traj.snapshots, strict=True):
+            pick = (lambda c: c[i]) if members else (lambda c: c)
+            assert np.array_equal(pick(theta.coefficients), snap.coefficients)
+            assert np.array_equal(pick(nl.coefficients), nonlinear_term(snap).coefficients)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="measures glibc's release and refault of freed arrays")
+def test_steps_reuse_their_buffers_instead_of_faulting_them_in():
+    # At band (128, 128) a step works on the 192x192 projection grid; each
+    # grid array (295 KB) lies above glibc's mmap threshold, so a step that
+    # allocated its buffers afresh faulted ~700 pages back in every time.
+    resource = pytest.importorskip("resource")
+    domain = DomainSpec(math.pi, math.pi, 128, 128, 256, 256)
+    steps = integrate(_random_ss(domain, np.random.default_rng(3)), SolverConfig(dt=1e-3, horizon=0.025))
+    for _ in range(6):  # states 0..5: the workspace and caches are built
+        next(steps)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):  # steps 5 -> 25
+        next(steps)
+    pages = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert pages < 20 * 20, f"{pages / 20:.0f} faulted pages per step"
 
 
 def test_simulate_rejects_a_stack(square16, rng):
