@@ -17,8 +17,10 @@ config that ``build_*`` and the handlers read without converting again.
 
 Exit codes: 0 on success, 1 when an asserted property fails or the
 integration blows up, 2 on config validation errors and on a field file
-that cannot be loaded.  Non-finite report
-values are written as the strings "nan", "inf" and "-inf".
+that cannot be loaded or breaks the domain rules or grid cap of a config.
+Non-finite report values are written as the strings "nan", "inf" and "-inf".
+Every report goes through ``RunDir.write_json``, ``write_csv`` or
+``add_tree``, which record it in the manifest inventory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -411,7 +414,7 @@ class RunDir:
         self.log_path = os.path.join(self.path, "runlog.txt")
         with open(os.path.join(self.path, "config.json"), "w") as fh:
             fh.write(self.cfg_text + "\n")
-        self.files = ["config.json"]
+        self.files = {"config.json"}  # the manifest inventory
         self.log(f"{name} start")
         self.log(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARIABLES))
 
@@ -426,7 +429,7 @@ class RunDir:
                 _report_value(payload), fh, sort_keys=True, indent=2, allow_nan=False, default=_json_default
             )
             fh.write("\n")
-        self.files.append(name)
+        self.files.add(name)
 
     def write_csv(self, name: str, header, rows) -> None:
         with open(os.path.join(self.path, name), "w", newline="") as fh:
@@ -434,18 +437,16 @@ class RunDir:
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_csv_cell(c) for c in row])
-        self.files.append(name)
+        self.files.add(name)
 
     def add_tree(self, relpath: str) -> None:
         for root, _, names in os.walk(os.path.join(self.path, relpath)):
-            for name in sorted(names):
-                full = os.path.join(root, name)
-                self.files.append(os.path.relpath(full, self.path))
+            self.files.update(os.path.relpath(os.path.join(root, name), self.path) for name in names)
 
     def finish(self, ok: bool, summary: str) -> int:
         """Write the manifest and print the summary line; returns the exit code, 1 unless ``ok``."""
         inventory = {}
-        for rel in sorted(set(self.files)):
+        for rel in sorted(self.files):
             full = os.path.join(self.path, rel)
             with open(full, "rb") as fh:
                 data = fh.read()
@@ -524,7 +525,7 @@ def _cmd_verify_bilinear(cfg: dict, written: dict) -> int:
     domain = build_domain(cfg)
     refined = build_domain(cfg, grid=cfg["refined_grid"])
     reports = bilinear_battery(domain, refined, build_sample_spec(cfg), cfg["battery"], build_profile(cfg))
-    run.write_json("bilinear.json", [r.to_json_dict() for r in reports])
+    run.write_json("bilinear.json", [dataclasses.asdict(r) for r in reports])
     rows = [
         [
             r.params["s"], r.params["p1"], r.params["p2"], r.params["q"],
@@ -664,6 +665,12 @@ def _cmd_besov_norm(cfg: dict, written: dict) -> int:
             field = read_field(cfg["field_file"])
             if field.parity != "SS":
                 raise ValueError(f"Besov norms need an SS field, the file holds {field.parity}")
+            # the domain rules and size cap that parse_config applies to a config
+            if max(field.domain.grid) > MAX_GRID:
+                raise ValueError(f"grid {list(field.domain.grid)} exceeds {MAX_GRID} points per axis")
+            lengths = field.domain.lengths
+            if not (0 < _eigenvalue(lengths, (1, 1)) and math.isfinite(_eigenvalue(lengths, field.band))):
+                raise ValueError("lengths must give a positive first eigenvalue and a finite one at the top of the band")
         except (OSError, ValueError) as exc:
             print(f"config error: field_file {cfg['field_file']!r}: {exc}", file=sys.stderr)
             return 2
@@ -671,9 +678,8 @@ def _cmd_besov_norm(cfg: dict, written: dict) -> int:
         field = build_initial(cfg, build_domain(cfg))
     run = RunDir(written, "besov-norm")
     params = BesovParams(**cfg["besov"])
-    value, prof = besov_norm(field, params, build_profile(cfg))
-    prof.to_csv(os.path.join(run.path, "besov_profile.csv"))
-    run.files.append("besov_profile.csv")
+    value, rows = besov_norm(field, params, build_profile(cfg))
+    run.write_csv("besov_profile.csv", ["j", "block_lp_norm", "weighted_term"], rows)
     run.write_json("besov.json", {"s": params.s, "p": params.p, "q": params.q, "value": value})
     return run.finish(True, f"{value:.12g}")
 

@@ -117,18 +117,6 @@ class EstimateReport:
     stable: bool
     details: dict = dataclass_field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        """Plain Python values; the report writer spells non-finite floats."""
-        return {
-            "params": {k: float(v) for k, v in self.params.items()},
-            "ratios": [float(r) for r in self.ratios],
-            "max_ratio": float(self.max_ratio),
-            "mean_ratio": float(self.mean_ratio),
-            "refined_max_ratio": float(self.refined_max_ratio),
-            "stable": bool(self.stable),
-            "details": dict(self.details),
-        }
-
 
 def holder_target(p1: float, p2: float) -> float:
     """p with 1/p = 1/p1 + 1/p2."""

@@ -1,4 +1,4 @@
-"""Besov norms over dyadic blocks, duality, and the embedding check."""
+"""Besov norms over dyadic blocks and their per-block rows."""
 
 import math
 
@@ -12,11 +12,7 @@ from sqgbox import (
     SpectralField,
     besov_aggregate,
     besov_norm,
-    conjugate_exponent,
-    dual_norm_lower_bound,
-    dual_params,
     dyadic_block,
-    embedding_check,
     j_range,
     lambda_table,
     lp_norm,
@@ -52,9 +48,9 @@ def test_single_mode_oracle(square16):
         if w == 0.0:
             continue
         expected_q += (2.0 ** (j * s) * w * lp_norm(synthesize(f), p)) ** q
-    value, profile = besov_norm(f, BesovParams(s, p, q), prof)
+    value, rows = besov_norm(f, BesovParams(s, p, q), prof)
     assert value == pytest.approx(expected_q ** (1.0 / q), rel=1e-12)
-    assert all(len(row) == 3 for row in profile.rows)
+    assert all(type(j) is int and type(bn) is float and type(term) is float for j, bn, term in rows)
 
 
 def _per_block_reference(f, params, prof, grid):
@@ -75,11 +71,11 @@ def test_besov_norm_matches_per_block_reference(rect, p, q, grid):
     f = _random_ss(rect, np.random.default_rng([5, int(10 * min(p, 9)), int(min(q, 9))]))
     prof = DyadicProfile(3)
     params = BesovParams(0.5, p, q)
-    value, profile = besov_norm(f, params, prof, grid)
+    value, rows = besov_norm(f, params, prof, grid)
     ref_value, ref_rows = _per_block_reference(f, params, prof, grid)
     assert value == pytest.approx(ref_value, rel=1e-12)
-    assert [r[0] for r in profile.rows] == [r[0] for r in ref_rows]
-    for (_, bn, term), (_, ref_bn, ref_term) in zip(profile.rows, ref_rows):
+    assert [r[0] for r in rows] == [r[0] for r in ref_rows]
+    for (_, bn, term), (_, ref_bn, ref_term) in zip(rows, ref_rows):
         assert bn == pytest.approx(ref_bn, rel=1e-12, abs=0.0)
         assert term == pytest.approx(ref_term, rel=1e-12, abs=0.0)
 
@@ -121,11 +117,11 @@ def test_besov_norm_at_large_p_neither_underflows_nor_overflows(square16):
 def test_spare_blocks_read_exactly_zero(rect, rng):
     f = _random_ss(rect, rng)
     js = j_range(rect, f.band)
-    _, profile = besov_norm(f, BesovParams(-0.5, 3.0, 2.0))
-    assert [r[0] for r in profile.rows] == list(js)
-    assert profile.rows[0] == (js[0], 0.0, 0.0)
-    assert profile.rows[-1] == (js[-1], 0.0, 0.0)
-    assert all(bn > 0.0 for _, bn, _ in profile.rows[1:-1])
+    _, rows = besov_norm(f, BesovParams(-0.5, 3.0, 2.0))
+    assert [r[0] for r in rows] == list(js)
+    assert rows[0] == (js[0], 0.0, 0.0)
+    assert rows[-1] == (js[-1], 0.0, 0.0)
+    assert all(bn > 0.0 for _, bn, _ in rows[1:-1])
 
 
 def test_q_monotonicity(square16, rng):
@@ -152,64 +148,3 @@ def test_l2_case_matches_weighted_parseval(square16, rng):
     value = besov_norm(f, BesovParams(0.0, 2.0, 2.0))[0]
     l2 = lp_norm(synthesize(f), 2)
     assert 0.5 * l2 <= value <= 1.5 * l2
-
-
-def test_profile_csv(tmp_path, square16):
-    f = unit_mode(square16, 1, 1)
-    _, profile = besov_norm(f, BesovParams(1.0, 2.0, 1.0))
-    out = tmp_path / "profile.csv"
-    profile.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["j", "block_lp_norm", "weighted_term"]
-    assert len(lines) == len(profile.rows) + 1
-
-
-def test_conjugate_exponents():
-    assert conjugate_exponent(1.0) == math.inf
-    assert conjugate_exponent(math.inf) == 1.0
-    assert conjugate_exponent(2.0) == pytest.approx(2.0)
-    assert conjugate_exponent(3.0) == pytest.approx(1.5)
-
-
-def test_dual_params_negates_smoothness():
-    d = dual_params(BesovParams(0.5, 3.0, 2.0))
-    assert (d.s, d.p, d.q) == (-0.5, pytest.approx(1.5), pytest.approx(2.0))
-
-
-def test_duality_lower_bound_is_a_lower_bound(square16, rng):
-    f = _random_ss(square16, rng)
-    params = BesovParams(0.5, 2.0, 2.0)
-    norm = besov_norm(f, params)[0]
-    prof = DyadicProfile()
-    candidates = [f] + [dyadic_block(f, j, prof) for j in j_range(square16, f.band)]
-    bound = dual_norm_lower_bound(f, params, candidates)
-    assert 0.0 < bound
-    # partition overlap costs at most a small constant
-    assert bound <= 3.0 * norm
-
-
-def test_duality_rejects_empty_candidates(square16):
-    f = unit_mode(square16, 1, 1)
-    with pytest.raises(ValueError):
-        dual_norm_lower_bound(f, BesovParams(0.0, 2.0, 2.0), [f * 0.0])
-
-
-def test_embedding_holds_on_samples(square16, rng):
-    # source (s, p, q) = (-1+2/p, p, inf) into (-1+1/p, 2p, inf) at p=2
-    f = _random_ss(square16, rng)
-    src = BesovParams(0.0, 2.0, math.inf)
-    tgt = BesovParams(-0.5, 4.0, math.inf)
-    ratio = embedding_check(f, src, tgt)
-    assert math.isfinite(ratio) and ratio > 0.0
-
-
-def test_embedding_validation(square16):
-    f = unit_mode(square16, 1, 1)
-    with pytest.raises(ValueError):
-        # target integrability below source
-        embedding_check(f, BesovParams(0.0, 4.0, math.inf), BesovParams(-0.5, 2.0, math.inf))
-    with pytest.raises(ValueError):
-        # smoothness drop too small for the integrability gain
-        embedding_check(f, BesovParams(0.0, 2.0, math.inf), BesovParams(-0.4, 4.0, math.inf))
-    with pytest.raises(ValueError):
-        embedding_check(f * 0.0, BesovParams(0.0, 2.0, math.inf), BesovParams(-0.5, 4.0, math.inf))

@@ -1,6 +1,7 @@
 """Config handling, subcommand execution, and run-directory contracts."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgbox import BlowUpError, EstimateReport, SpectralField, simulate, unit_mode, write_field
+from sqgbox import BlowUpError, EstimateReport, SpectralField, j_range, simulate, unit_mode, write_field
 from sqgbox.cli import (
     BLAS_THREAD_VARIABLES,
     DEFAULT_CONFIG,
@@ -252,12 +253,18 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
     ("verify-structure", {
         "structure.json": "13137e314fa164e22c2a2e0b62c5b96e4389cc5cdf0adbb66f6fe551b48b4ff3",
     }),
+    # the block norms and their per-block rows
+    ("besov-norm", {
+        "besov.json": "3a88e9c7de53ab8cccff30badaf453dd3f43a32447ef9a19c805e49c2a77c15d",
+        "besov_profile.csv": "fee26f3ef74f58f6d3a87eb1d18d9e14e97737d96cadf275ac112456ea4c808d",
+    }),
 ])
 def test_estimate_reports_are_pinned(tmp_path, subcommand, pinned):
     # Hashes of the reports of the per-sample aggregation, the union of block
     # exponents, the convective step through fractional_power, and the
-    # solver's private heat and velocity weight tables: the paths that
-    # replaced them must keep every reported bit.
+    # solver's private heat and velocity weight tables, and the Besov
+    # profile's own CSV writer: the paths that replaced them must keep
+    # every reported bit.
     cfg = _write_cfg(tmp_path)
     out = tmp_path / subcommand
     assert run([subcommand, "--config", cfg, "--out", str(out)]) == 0
@@ -278,7 +285,9 @@ def test_besov_norm_from_field_file(tmp_path):
     assert code == 0
     rep = json.loads((out / "besov.json").read_text())
     assert rep["value"] > 0.0
-    assert (out / "besov_profile.csv").exists()
+    lines = (out / "besov_profile.csv").read_text().splitlines()
+    assert lines[0] == "j,block_lp_norm,weighted_term"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(j_range(field.domain, field.band))
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):
@@ -427,6 +436,15 @@ def _broken_field_file(tmp_path, case):
     elif case == "bool in modes":
         meta["modes"] = [True, 8]
         header = json.dumps(meta).encode()
+    elif case == "infinite top eigenvalue":
+        meta["lengths"] = [1e-153, 1e-153]
+        header = json.dumps(meta).encode()
+    elif case == "zero first eigenvalue":
+        meta["lengths"] = [1e300, 1e300]
+        header = json.dumps(meta).encode()
+    elif case == "grid above the cap":
+        meta["grid"] = [10**7, 10**7]
+        header = json.dumps(meta).encode()
     elif case == "truncated payload":
         payload = payload[:-8]
     path.write_bytes(header + b"\n" + payload)
@@ -450,6 +468,21 @@ def test_bad_field_file_exits_2_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("config error: field_file ")
     assert len(proc.stderr.strip().splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("case", ["infinite top eigenvalue", "zero first eigenvalue", "grid above the cap"])
+def test_field_file_keeps_the_domain_rules_and_size_cap(tmp_path, capsys, monkeypatch, case):
+    # the rules parse_config applies to domain.lengths and domain.grid hold
+    # for the header of a field file too.  The norm is stubbed out: without
+    # the cap, the 10^7 grid would synthesize 800 TB per block.
+    monkeypatch.setattr("sqgbox.cli.besov_norm", lambda *args: pytest.fail("besov_norm ran"))
+    path = _broken_field_file(tmp_path, case)
+    code = run(["besov-norm", "--config", _write_cfg(tmp_path), "--set", f"field_file={json.dumps(str(path))}",
+                "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: field_file ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -550,7 +583,7 @@ def test_estimate_report_params_keep_the_sign_of_infinity(tmp_path):
         ratios=[0.5], max_ratio=0.5, mean_ratio=0.5, refined_max_ratio=0.5, stable=True,
     )
     rd = RunDir(dict(DEFAULT_CONFIG, output_dir=str(tmp_path / "r")))
-    rd.write_json("bilinear.json", [report.to_json_dict()])
+    rd.write_json("bilinear.json", [dataclasses.asdict(report)])
     back = json.loads((tmp_path / "r" / "bilinear.json").read_text(), parse_constant=strict)
     assert back[0]["params"] == {"s": 0.5, "p": "-inf", "q": "inf"}
 
@@ -631,6 +664,11 @@ _FUZZ_BASE = {
     "uniqueness": {"dt": 2e-3, "horizon": 0.01, "cross_dt": 1e-3},
 }
 _WRONG_VALUES = [None, True, False, "x", "inf", [], {}, math.nan, math.inf, -math.inf, -1, 0, 1e308, 1e-308, 1.5, -2.5]
+# Float keys also draw log-uniform magnitudes: refused or accepted, an extreme
+# length, decay, amplitude, step or exponent must not end in a traceback.
+_EXTREME = st.builds(lambda sign, exp: sign * 10.0**exp, st.sampled_from([1, -1]), st.integers(-300, 300))
+_EXTREME_KEYS = ("domain.lengths", "samples.decay", "initial.amplitude", "duhamel.", "uniqueness.", "besov.",
+                 "battery.pairs")
 # Subcommands that read a section; domain, profile and samples are read by most.
 _READERS = {
     "battery": ["verify-bilinear"],
@@ -646,8 +684,9 @@ _READERS = {
 
 @st.composite
 def _config_mutation(draw):
-    """A subcommand and one schema key of the fuzz base set to a wrong value,
-    or a list of it with one entry, at any depth, wrong or of a wrong length."""
+    """A subcommand and one schema key of the fuzz base set to a wrong value
+    (or an extreme magnitude, for the float keys of ``_EXTREME_KEYS``), or a
+    list of it with one entry, at any depth, wrong or of a wrong length."""
     key = draw(st.sampled_from(sorted(SCHEMA)))
     subcommand = draw(st.sampled_from(_READERS.get(key.split(".")[0], SUBCOMMANDS)))
     section, _, name = key.rpartition(".")
@@ -656,13 +695,17 @@ def _config_mutation(draw):
     else:
         node = {**DEFAULT_CONFIG, **_FUZZ_BASE}
 
+    leaves = st.sampled_from(_WRONG_VALUES)
+    if key.startswith(_EXTREME_KEYS):
+        leaves = st.one_of(leaves, _EXTREME)
+
     def mutate(value):
         if isinstance(value, list) and value and draw(st.booleans()):
             i = draw(st.integers(0, len(value) - 1))
             return value[:i] + [mutate(value[i])] + value[i + 1 :]
         if isinstance(value, list) and draw(st.booleans()):
             return value[:-1] if draw(st.booleans()) else value + value[-1:]
-        return draw(st.sampled_from(_WRONG_VALUES))
+        return draw(leaves)
 
     return subcommand, key, mutate(node.get(name))
 

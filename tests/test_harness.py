@@ -1,5 +1,6 @@
 """Sampling, estimate ratios, and the verification studies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,7 +130,7 @@ def test_bilinear_battery_shape_and_stability(square16):
         assert len(rep.ratios) == 3
         assert math.isfinite(rep.max_ratio)
         assert rep.max_ratio >= rep.mean_ratio
-        d = rep.to_json_dict()
+        d = dataclasses.asdict(rep)
         assert set(d) >= {"params", "max_ratio", "refined_max_ratio", "stable"}
     probes = [r for r in reports if r.details["probe"]]
     assert len(probes) == 4

@@ -1,5 +1,6 @@
 """Every name a package module imports is read somewhere in that module,
-and no module tunes the allocator or the environment of its process."""
+every name the package exports has a reader, and no module tunes the
+allocator or the environment of its process."""
 
 import ast
 import os
@@ -14,6 +15,10 @@ import sqgbox
 SOURCES = sorted(pathlib.Path(sqgbox.__file__).parent.glob("*.py"))
 
 
+def loaded_names(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import and never read: not loaded, not an attribute
     base, not listed in ``__all__`` (the package re-exports)."""
@@ -25,7 +30,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 bound[alias.asname or alias.name.split(".")[0]] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = loaded_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             read |= {elt.value for elt in node.value.elts}
@@ -69,3 +74,33 @@ def test_import_sets_no_environment_variable():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sqgbox.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# Exports that no module or acceptance criterion reads: references and
+# readers that a test compares against, each with that test.
+TEST_REFERENCES = {
+    "eigenvalue": "test_domain.py::test_lambda_table_matches_eigenvalue",
+    "evaluate_at": "test_domain.py::test_evaluate_at_matches_synthesis",
+    "grid_points": "test_domain.py::test_unit_mode_matches_sine_product",
+    "load_trajectory": "test_solver.py::test_save_load_round_trip",
+    "verify_bilinear": "test_harness.py::test_bilinear_battery_matches_verify_bilinear_bit_for_bit",
+    "verify_duhamel_growth": "test_harness.py::test_duhamel_growth_heat_only",
+}
+
+
+def test_every_export_is_read():
+    # an export is loaded by a package module, imported by the acceptance
+    # criteria, or a test reference that its test loads
+    tests = pathlib.Path(__file__).parent
+    read = set()
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            read |= loaded_names(ast.parse(path.read_text()))
+    acceptance = ast.parse((tests / "test_acceptance.py").read_text())
+    read |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    for name, ref in TEST_REFERENCES.items():
+        file, _, test = ref.partition("::")
+        [fn] = [node for node in ast.walk(ast.parse((tests / file).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == test]
+        assert name in loaded_names(fn), ref
+    assert sorted(set(sqgbox.__all__) - read - set(TEST_REFERENCES) - {"__version__"}) == []
