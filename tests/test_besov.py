@@ -124,6 +124,19 @@ def test_spare_blocks_read_exactly_zero(rect, rng):
     assert all(bn > 0.0 for _, bn, _ in rows[1:-1])
 
 
+@pytest.mark.parametrize("q", [1.0, 1.5, math.inf])
+def test_rows_reassemble_the_norm(rect, rng, q):
+    # the rows a report writes carry the norm: each weighted term is 2^{js}
+    # times its block norm, and their l^q sum (max for q = inf) is the value
+    f = _random_ss(rect, rng)
+    s = 0.7
+    value, rows = besov_norm(f, BesovParams(s, 3.0, q))
+    assert all(term == 2.0 ** (j * s) * bn for j, bn, term in rows)
+    terms = [term for _, _, term in rows]
+    ref = max(terms) if math.isinf(q) else sum(t**q for t in terms) ** (1.0 / q)
+    assert value == pytest.approx(ref, rel=1e-12)
+
+
 def test_q_monotonicity(square16, rng):
     f = _random_ss(square16, rng)
     vals = {

@@ -272,6 +272,24 @@ def test_estimate_reports_are_pinned(tmp_path, subcommand, pinned):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+@pytest.mark.parametrize("subcommand", ["besov-norm", "verify-bilinear"])
+def test_manifest_lists_every_report(tmp_path, subcommand):
+    # RunDir writes every report, so the manifest inventory names each file
+    # of the run directory but itself and the run log, with its hash
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / subcommand
+    assert run([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    on_disk = {
+        os.path.relpath(os.path.join(root, name), out)
+        for root, _, names in os.walk(out)
+        for name in names
+    }
+    assert set(man["files"]) == on_disk - {"manifest.json", "runlog.txt"}
+    for rel, meta in man["files"].items():
+        assert hashlib.sha256((out / rel).read_bytes()).hexdigest() == meta["sha256"]
+
+
 def test_besov_norm_from_field_file(tmp_path):
     cfg_path = _write_cfg(tmp_path)
     field = unit_mode(build_domain(_typed(cfg_path)), 1, 1)

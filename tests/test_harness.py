@@ -136,6 +136,31 @@ def test_bilinear_battery_shape_and_stability(square16):
     assert len(probes) == 4
 
 
+def test_bilinear_report_dicts_hold_plain_python_values(square16):
+    # verify-bilinear writes dataclasses.asdict of each report, so every
+    # leaf must already be a Python scalar, not a numpy one
+    from sqgbox import DomainSpec
+
+    def leaves(x):
+        if isinstance(x, dict):
+            assert all(type(k) is str for k in x)
+            return [v for item in x.values() for v in leaves(item)]
+        if isinstance(x, list):
+            return [v for item in x for v in leaves(item)]
+        return [x]
+
+    refined = DomainSpec(math.pi, math.pi, 16, 16, 32, 32)
+    spec = SampleSpec(mode_count=16, decay=1.0, seed=78, count=2)
+    battery = {"s": [0.5], "q": [math.inf], "pairs": [[2, 2]], "probe_s": [1.9]}
+    reports = bilinear_battery(square16, refined, spec, battery)
+    assert reports
+    for rep in reports:
+        d = dataclasses.asdict(rep)
+        assert isinstance(d["ratios"], list)
+        assert all(type(v) in (float, int, bool, str) for v in leaves(d))
+        assert type(d["max_ratio"]) is float and type(d["stable"]) is bool
+
+
 def test_bilinear_battery_matches_verify_bilinear_bit_for_bit(square16):
     # verify_bilinear is the one-pair reference: every ratio the battery
     # assembles from its cached block norms is the reference ratio of that
