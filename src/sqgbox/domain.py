@@ -17,19 +17,11 @@ with the same bits as field by field for arrays of the same memory layout
 returns can differ in the last bit from its C-contiguous copy); the grid
 ``inner_product`` and snapshot files take single fields.
 
-``synthesize``, ``partial_derivative`` and ``analyze`` write into caller
-buffers when given them, so a loop can reuse its arrays instead of
-allocating them on every call: ``out`` receives the result of the first two,
-``work`` the intermediate ``B1 @ c`` of ``synthesize`` and ``A1 @ v`` of
-``analyze``.  Each buffer must have exactly the shape of the array it
-replaces (numpy would broadcast a result into a larger one), and an ``out``
-of ``partial_derivative`` along a sine axis a zero constant row, which the
-call does not write.  The bits equal those of the allocating call when each
-buffer has the memory layout that call gives, since the bits of
-``synthesize`` follow the layout of its input: C-contiguous for the
-transform buffers and for ``partial_derivative`` along axis 1, and the
-transpose of a C-contiguous array for ``partial_derivative(., 2)`` of a
-sine axis 2.
+Each transform allocates its result.  ``solver.StepWorkspace`` runs the
+same matmuls in buffers of its own and gets these functions' bits, since
+every buffer has the layout they give: C-contiguous, apart from the
+transpose of a C-contiguous array that ``partial_derivative(., 2)`` returns
+for a sine axis 2 (the bits of a synthesis follow the layout of its input).
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
@@ -260,27 +252,19 @@ def grid_points(domain: DomainSpec, grid: tuple[int, int] | None = None) -> tupl
     return x, y
 
 
-def synthesize(
-    field: SpectralField, grid: tuple[int, int] | None = None, out=None, work=None
-) -> GridField:
-    """Evaluate the field at the interior collocation points of ``grid``.
-
-    ``out`` (..., n1, n2) takes the values and ``work`` (..., n1, r2) the
-    intermediate ``B1 @ c``; each is allocated when not given.
-    """
+def synthesize(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
+    """Evaluate the field at the interior collocation points of ``grid``."""
     n1, n2 = grid if grid is not None else (field.domain.N1, field.domain.N2)
     r1, r2 = field.coefficients.shape[-2:]
     B1 = _basis(n1, r1, field.parity[0])
     B2 = _basis(n2, r2, field.parity[1])
-    # one matmul per stacked field
-    return GridField(field.domain, np.matmul(np.matmul(B1, field.coefficients, out=work), B2.T, out=out))
+    return GridField(field.domain, B1 @ field.coefficients @ B2.T)  # one matmul per stacked field
 
 
 def analyze(
     grid_field: GridField,
     parity: str,
     modes: tuple[int, int] | None = None,
-    work=None,
 ) -> SpectralField:
     """Project grid samples onto the requested parity span.
 
@@ -291,8 +275,6 @@ def analyze(
     the requested span the recovery is exact; an SS projection of a
     band-limited product is the exact continuum L2 projection as long as the
     product band plus the target band stays below twice the grid Nyquist.
-    ``work`` (..., r1, n2) takes the intermediate ``A1 @ v``; the
-    coefficients are always a new array.
     """
     _validate_parity(parity)
     n1, n2 = grid_field.values.shape[-2:]
@@ -302,7 +284,7 @@ def analyze(
     r2 = modes[1] + (1 if parity[1] == "C" else 0)
     A1 = _analysis(n1, r1, parity[0])
     A2 = _analysis(n2, r2, parity[1])
-    return SpectralField(grid_field.domain, parity, np.matmul(A1, grid_field.values, out=work) @ A2.T)
+    return SpectralField(grid_field.domain, parity, A1 @ grid_field.values @ A2.T)
 
 
 def full_band(grid_shape: tuple[int, int], parity: str) -> tuple[int, int]:
@@ -322,17 +304,13 @@ def _derivative_scale(L: float, b: int) -> np.ndarray:
     return scale
 
 
-def partial_derivative(field: SpectralField, axis: int, out=None) -> SpectralField:
+def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     """Exact spectral derivative along ``axis`` (1 or 2); flips S <-> C there.
 
     d/dx sin(m k x) = (m k) cos(m k x) and d/dx cos(m k x) = -(m k) sin(m k x)
     with k = pi/L, so an S axis with modes 1..b maps onto a C axis with modes
     0..b (zero constant), and a C axis with modes 0..b maps onto an S axis
-    with modes 1..b; both directions are exact on the band.  ``out`` takes
-    the coefficients; it is allocated when not given.  Along a sine axis the
-    call leaves row 0 of ``out``, the zero constant of the new cosine axis,
-    as it is: it must be zero, as in a zeroed buffer that only such calls
-    reuse.
+    with modes 1..b; both directions are exact on the band.
     """
     if axis not in (1, 2):
         raise ValueError("axis must be 1 or 2")
@@ -341,20 +319,15 @@ def partial_derivative(field: SpectralField, axis: int, out=None) -> SpectralFie
     # Work on axis -2; axis 2 goes through a transposed view and back.
     A = field.coefficients if axis == 1 else field.coefficients.swapaxes(-1, -2)
     *stack, r, r_other = A.shape
-    if out is not None and axis == 2:
-        out = out.swapaxes(-1, -2)  # the buffer along axis -2
     if fam == "S":
-        if out is None:
-            out = np.zeros((*stack, r + 1, r_other))
+        out = np.zeros((*stack, r + 1, r_other))
         np.multiply(_derivative_scale(L, r), A, out=out[..., 1:, :])
         new_fam = "C"
     else:
-        if r >= 2:
-            out = np.multiply(-_derivative_scale(L, r - 1), A[..., 1:, :], out=out)
-        elif out is None:
+        if r < 2:
             out = np.zeros((*stack, 1, r_other))
         else:
-            out[...] = 0.0
+            out = -_derivative_scale(L, r - 1) * A[..., 1:, :]
         new_fam = "S"
     if axis == 2:
         out = out.swapaxes(-1, -2)

@@ -11,29 +11,27 @@ only needs the SS projection of its product onto band b, so it runs on the
 3/2-rule ``projection_grid``; the divergence form analyzes the fluxes at
 their full product band and ``mild_residual`` pairs the fluxes with
 gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
-A convective step takes psi with ``fractional_power(theta, -1)``, whose
-weight table is cached in ``multipliers``, and its four derivatives with
-``partial_derivative``; it does not call ``velocity``.  It writes its
-derivatives, syntheses, grid products and first analysis matmul into the
-buffers of a ``StepWorkspace``, built for each call unless one is passed.
+A convective step runs in a ``StepWorkspace``: theta and psi share each
+multiply and transform call on a leading pair axis, in buffers and tables
+built once, with no field object in between; it does not call ``velocity``.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
   ETD2:     predictor = IF-Euler, corrector applies trapezoidal Duhamel
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
 Both reduce to the exact heat flow when N vanishes.  The factor
-e^{dt Delta} is ``heat_semigroup(., dt)``, one cached table per run.
+e^{dt Delta} is the heat ``multiplier_table``, fetched once per run, and
+the ETD2 update works in the workspace's buffers.
 
 ``integrate`` is the one time-stepping loop.  It yields every state with
 its advection term and exact L2 norm, and steps a state with leading stack
 axes (an ensemble) in lockstep, each member with the bits it gets alone;
 ``BlowUpError`` names the first member that leaves the finite range.  It
-owns one ``StepWorkspace`` for its run and passes it to every convective
-term, so a step reuses its transform buffers instead of allocating them:
-at band (128, 128) each projection-grid array is 295 KB, above glibc's mmap
-threshold, and a freed one is faulted back in on the next step.  The
-states and advection terms it yields are new arrays, never the
-workspace's, so they stay valid after later steps.
+owns one ``StepWorkspace`` for its run, so a step reuses its buffers
+instead of allocating them: at band (128, 128) each projection-grid array
+is 295 KB, above glibc's mmap threshold, and a freed one is faulted back in
+on the next step.  The states and advection terms it yields are new arrays,
+never the workspace's, so they stay valid after later steps.
 ``simulate`` consumes it for one field and records a ``TrajectoryRecord``;
 the Duhamel ensemble in the harness consumes it without storing states.
 """
@@ -67,8 +65,11 @@ from .domain import (
     spectral_norm,
     synthesize,
     write_field,
+    _analysis,
+    _basis,
+    _derivative_scale,
 )
-from .multipliers import fractional_power, heat_semigroup
+from .multipliers import fractional_power, heat_semigroup, multiplier_table
 
 _SCHEMES = ("IF-Euler", "ETD2")
 
@@ -126,26 +127,60 @@ def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 
 class StepWorkspace:
-    """The buffers of the convective term of SS states of one coefficient
-    shape (band and stack), reused from call to call.
+    """The convective term and ETD2 update of SS states of one coefficient
+    shape (band and stack): tables and buffers built once, reused by every call.
 
-    Derivative buffers have the layouts ``partial_derivative`` returns (the
-    axis-2 one is the transpose of a C-contiguous array), so every matmul
-    sees the layout it sees without a workspace and gives the same bits.
+    The buffers carry theta and psi = Lambda^{-1} theta on a leading pair
+    axis of length 2, so one multiply per axis differentiates both and one
+    synthesis pair per basis family evaluates both.  Each member has the
+    layout ``partial_derivative`` and the transforms give a single field (the
+    axis-2 derivative buffer is the transpose of a C-contiguous array), so
+    every matmul gives the bits it gives there.
     """
 
     def __init__(self, theta: SpectralField):
         self.shape = theta.coefficients.shape
         *stack, b1, b2 = self.shape
         n1, n2 = projection_grid((b1, b2))
-        # Row 0 is the zero constant mode, which partial_derivative of a sine
-        # axis never writes: it stays zero.
-        self.d1 = np.zeros((*stack, b1 + 1, b2))  # CS: d1 psi, d1 theta
-        self.d2 = np.zeros((*stack, b2 + 1, b1)).swapaxes(-1, -2)  # SC: d2 psi, d2 theta
-        self.synth_sc = np.empty((*stack, n1, b2 + 1))  # B1 @ c of an SC field
-        self.synth_cs = np.empty((*stack, n1, b2))  # B1 @ c of a CS field
-        self.grids = tuple(np.empty((*stack, n1, n2)) for _ in range(3))
+        domain = theta.domain
+        self.psi_weights = multiplier_table(domain, (b1, b2), "power", -1.0)
+        self.scale1, self.scale2 = _derivative_scale(domain.L1, b1), _derivative_scale(domain.L2, b2)
+        self.c1, self.s2t = _basis(n1, b1 + 1, "C"), _basis(n2, b2, "S").T  # CS synthesis
+        self.s1, self.c2t = _basis(n1, b1, "S"), _basis(n2, b2 + 1, "C").T  # SC synthesis
+        self.a1, self.a2t = _analysis(n1, b1, "S"), _analysis(n2, b2, "S").T
+        self.pair = np.empty((2, *stack, b1, b2))  # [theta, psi]
+        # Row 0, the zero constant mode that differentiating a sine axis never writes, stays zero.
+        self.d1 = np.zeros((2, *stack, b1 + 1, b2))  # CS: d1 theta, d1 psi
+        self.d2 = np.zeros((2, *stack, b2 + 1, b1)).swapaxes(-1, -2)  # SC: d2 theta, d2 psi
+        self.synth_cs = np.empty((2, *stack, n1, b2))  # C1 @ d1
+        self.synth_sc = np.empty((2, *stack, n1, b2 + 1))  # S1 @ d2
+        self.grid1, self.grid2 = np.empty((2, 2, *stack, n1, n2))  # [d1 theta, d1 psi], [d2 theta, d2 psi]
         self.analysis = np.empty((*stack, b1, n2))  # A1 @ v
+        # ETD2: the predictor, then the corrector's heat part; the predictor's advection term
+        self.pred, self.n1 = np.empty((2, *self.shape))
+        # Views taken once: a call would otherwise spend ~2 us building them.
+        self._theta, self._psi = self.pair
+        self._pair_t = self.pair.swapaxes(-1, -2)
+        self._d1_rows = self.d1[..., 1:, :]
+        self._d2_rows = self.d2.swapaxes(-1, -2)[..., 1:, :]
+        self._grid1, self._grid2 = tuple(self.grid1), tuple(self.grid2)
+
+    def advection(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """SS projection of u . grad theta for coefficients ``c``, written
+        into ``out`` (a new array when None)."""
+        self._theta[...] = c
+        np.multiply(c, self.psi_weights, out=self._psi)
+        np.multiply(self.scale1, self.pair, out=self._d1_rows)
+        np.multiply(self.scale2, self._pair_t, out=self._d2_rows)
+        np.matmul(np.matmul(self.c1, self.d1, out=self.synth_cs), self.s2t, out=self.grid1)
+        np.matmul(np.matmul(self.s1, self.d2, out=self.synth_sc), self.c2t, out=self.grid2)
+        (d1_theta, d1_psi), (d2_theta, d2_psi) = self._grid1, self._grid2
+        # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
+        # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
+        d2_psi *= d1_theta
+        d1_psi *= d2_theta
+        d1_psi -= d2_psi
+        return np.matmul(np.matmul(self.a1, d1_psi, out=self.analysis), self.a2t, out=out)
 
 
 def nonlinear_term(
@@ -168,20 +203,7 @@ def nonlinear_term(
             workspace = StepWorkspace(theta)
         elif workspace.shape != theta.coefficients.shape:
             raise ValueError("workspace was built for states of another band or stack shape")
-        ws = workspace
-        # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
-        # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
-        grid = projection_grid(band)
-        t1, factor, out = ws.grids
-        psi = fractional_power(theta, -1.0)
-        synthesize(partial_derivative(psi, 2, out=ws.d2), grid, out=t1, work=ws.synth_sc)
-        synthesize(partial_derivative(theta, 1, out=ws.d1), grid, out=factor, work=ws.synth_cs)
-        t1 *= factor
-        synthesize(partial_derivative(psi, 1, out=ws.d1), grid, out=out, work=ws.synth_cs)
-        synthesize(partial_derivative(theta, 2, out=ws.d2), grid, out=factor, work=ws.synth_sc)
-        out *= factor
-        out -= t1
-        return analyze(GridField(theta.domain, out), "SS", modes=band, work=ws.analysis)
+        return SpectralField(theta.domain, "SS", workspace.advection(theta.coefficients))
     if form == "divergence":
         u1, u2 = velocity(theta)
         grid = dealias_grid(band)
@@ -190,29 +212,34 @@ def nonlinear_term(
             parity = product_parity(u.parity, "SS")
             flux = analyze(pointwise_product(u, theta, grid), parity, modes=full_band(grid, parity))
             d = partial_derivative(flux, axis)
-            piece = SpectralField(theta.domain, "SS", d.coefficients[: band[0], : band[1]])
+            piece = SpectralField(theta.domain, "SS", d.coefficients[..., : band[0], : band[1]])
             out = piece if out is None else out + piece
         return out
     raise ValueError("form must be 'convective' or 'divergence'")
 
 
 def _advance(
-    theta: SpectralField, config: SolverConfig, n0: SpectralField, workspace: StepWorkspace
+    theta: SpectralField, config: SolverConfig, n0: SpectralField, workspace: StepWorkspace, heat: np.ndarray
 ) -> SpectralField:
+    """The next state, a new array; ``heat`` is the e^{dt Delta} weight table."""
     dt = config.dt
     c, c0 = theta.coefficients, n0.coefficients
-    pred = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * dt), dt)
     if config.scheme == "IF-Euler":
-        return pred
-    n1 = nonlinear_term(pred, workspace=workspace)
-    half = heat_semigroup(SpectralField(theta.domain, "SS", c - c0 * (dt / 2.0)), dt)
-    return SpectralField(theta.domain, "SS", half.coefficients - n1.coefficients * (dt / 2.0))
+        return SpectralField(theta.domain, "SS", (c - c0 * dt) * heat)
+    pred, n1 = workspace.pred, workspace.n1
+    np.subtract(c, np.multiply(c0, dt, out=pred), out=pred)
+    pred *= heat
+    workspace.advection(pred, out=n1)
+    np.subtract(c, np.multiply(c0, dt / 2.0, out=pred), out=pred)
+    pred *= heat
+    n1 *= dt / 2.0
+    return SpectralField(theta.domain, "SS", pred - n1)
 
 
 def step(theta: SpectralField, config: SolverConfig) -> SpectralField:
     """One time step of the configured scheme, in a workspace of its own."""
-    workspace = StepWorkspace(theta)
-    return _advance(theta, config, nonlinear_term(theta, workspace=workspace), workspace)
+    workspace, heat = StepWorkspace(theta), multiplier_table(theta.domain, theta.band, "heat", config.dt)
+    return _advance(theta, config, nonlinear_term(theta, workspace=workspace), workspace, heat)
 
 
 def integrate(theta0: SpectralField, config: SolverConfig):
@@ -230,7 +257,7 @@ def integrate(theta0: SpectralField, config: SolverConfig):
         raise ValueError("initial state must be an SS field")
     n = config.n_steps
     stacked = theta0.coefficients.ndim > 2
-    workspace = StepWorkspace(theta0)
+    workspace, heat = StepWorkspace(theta0), multiplier_table(theta0.domain, theta0.band, "heat", config.dt)
     theta = theta0
     l2 = last_l2 = spectral_norm(theta)
     for k in range(n + 1):
@@ -238,7 +265,7 @@ def integrate(theta0: SpectralField, config: SolverConfig):
         yield k, theta, nl, l2
         if k == n:
             return
-        theta = _advance(theta, config, nl, workspace)
+        theta = _advance(theta, config, nl, workspace, heat)
         finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
         if not np.all(finite):
             member = int(np.flatnonzero(~finite)[0]) if stacked else None

@@ -1,5 +1,6 @@
 """Velocity, nonlinear term, time stepping, and trajectory persistence."""
 
+import collections
 import json
 import math
 import platform
@@ -7,6 +8,7 @@ import platform
 import numpy as np
 import pytest
 
+import sqgbox
 from sqgbox import (
     BlowUpError,
     DomainSpec,
@@ -102,6 +104,14 @@ def test_nonlinear_forms_agree(square16, rng):
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
     with pytest.raises(ValueError):
         nonlinear_term(theta, form="rotational")
+    # Both forms truncate the last two axes of a stack, with each member's bits:
+    # a stack longer than the band shows a slice taken along a stack axis.
+    stack = SpectralField(square16, "SS", rng.uniform(-1.0, 1.0, (17, 16, 16)))
+    for form in ("convective", "divergence"):
+        got = nonlinear_term(stack, form=form).coefficients
+        assert got.shape == (17, 16, 16)
+        for member, term in zip(stack.coefficients, got):
+            assert np.array_equal(term, nonlinear_term(SpectralField(square16, "SS", member), form=form).coefficients)
 
 
 def test_nonlinear_term_orthogonal_to_state(square16, rng):
@@ -126,7 +136,7 @@ def test_dealias_factor_insensitivity(square16, rng):
 
 
 @pytest.mark.parametrize("band", [(8, 8), (9, 9), (7, 12), (12, 7)])
-def test_convective_term_on_projection_grid(rng, band):
+def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     # u . grad theta projected onto the band: exact on the 3/2-rule grid (and
     # that is the grid nonlinear_term uses), aliased one point below it.  The
     # reference velocity comes from the generic multiplier and derivative
@@ -156,21 +166,66 @@ def test_convective_term_on_projection_grid(rng, band):
         assert got.parity == want.parity and np.array_equal(got.coefficients, want.coefficients)
     for grid in ((n1 - 1, n2), (n1, n2 - 1)):
         assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
-    # One workspace reused over three states gives each time the bits of a
-    # fresh call, for the stack and for one field.  Its buffers start as NaN,
-    # apart from the zero constant row of each derivative buffer, so an
-    # entry the step reads before it writes it shows, and so does a
-    # derivative buffer whose constant row another array overwrites.
+    # One workspace carries a run of three states, for the stack and for one
+    # field: every state and advection term integrate yields has the bits of
+    # a fresh step and a fresh term.  Every buffer the kernel writes, the
+    # ETD2 update buffers included, starts as NaN, apart from the zero
+    # constant row of each derivative buffer, so an entry the step reads
+    # before it writes it shows, and so does a derivative buffer whose
+    # constant row another array overwrites.
+    built = []
+
+    class NaNWorkspace(StepWorkspace):
+        def __init__(self, state):
+            super().__init__(state)
+            built.append(self)
+            for buf in (self.pair, self.d1[..., 1:, :], self.d2[..., 1:], self.synth_cs, self.synth_sc,
+                        self.grid1, self.grid2, self.analysis, self.pred, self.n1):
+                buf.fill(np.nan)
+
+    cfg = SolverConfig(dt=1e-3, horizon=2e-3)
     for shape in ((3, b1, b2), (b1, b2)):
-        states = [SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, shape)) for _ in range(3)]
-        ws = StepWorkspace(states[0])
-        for buf in (ws.synth_sc, ws.synth_cs, *ws.grids, ws.analysis, ws.d1[..., 1:, :], ws.d2[..., 1:]):
-            buf.fill(np.nan)
-        for state in states:
-            fresh = nonlinear_term(state).coefficients
-            assert np.array_equal(nonlinear_term(state, workspace=ws).coefficients, fresh)
+        states = [SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, shape))]
+        for _ in range(2):
+            states.append(step(states[-1], cfg))
+        terms = [nonlinear_term(state).coefficients for state in states]
+        with monkeypatch.context() as m:
+            m.setattr(sqgbox.solver, "StepWorkspace", NaNWorkspace)
+            run = [(theta.coefficients, nl.coefficients) for _, theta, nl, _ in integrate(states[0], cfg)]
+        assert len(built) == 1 and built.pop().shape == shape
+        for (got, nl), state, term in zip(run, states, terms, strict=True):
+            assert np.array_equal(got, state.coefficients)
+            assert np.array_equal(nl, term)
+    single = StepWorkspace(SpectralField(domain, "SS", theta.coefficients[0]))
     with pytest.raises(ValueError, match="workspace"):
-        nonlinear_term(theta, workspace=ws)  # built for one field, not the stack
+        nonlinear_term(theta, workspace=single)  # built for one field, not the stack
+
+
+def test_convective_term_in_a_workspace_builds_only_its_result(monkeypatch, square16, rng):
+    # The step's kernel works on the workspace's own arrays: with a
+    # workspace, a convective term builds one SpectralField, its result, and
+    # calls none of the field-level transforms or multipliers.
+    theta = SpectralField(square16, "SS", rng.uniform(-1.0, 1.0, (2, 16, 16)))
+    ws = StepWorkspace(theta)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    names = ("synthesize", "analyze", "partial_derivative", "apply_multiplier")
+    for module in (sqgbox.domain, sqgbox.multipliers, sqgbox.solver):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(SpectralField, "__post_init__", counted("SpectralField", SpectralField.__post_init__))
+    nonlinear_term(theta, workspace=ws)
+    assert calls == {"SpectralField": 1}
+    nonlinear_term(theta, form="divergence")  # the counters do see the field-level path
+    assert all(calls[name] > 0 for name in names)
 
 
 # -- stepping --------------------------------------------------------------
