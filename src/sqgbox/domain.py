@@ -17,11 +17,10 @@ with the same bits as field by field for arrays of the same memory layout
 returns can differ in the last bit from its C-contiguous copy); the grid
 ``inner_product`` and snapshot files take single fields.
 
-Each transform allocates its result.  ``solver.StepWorkspace`` runs the
-same matmuls in buffers of its own and gets these functions' bits, since
-every buffer has the layout they give: C-contiguous, apart from the
-transpose of a C-contiguous array that ``partial_derivative(., 2)`` returns
-for a sine axis 2 (the bits of a synthesis follow the layout of its input).
+Each transform allocates its result.  ``solver.StepWorkspace`` does not
+call them: it folds the derivative scales into synthesis tables of its own
+and works in buffers of its own, so the SQG step agrees with the
+composition of these functions to round-off, not bit for bit.
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the

@@ -402,7 +402,16 @@ _BOUND_MARGIN = 1.0 + 1e-9
 _SYNTH_CHUNK = 16
 
 
-def block_lp_bounds(field: SpectralField, weights: np.ndarray, p: float) -> np.ndarray:
+def _weight_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|weights| and its square, one flattened row per block, transposed:
+    the right factors of ``block_lp_bounds``."""
+    w = np.abs(weights).reshape(len(weights), -1)
+    return w.T, (w * w).T
+
+
+def block_lp_bounds(
+    field: SpectralField, weights: np.ndarray, p: float, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Upper bounds U[..., j] on the grid L^p norm of the block with
     coefficients ``field.coefficients * weights[j]``, from coefficients alone.
 
@@ -412,17 +421,19 @@ def block_lp_bounds(field: SpectralField, weights: np.ndarray, p: float) -> np.n
       p >= 2:  (sum |c|)^{1 - 2/p} ||.||_2^{2/p}   (sum |c| bounds the maximum),
     each times 1 + 1e-9 against round-off.  Shape: the stack axes of
     ``field`` followed by one axis over the rows of ``weights``.
+    ``tables`` is ``_weight_tables(weights)``, which a caller that bounds
+    many fields against the same weights builds once.
     """
     if not p >= 1:
         raise ValueError("p must be >= 1 or inf")
     dom = field.domain
     c = field.coefficients.reshape(field.coefficients.shape[:-2] + (-1,))
-    w = np.abs(weights).reshape(len(weights), -1)
-    l2 = np.sqrt((dom.L1 * dom.L2 / 4.0) * ((c * c) @ (w * w).T))
+    w_t, w2_t = _weight_tables(weights) if tables is None else tables
+    l2 = np.sqrt((dom.L1 * dom.L2 / 4.0) * ((c * c) @ w2_t))
     if p <= 2:
         bound = (dom.L1 * dom.L2) ** (1.0 / p - 0.5) * l2
     else:
-        bound = (np.abs(c) @ w.T) ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+        bound = (np.abs(c) @ w_t) ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
     return bound * _BOUND_MARGIN
 
 
@@ -446,6 +457,7 @@ class DuhamelSupremum:
         self.theta0 = theta0
         table = dyadic_table(theta0.domain, theta0.band, profile)
         self._weights = table.weights[table.live]
+        self._tables = _weight_tables(self._weights)  # built once, not on every add
         self._scale = block_scales(table.js, self.params.s)[table.live]
         self.numerator = np.zeros(theta0.coefficients.shape[:-2])
         self.evaluated = 0
@@ -455,7 +467,8 @@ class DuhamelSupremum:
         diff = state.coefficients - heat_semigroup(self.theta0, t).coefficients
         diff = diff.reshape((-1,) + diff.shape[-2:])
         best = self.numerator.reshape(-1)  # a view: updated in place
-        upper = self._scale * block_lp_bounds(SpectralField(domain, "SS", diff), self._weights, self.params.p)
+        field = SpectralField(domain, "SS", diff)
+        upper = self._scale * block_lp_bounds(field, self._weights, self.params.p, self._tables)
         members, rows = np.nonzero(~(upper < best[:, None]))
         terms = np.zeros(upper.shape)
         for lo in range(0, members.size, _SYNTH_CHUNK):

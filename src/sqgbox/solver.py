@@ -12,8 +12,11 @@ only needs the SS projection of its product onto band b, so it runs on the
 their full product band and ``mild_residual`` pairs the fluxes with
 gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
 A convective step runs in a ``StepWorkspace``: theta and psi share each
-multiply and transform call on a leading pair axis, in buffers and tables
-built once, with no field object in between; it does not call ``velocity``.
+transform call on a leading pair axis, in buffers and tables built once,
+with no field object in between; it does not call ``velocity``.  The
+derivative scales live in its synthesis tables, so the step agrees with
+the field-level ``velocity``/``partial_derivative``/``synthesize``
+composition to round-off, not bit for bit.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
@@ -131,11 +134,13 @@ class StepWorkspace:
     shape (band and stack): tables and buffers built once, reused by every call.
 
     The buffers carry theta and psi = Lambda^{-1} theta on a leading pair
-    axis of length 2, so one multiply per axis differentiates both and one
-    synthesis pair per basis family evaluates both.  Each member has the
-    layout ``partial_derivative`` and the transforms give a single field (the
-    axis-2 derivative buffer is the transpose of a C-contiguous array), so
-    every matmul gives the bits it gives there.
+    axis of length 2.  The derivative scales are folded into the synthesis
+    tables, C1' = C1[:, 1:] diag(m pi / L1) and C2' = C2[:, 1:] diag(n pi / L2),
+    so one left matmul with the stacked table [C1'; S1] takes both basis
+    families of both fields, and one right matmul per family (S2^T, C2'^T)
+    finishes the four derivatives on the grid.  Every member gets the same
+    gemm shapes whatever the stack, so a stack member keeps the bits it gets
+    alone; the result agrees with the field-level transforms to round-off.
     """
 
     def __init__(self, theta: SpectralField):
@@ -144,25 +149,21 @@ class StepWorkspace:
         n1, n2 = projection_grid((b1, b2))
         domain = theta.domain
         self.psi_weights = multiplier_table(domain, (b1, b2), "power", -1.0)
-        self.scale1, self.scale2 = _derivative_scale(domain.L1, b1), _derivative_scale(domain.L2, b2)
-        self.c1, self.s2t = _basis(n1, b1 + 1, "C"), _basis(n2, b2, "S").T  # CS synthesis
-        self.s1, self.c2t = _basis(n1, b1, "S"), _basis(n2, b2 + 1, "C").T  # SC synthesis
+        # C1' and C2': the cosine bases without the constant mode, scaled by m pi / L
+        c1 = _basis(n1, b1 + 1, "C")[:, 1:] * _derivative_scale(domain.L1, b1).T
+        c2 = _basis(n2, b2 + 1, "C")[:, 1:] * _derivative_scale(domain.L2, b2).T
+        self.left = np.concatenate((c1, _basis(n1, b1, "S")))  # [C1'; S1]
+        self.s2t, self.c2t = np.ascontiguousarray(_basis(n2, b2, "S").T), np.ascontiguousarray(c2.T)
         self.a1, self.a2t = _analysis(n1, b1, "S"), _analysis(n2, b2, "S").T
         self.pair = np.empty((2, *stack, b1, b2))  # [theta, psi]
-        # Row 0, the zero constant mode that differentiating a sine axis never writes, stays zero.
-        self.d1 = np.zeros((2, *stack, b1 + 1, b2))  # CS: d1 theta, d1 psi
-        self.d2 = np.zeros((2, *stack, b2 + 1, b1)).swapaxes(-1, -2)  # SC: d2 theta, d2 psi
-        self.synth_cs = np.empty((2, *stack, n1, b2))  # C1 @ d1
-        self.synth_sc = np.empty((2, *stack, n1, b2 + 1))  # S1 @ d2
+        self.synth = np.empty((2, *stack, 2 * n1, b2))  # [C1'; S1] @ pair
         self.grid1, self.grid2 = np.empty((2, 2, *stack, n1, n2))  # [d1 theta, d1 psi], [d2 theta, d2 psi]
         self.analysis = np.empty((*stack, b1, n2))  # A1 @ v
         # ETD2: the predictor, then the corrector's heat part; the predictor's advection term
         self.pred, self.n1 = np.empty((2, *self.shape))
         # Views taken once: a call would otherwise spend ~2 us building them.
         self._theta, self._psi = self.pair
-        self._pair_t = self.pair.swapaxes(-1, -2)
-        self._d1_rows = self.d1[..., 1:, :]
-        self._d2_rows = self.d2.swapaxes(-1, -2)[..., 1:, :]
+        self._synth1, self._synth2 = self.synth[..., :n1, :], self.synth[..., n1:, :]
         self._grid1, self._grid2 = tuple(self.grid1), tuple(self.grid2)
 
     def advection(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,10 +171,9 @@ class StepWorkspace:
         into ``out`` (a new array when None)."""
         self._theta[...] = c
         np.multiply(c, self.psi_weights, out=self._psi)
-        np.multiply(self.scale1, self.pair, out=self._d1_rows)
-        np.multiply(self.scale2, self._pair_t, out=self._d2_rows)
-        np.matmul(np.matmul(self.c1, self.d1, out=self.synth_cs), self.s2t, out=self.grid1)
-        np.matmul(np.matmul(self.s1, self.d2, out=self.synth_sc), self.c2t, out=self.grid2)
+        np.matmul(self.left, self.pair, out=self.synth)
+        np.matmul(self._synth1, self.s2t, out=self.grid1)
+        np.matmul(self._synth2, self.c2t, out=self.grid2)
         (d1_theta, d1_psi), (d2_theta, d2_psi) = self._grid1, self._grid2
         # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
         # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.

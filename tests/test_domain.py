@@ -12,7 +12,6 @@ from sqgbox import (
     DomainSpec,
     GridField,
     SpectralField,
-    StepWorkspace,
     analyze,
     dealias_grid,
     eigenvalue,
@@ -283,13 +282,13 @@ def test_stacked_transforms_and_norms_match_field_by_field(rect, rng, parity, gr
 @pytest.mark.parametrize("band", [(8, 8), (128, 128)])
 @pytest.mark.parametrize("axis", [1, 2])
 def test_pair_stack_synthesis_gives_members_the_bits_of_their_layout(rng, band, axis):
-    # The SQG step synthesizes derivative pairs as one (2, K, r1, r2) stack
-    # in buffers with the layouts partial_derivative returns: C-contiguous
-    # for the CS derivative along axis 1, the transpose of a C-contiguous
-    # array for the SC derivative along axis 2.  Each member then has the
-    # layout of its single-field call and gets that call's bits; the bits of
-    # a synthesis follow the layout of its input, so this is the condition
-    # under which the stack claim holds.
+    # A (2, K, r1, r2) stack of derivatives has the layouts
+    # partial_derivative returns: C-contiguous for the CS derivative along
+    # axis 1, the transpose of a C-contiguous array for the SC derivative
+    # along axis 2.  Each member then has the layout of its single-field call
+    # and gets that call's bits; the bits of a synthesis follow the layout
+    # of its input, so this is the condition under which the stack claim
+    # holds.
     b1, b2 = band
     domain = DomainSpec(PI, 2.0, b1, b2, 2 * b1, 2 * b2)
     states = SpectralField(domain, "SS", rng.standard_normal((2, 3, b1, b2)))
@@ -300,9 +299,6 @@ def test_pair_stack_synthesis_gives_members_the_bits_of_their_layout(rng, band, 
         alone = partial_derivative(SpectralField(domain, "SS", states.coefficients[i].copy()), axis)
         assert alone.coefficients.strides == pair[i].strides
         assert np.array_equal(values[i], synthesize(alone, grid).values)
-    workspace = StepWorkspace(SpectralField(domain, "SS", states.coefficients[0]))
-    buffer = workspace.d1 if axis == 1 else workspace.d2
-    assert buffer.shape == pair.shape and buffer.strides == pair.strides
 
 
 @pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])

@@ -135,14 +135,16 @@ def test_dealias_factor_insensitivity(square16, rng):
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
 
 
-@pytest.mark.parametrize("band", [(8, 8), (9, 9), (7, 12), (12, 7)])
+@pytest.mark.parametrize("band", [(8, 8), (9, 9), (7, 12), (12, 7), (33, 20)])
 def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     # u . grad theta projected onto the band: exact on the 3/2-rule grid (and
     # that is the grid nonlinear_term uses), aliased one point below it.  The
     # reference velocity comes from the generic multiplier and derivative
-    # calls; the step and velocity() must match it bit for bit, for a stack
-    # as for each member alone, on a rectangle with b1 != b2, where a table
-    # or derivative taken along the wrong axis fails.
+    # calls.  velocity() must match it bit for bit; the step, whose synthesis
+    # tables carry the derivative scales, must match the field-level
+    # composition to round-off, and a stack must give each member the bits
+    # it gets alone, on a rectangle with b1 != b2, where a table or
+    # derivative taken along the wrong axis fails.
     b1, b2 = band
     domain = DomainSpec(math.pi, 2.0, b1, b2, 2 * b1, 2 * b2)
     theta = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (3, b1, b2)))
@@ -159,8 +161,9 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     n1, n2 = projection_grid(band)
     exact = convective((n1, n2))
     assert np.max(np.abs(exact - ref)) <= 1e-12 * scale
-    assert np.array_equal(nonlinear_term(theta).coefficients, exact)
-    for member, expected in zip(theta.coefficients, exact):
+    stacked = nonlinear_term(theta).coefficients
+    assert np.max(np.abs(stacked - exact)) <= 1e-14 * scale
+    for member, expected in zip(theta.coefficients, stacked):
         assert np.array_equal(nonlinear_term(SpectralField(domain, "SS", member)).coefficients, expected)
     for got, want in zip(velocity(theta), (u1, u2)):
         assert got.parity == want.parity and np.array_equal(got.coefficients, want.coefficients)
@@ -169,18 +172,15 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     # One workspace carries a run of three states, for the stack and for one
     # field: every state and advection term integrate yields has the bits of
     # a fresh step and a fresh term.  Every buffer the kernel writes, the
-    # ETD2 update buffers included, starts as NaN, apart from the zero
-    # constant row of each derivative buffer, so an entry the step reads
-    # before it writes it shows, and so does a derivative buffer whose
-    # constant row another array overwrites.
+    # ETD2 update buffers included, starts as NaN, so an entry the step
+    # reads before it writes it shows.
     built = []
 
     class NaNWorkspace(StepWorkspace):
         def __init__(self, state):
             super().__init__(state)
             built.append(self)
-            for buf in (self.pair, self.d1[..., 1:, :], self.d2[..., 1:], self.synth_cs, self.synth_sc,
-                        self.grid1, self.grid2, self.analysis, self.pred, self.n1):
+            for buf in (self.pair, self.synth, self.grid1, self.grid2, self.analysis, self.pred, self.n1):
                 buf.fill(np.nan)
 
     cfg = SolverConfig(dt=1e-3, horizon=2e-3)
@@ -330,6 +330,32 @@ def test_integrate_steps_a_stack_with_member_bits(square16, rng, scheme):
             assert np.array_equal(nl.coefficients[i], nonlinear_term(traj.snapshots[k]).coefficients)
         steps += 1
     assert steps == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("band", [(17, 17), (33, 33), (65, 65), (7, 12), (33, 20)])
+def test_stack_members_keep_their_bits_at_bands_off_powers_of_two(rng, band):
+    # A gemm over column-stacked members is bit-equal to the member gemms at
+    # widths 32, 64 and 128 but not at odd ones such as 33 or 65.  The step
+    # gives every member gemms of its own shape, so stacks of 3 and 8 must
+    # give each member the bits it gets alone, term by term and step by step.
+    b1, b2 = band
+    domain = DomainSpec(math.pi, 2.0, b1, b2, 2 * b1, 2 * b2)
+    cfg = SolverConfig(dt=1e-3, horizon=3e-3)
+    for members in (3, 8):
+        coeff = rng.uniform(-1.0, 1.0, (members, b1, b2)) * lambda_table(domain) ** -0.75
+        stack = SpectralField(domain, "SS", coeff)
+        alone = [list(integrate(SpectralField(domain, "SS", c.copy()), cfg)) for c in coeff]
+        terms = nonlinear_term(stack).coefficients
+        for i, member in enumerate(alone):
+            assert np.array_equal(terms[i], nonlinear_term(member[0][1]).coefficients)
+        stacked = list(integrate(stack, cfg))
+        assert len(stacked) == cfg.n_steps + 1 == 4
+        for k, theta, nl, l2 in stacked:
+            for i, member in enumerate(alone):
+                _, theta_i, nl_i, l2_i = member[k]
+                assert np.array_equal(theta.coefficients[i], theta_i.coefficients)
+                assert np.array_equal(nl.coefficients[i], nl_i.coefficients)
+                assert l2[i] == l2_i
 
 
 @pytest.mark.parametrize("members", [0, 3])
