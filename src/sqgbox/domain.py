@@ -33,8 +33,8 @@ exact whenever the sampled function lies in the requested span.
 Products of band-limited fields are formed on a grid chosen by what the
 projection needs.  On N points per axis a sine mode k aliases onto
 2(N+1) - k.  ``dealias_grid`` (2b+1 points) resolves the full product band
-2b, which the divergence form, the weak Duhamel pairing, the symmetrized
-bilinear product and the structure identity analyze or pair against.
+2b, which the weak Duhamel pairing, the symmetrized bilinear product and
+the structure identity analyze or pair against.
 ``projection_grid`` (floor(3b/2) points, the 3/2 rule) resolves only the
 SS projection of an SS-parity product back onto band b, which is all the
 convective SQG term needs.

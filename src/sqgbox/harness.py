@@ -515,9 +515,7 @@ def duhamel_ensemble(
     return [_duhamel_ratio(float(n), float(l2)) for n, l2 in zip(np.ravel(sup.numerator), np.ravel(sup_l2))]
 
 
-def verify_initial_smallness(
-    theta0: SpectralField, p: float, t_grid, grid: tuple[int, int] | None = None
-) -> np.ndarray:
+def verify_initial_smallness(theta0: SpectralField, p: float, t_grid) -> np.ndarray:
     """Curve t^{1/2 - 1/(2p)} ||e^{t Delta} theta0||_{L^{2p}} on a t grid
     decreasing toward 0; returns an array of (t, value) rows."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
@@ -528,7 +526,7 @@ def verify_initial_smallness(
     expo = 0.5 - 1.0 / (2.0 * p)
     rows = np.empty((t_grid.size, 2))
     for i, t in enumerate(t_grid):
-        val = (t**expo) * lp_norm(synthesize(heat_semigroup(theta0, float(t)), grid), 2.0 * p)
+        val = (t**expo) * lp_norm(synthesize(heat_semigroup(theta0, float(t))), 2.0 * p)
         rows[i] = (t, val)
     return rows
 
@@ -558,15 +556,18 @@ def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None
     return GridField(field.domain, np.hypot(gx, gy, out=gx))
 
 
+_BERNSTEIN_PS = (1.0, 2.0, math.inf)
+
+
 def multiplier_bound_study(
     domain: DomainSpec,
     sample_spec: SampleSpec,
     profile: DyadicProfile | None = None,
-    ps=(1.0, 2.0, math.inf),
     grids: list[tuple[int, int]] | None = None,
 ) -> dict:
-    """Maxima of block and block-gradient Bernstein ratios per exponent and
-    grid, plus the (2, inf) smoothing pair ||phi_j f||_inf / (2^j ||f||_2)."""
+    """Maxima of block and block-gradient Bernstein ratios per exponent p in
+    (1, 2, inf) and grid, plus the (2, inf) smoothing pair
+    ||phi_j f||_inf / (2^j ||f||_2)."""
     if profile is None:
         profile = DyadicProfile()
     if grids is None:
@@ -578,20 +579,19 @@ def multiplier_bound_study(
         out = []
         for gi, grid in enumerate(grids):
             gf = synthesize(f, grid)
-            base = {p: lp_norm(gf, p) for p in ps}
-            base_l2 = base[2.0] if 2.0 in base else lp_norm(gf, 2)
+            base = {p: lp_norm(gf, p) for p in _BERNSTEIN_PS}
             # One block at a time: refined-grid stacks of all blocks are
             # returned to the system and faulted back in on every sample.
             for j, c in zip(js, blocks.coefficients):
                 block = SpectralField(domain, "SS", c)
                 gb = synthesize(block, grid)
                 gradb = gradient_magnitude(block, grid)
-                for p in ps:
+                for p in _BERNSTEIN_PS:
                     if base[p] > 0:
                         out.append(("block", p, gi, lp_norm(gb, p) / base[p]))
                         out.append(("gradient", p, gi, lp_norm(gradb, p) / (2.0**j * base[p])))
-                if base_l2 > 0:
-                    out.append(("smoothing_2_inf", None, gi, lp_norm(gb, math.inf) / (2.0**j * base_l2)))
+                if base[2.0] > 0:
+                    out.append(("smoothing_2_inf", None, gi, lp_norm(gb, math.inf) / (2.0**j * base[2.0])))
         return out
 
     rows = [r for i in range(sample_spec.count) for r in per_sample(i)]
@@ -611,11 +611,10 @@ def multiplier_bound_study(
 def heat_smoothing_study(
     field: SpectralField,
     profile: DyadicProfile | None = None,
-    n_times: int = 9,
     grids: list[tuple[int, int]] | None = None,
 ) -> dict:
-    """Fitted exponential block decay rates over t in [0, 4^{-j}], plus the
-    sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2."""
+    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}],
+    plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2."""
     if profile is None:
         profile = DyadicProfile()
     if grids is None:
@@ -627,7 +626,7 @@ def heat_smoothing_study(
         b0 = spectral_norm(block)
         if not 0 < b0 < math.inf:  # nor does one whose L2 norm overflows
             continue
-        ts = np.linspace(0.0, 4.0 ** (-j), n_times)
+        ts = np.linspace(0.0, 4.0 ** (-j), 9)
         logr = np.array([math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts])
         rates[j] = float(np.polyfit(ts, logr, 1)[0])
     l2 = spectral_norm(field)
@@ -642,21 +641,17 @@ def heat_smoothing_study(
     return {"block_decay_rates": rates, "gradient_smoothing_sup": sups}
 
 
-def elliptic_ratio_study(
-    domain: DomainSpec,
-    sample_spec: SampleSpec,
-    ps=(1.5, 2.0, 3.0),
-    grid: tuple[int, int] | None = None,
-) -> dict:
-    """Max over samples of ||grad^2 f||_p / ||Delta f||_p (Frobenius pointwise)."""
+def elliptic_ratio_study(domain: DomainSpec, sample_spec: SampleSpec, ps=(1.5, 2.0, 3.0)) -> dict:
+    """Max over samples of ||grad^2 f||_p / ||Delta f||_p (Frobenius pointwise)
+    on the domain grid."""
     out = {str(p): 0.0 for p in ps}
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)
-        fxx = synthesize(partial_derivative(partial_derivative(f, 1), 1), grid).values
-        fxy = synthesize(partial_derivative(partial_derivative(f, 1), 2), grid).values
-        fyy = synthesize(partial_derivative(partial_derivative(f, 2), 2), grid).values
+        fxx = synthesize(partial_derivative(partial_derivative(f, 1), 1)).values
+        fxy = synthesize(partial_derivative(partial_derivative(f, 1), 2)).values
+        fyy = synthesize(partial_derivative(partial_derivative(f, 2), 2)).values
         hess = GridField(domain, np.sqrt(fxx**2 + 2.0 * fxy**2 + fyy**2))
-        lap = synthesize(laplacian(f), grid)
+        lap = synthesize(laplacian(f))
         for p in ps:
             denom = lp_norm(lap, p)
             if denom > 0:

@@ -10,7 +10,8 @@ the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 ``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by one
 read-only table per (domain, band, kind, parameter) from ``multiplier_table``,
 the one bounded cache of those weights, through ``apply_multiplier``.  No
-other module keeps such a table: the solver's step calls these functions.
+other module builds such a table: the solver's step reads its heat and
+Lambda^{-1} tables from ``multiplier_table`` and scales by them itself.
 
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which

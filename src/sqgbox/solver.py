@@ -3,15 +3,11 @@
 The evolution is d_t theta + u . grad theta = Delta theta with the
 divergence-free velocity u = grad^perp Lambda^{-1} theta, i.e.
 u1 = -d_y psi (parity SC) and u2 = d_x psi (parity CS) for the stream
-function psi = Lambda^{-1} theta.  The nonlinear term is projected back onto
-the sine band, either in convective form u . grad theta or in divergence
-form div(u theta); the two agree to round-off for band-limited states
-because u is exactly divergence-free in coefficients.  The convective form
-only needs the SS projection of its product onto band b, so it runs on the
-3/2-rule ``projection_grid``; the divergence form analyzes the fluxes at
-their full product band and ``mild_residual`` pairs the fluxes with
-gradients of band-b test functions, so both use ``dealias_grid`` (2b+1).
-A convective step runs in a ``StepWorkspace``: theta and psi share each
+function psi = Lambda^{-1} theta.  The nonlinear term is the SS projection
+of the convective form u . grad theta back onto the sine band, which the
+3/2-rule ``projection_grid`` resolves exactly; ``mild_residual`` pairs the
+fluxes u theta with gradients of band-b test functions on ``dealias_grid``
+(2b+1).  A step runs in a ``StepWorkspace``: theta and psi share each
 transform call on a leading pair axis, in buffers and tables built once,
 with no field object in between; it does not call ``velocity``.  The
 derivative scales live in its synthesis tables, so the step agrees with
@@ -24,7 +20,8 @@ Time stepping treats the heat factor exactly:
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
 Both reduce to the exact heat flow when N vanishes.  The factor
 e^{dt Delta} is the heat ``multiplier_table``, fetched once per run, and
-the ETD2 update works in the workspace's buffers.
+``StepWorkspace.advance`` runs both schemes in the workspace's buffers:
+the IF-Euler state is the ETD2 predictor.
 
 ``integrate`` is the one time-stepping loop.  It yields every state with
 its advection term and exact L2 norm, and steps a state with leading stack
@@ -55,13 +52,10 @@ from .domain import (
     DomainSpec,
     GridField,
     SpectralField,
-    analyze,
     dealias_grid,
-    full_band,
     inner_product,
     partial_derivative,
     pointwise_product,
-    product_parity,
     projection_grid,
     read_field,
     spectral_inner,
@@ -130,7 +124,7 @@ def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
 
 
 class StepWorkspace:
-    """The convective term and ETD2 update of SS states of one coefficient
+    """The convective term and time step of SS states of one coefficient
     shape (band and stack): tables and buffers built once, reused by every call.
 
     The buffers carry theta and psi = Lambda^{-1} theta on a leading pair
@@ -159,7 +153,7 @@ class StepWorkspace:
         self.synth = np.empty((2, *stack, 2 * n1, b2))  # [C1'; S1] @ pair
         self.grid1, self.grid2 = np.empty((2, 2, *stack, n1, n2))  # [d1 theta, d1 psi], [d2 theta, d2 psi]
         self.analysis = np.empty((*stack, b1, n2))  # A1 @ v
-        # ETD2: the predictor, then the corrector's heat part; the predictor's advection term
+        # the predictor (the IF-Euler state), then ETD2's corrector heat part; the predictor's advection term
         self.pred, self.n1 = np.empty((2, *self.shape))
         # Views taken once: a call would otherwise spend ~2 us building them.
         self._theta, self._psi = self.pair
@@ -182,64 +176,32 @@ class StepWorkspace:
         d1_psi -= d2_psi
         return np.matmul(np.matmul(self.a1, d1_psi, out=self.analysis), self.a2t, out=out)
 
+    def advance(self, c: np.ndarray, n0: np.ndarray, config: SolverConfig, heat: np.ndarray) -> np.ndarray:
+        """Coefficients of the state after ``c``, whose advection term is
+        ``n0``, as a new array; ``heat`` is the e^{dt Delta} weight table."""
+        dt, pred = config.dt, self.pred
+        np.subtract(c, np.multiply(n0, dt, out=pred), out=pred)
+        pred *= heat
+        if config.scheme == "IF-Euler":
+            return pred.copy()
+        n1 = self.advection(pred, out=self.n1)
+        np.subtract(c, np.multiply(n0, dt / 2.0, out=pred), out=pred)
+        pred *= heat
+        n1 *= dt / 2.0
+        return pred - n1
 
-def nonlinear_term(
-    theta: SpectralField, form: str = "convective", workspace: StepWorkspace | None = None
-) -> SpectralField:
-    """SS projection of the advection term at the band of ``theta``.
 
-    "convective" evaluates u . grad theta on ``projection_grid`` and projects
-    by exact sine quadrature; "divergence" analyzes the fluxes u_c theta at
-    the full product band on ``dealias_grid``, differentiates, and
-    truncates.  Both are exact projections of the same trig polynomial, so
-    they agree to round-off.  The convective form works in ``workspace``,
-    a new one when None; the result is a new array either way.
-    """
+def nonlinear_term(theta: SpectralField, workspace: StepWorkspace | None = None) -> SpectralField:
+    """SS projection of u . grad theta at the band of ``theta``: evaluated on
+    ``projection_grid`` and projected by exact sine quadrature in
+    ``workspace``, a new one when None.  The result is a new array."""
     if theta.parity != "SS":
         raise ValueError("state must be an SS field")
-    band = theta.band
-    if form == "convective":
-        if workspace is None:
-            workspace = StepWorkspace(theta)
-        elif workspace.shape != theta.coefficients.shape:
-            raise ValueError("workspace was built for states of another band or stack shape")
-        return SpectralField(theta.domain, "SS", workspace.advection(theta.coefficients))
-    if form == "divergence":
-        u1, u2 = velocity(theta)
-        grid = dealias_grid(band)
-        out = None
-        for axis, u in ((1, u1), (2, u2)):
-            parity = product_parity(u.parity, "SS")
-            flux = analyze(pointwise_product(u, theta, grid), parity, modes=full_band(grid, parity))
-            d = partial_derivative(flux, axis)
-            piece = SpectralField(theta.domain, "SS", d.coefficients[..., : band[0], : band[1]])
-            out = piece if out is None else out + piece
-        return out
-    raise ValueError("form must be 'convective' or 'divergence'")
-
-
-def _advance(
-    theta: SpectralField, config: SolverConfig, n0: SpectralField, workspace: StepWorkspace, heat: np.ndarray
-) -> SpectralField:
-    """The next state, a new array; ``heat`` is the e^{dt Delta} weight table."""
-    dt = config.dt
-    c, c0 = theta.coefficients, n0.coefficients
-    if config.scheme == "IF-Euler":
-        return SpectralField(theta.domain, "SS", (c - c0 * dt) * heat)
-    pred, n1 = workspace.pred, workspace.n1
-    np.subtract(c, np.multiply(c0, dt, out=pred), out=pred)
-    pred *= heat
-    workspace.advection(pred, out=n1)
-    np.subtract(c, np.multiply(c0, dt / 2.0, out=pred), out=pred)
-    pred *= heat
-    n1 *= dt / 2.0
-    return SpectralField(theta.domain, "SS", pred - n1)
-
-
-def step(theta: SpectralField, config: SolverConfig) -> SpectralField:
-    """One time step of the configured scheme, in a workspace of its own."""
-    workspace, heat = StepWorkspace(theta), multiplier_table(theta.domain, theta.band, "heat", config.dt)
-    return _advance(theta, config, nonlinear_term(theta, workspace=workspace), workspace, heat)
+    if workspace is None:
+        workspace = StepWorkspace(theta)
+    elif workspace.shape != theta.coefficients.shape:
+        raise ValueError("workspace was built for states of another band or stack shape")
+    return SpectralField(theta.domain, "SS", workspace.advection(theta.coefficients))
 
 
 def integrate(theta0: SpectralField, config: SolverConfig):
@@ -265,7 +227,7 @@ def integrate(theta0: SpectralField, config: SolverConfig):
         yield k, theta, nl, l2
         if k == n:
             return
-        theta = _advance(theta, config, nl, workspace, heat)
+        theta = SpectralField(theta.domain, "SS", workspace.advance(theta.coefficients, nl.coefficients, config, heat))
         finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
         if not np.all(finite):
             member = int(np.flatnonzero(~finite)[0]) if stacked else None

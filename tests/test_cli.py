@@ -229,6 +229,9 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
+
+
 @pytest.mark.parametrize("subcommand, pinned", [
     ("verify-bilinear", {
         "bilinear.json": "2d3e347b3742dee022277dac84292146215adcf712542fcf0ea175396953bc41",
@@ -241,7 +244,7 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
         "uniqueness_distance.csv": "5cb7e34c4f7f2f8976e3015e1a711a0399524fb02f0a71a55eda94ba204d5fcf",
         "uniqueness_cross.csv": "f0e6a73309c3082854eb3bb5562ee5fb21cb972ea993b3a74781c6f0e6dcae49",
     }),
-    # the heat step and the velocity of the solver
+    # the heat step: the default single-mode data has no advection term
     ("simulate", {
         "simulate.json": "f6d5284215cdc8e4b8eef393167520854bc0b5d9d436312e8d94c979ffb3a66b",
         "trajectory/diagnostics.csv": "ebeb8f424e9f8b39dc847ec1c45e1bba42b03bd58911d336e0be997b680b10e3",
@@ -260,16 +263,28 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
         "besov.json": "3a88e9c7de53ab8cccff30badaf453dd3f43a32447ef9a19c805e49c2a77c15d",
         "besov_profile.csv": "fee26f3ef74f58f6d3a87eb1d18d9e14e97737d96cadf275ac112456ea4c808d",
     }),
+    # the step's advection arithmetic under each scheme: random data on a 3 x 2
+    # rectangle, where the derivative scales m pi / L are not integers
+    pytest.param(f"simulate {RANDOM_RECTANGLE} --set solver.scheme=\"ETD2\"", {
+        "simulate.json": "362a2a434195b9401c32b0de6f1e048c3ac91902ca66274e82d47f9a1d6b408a",
+        "trajectory/diagnostics.csv": "09ec8bb0a22db33f197b0acb910a5ecc249e78f9f82583e5791a9bfa01bb76a0",
+        "trajectory/snapshot_000002.field": "b6ad4f80f396a658afd39c2200294aed9da71ab47ea55565be3bfa0fdb09305f",
+    }, id="simulate-random-ETD2"),
+    pytest.param(f"simulate {RANDOM_RECTANGLE} --set solver.scheme=\"IF-Euler\"", {
+        "simulate.json": "459616e33b3453081c90d1e51ed19b5dc617e7ac2bcad97620f87afb6cc10dff",
+        "trajectory/diagnostics.csv": "4618dd5c83b3131ce170a3179cab46203453b8cf4207eea8f84486a29ef9c323",
+        "trajectory/snapshot_000002.field": "c1c8ef41d5205535afc4b42ecaf3ce9501ec378cc213854fa66023edb446b7e3",
+    }, id="simulate-random-IF-Euler"),
 ])
 def test_estimate_reports_are_pinned(tmp_path, subcommand, pinned):
     # Hashes of the reports of the per-sample aggregation, the union of block
     # exponents, the convective step through fractional_power, and the
     # solver's private heat and velocity weight tables, and the Besov
     # profile's own CSV writer: the paths that replaced them must keep
-    # every reported bit.
+    # every reported bit.  ``subcommand`` may carry ``--set`` overrides.
     cfg = _write_cfg(tmp_path)
-    out = tmp_path / subcommand
-    assert run([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    out = tmp_path / "out"
+    assert run([*subcommand.split(), "--config", cfg, "--out", str(out)]) == 0
     for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 

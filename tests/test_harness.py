@@ -285,12 +285,14 @@ def test_block_lp_bounds_hold_on_every_grid(rect, rng, p):
         assert np.all(bounds >= lp_norm(synthesize(blocks, grid), p))
 
 
-def test_block_lp_bound_is_tight_for_one_mode_at_p2(square16):
+@pytest.mark.parametrize("weight", [1.0, 0.5])
+def test_block_lp_bound_is_tight_for_one_mode_at_p2(square16, weight):
     # One mode makes Hoelder an equality at p = 2: the bound exceeds the grid
     # norm only by its round-off margin, so a looser margin or bound fails.
+    # A weight below 1 tells the squared weights w * w from the looser |w|.
     f = unit_mode(square16, 3, 5, -0.7)
-    bound = float(block_lp_bounds(f, np.ones((1, 16, 16)), 2.0)[0])
-    exact = lp_norm(synthesize(f), 2.0)
+    bound = float(block_lp_bounds(f, np.full((1, 16, 16), weight), 2.0)[0])
+    exact = lp_norm(synthesize(f * weight), 2.0)
     assert bound * (1.0 - 1e-6) < exact <= bound
 
 

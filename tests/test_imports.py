@@ -15,8 +15,47 @@ import sqgbox
 SOURCES = sorted(pathlib.Path(sqgbox.__file__).parent.glob("*.py"))
 
 
+def _function_bindings(fn) -> set[str]:
+    """The parameters of ``fn`` and the names stored in its own body, not in
+    a nested function or class."""
+    a = fn.args
+    names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)  # its body is a scope of its own
+            continue
+        elif isinstance(node, ast.Lambda):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def loaded_names(tree: ast.AST) -> set[str]:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    """Names loaded from module scope: a load inside a function that binds
+    the name, as a parameter or a local, reads that binding instead.  A
+    function's decorators, defaults and annotations load in its enclosing scope."""
+    read = set()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for outer in (node.args, *getattr(node, "decorator_list", ()), getattr(node, "returns", None)):
+                if outer is not None:
+                    visit(outer, bound)
+            bound = bound | _function_bindings(node)
+            for child in node.body if isinstance(node.body, list) else [node.body]:
+                visit(child, bound)
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            read.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return read
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,6 +82,11 @@ def test_checker_flags_an_unused_import():
         "line 3: c",
     ]
     assert unused_imports("import os.path\nfrom x import y\n__all__ = ['y']\nos.getcwd()\n") == []
+    # a parameter or a local of the same name shadows the import: reading it
+    # is not a read of the import, but a default or decorator is
+    shadowed = "from a import step, b, c, d\ndef f(step, x=c):\n    b = step\n    return b\n@d\ndef g(): pass\n"
+    assert unused_imports(shadowed) == ["line 1: step", "line 1: b"]
+    assert loaded_names(ast.parse("def twin(step, **scheme):\n    return step, scheme\n")) == set()
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])

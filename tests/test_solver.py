@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import platform
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from sqgbox import (
     SpectralField,
     StepWorkspace,
     analyze,
+    dealias_grid,
     fractional_power,
+    full_band,
     grid_points,
     heat_semigroup,
     integrate,
@@ -27,13 +30,13 @@ from sqgbox import (
     nonlinear_term,
     partial_derivative,
     pointwise_product,
+    product_parity,
     projection_grid,
     save_trajectory,
     simulate,
     snapshot_index,
     spectral_inner,
     spectral_norm,
-    step,
     synthesize,
     unit_mode,
     velocity,
@@ -46,6 +49,31 @@ def _random_ss(domain, rng, decay=1.5):
     lam = lambda_table(domain)
     coeff = rng.uniform(-1.0, 1.0, lam.shape) * lam ** (-decay / 2.0)
     return SpectralField(domain, "SS", coeff)
+
+
+def _divergence_term(theta):
+    """The advection term in divergence form div(u theta), the reference the
+    library's convective form is checked against: the fluxes u_c theta are
+    analyzed at their full product band on ``dealias_grid``, differentiated
+    and truncated to the band of ``theta``.  Both forms are exact projections
+    of the same trig polynomial, u being divergence-free in coefficients, so
+    they agree to round-off."""
+    band = theta.band
+    grid = dealias_grid(band)
+    out = None
+    for axis, u in enumerate(velocity(theta), start=1):
+        parity = product_parity(u.parity, "SS")
+        flux = analyze(pointwise_product(u, theta, grid), parity, modes=full_band(grid, parity))
+        d = partial_derivative(flux, axis)
+        piece = SpectralField(theta.domain, "SS", d.coefficients[..., : band[0], : band[1]])
+        out = piece if out is None else out + piece
+    return out
+
+
+def _one_step(theta, dt, scheme="ETD2"):
+    """The state one step of ``scheme`` after ``theta``."""
+    *_, (_, out, _, _) = integrate(theta, SolverConfig(dt, dt, scheme))
+    return out
 
 
 # -- config ----------------------------------------------------------------
@@ -98,20 +126,18 @@ def test_nonlinear_term_vanishes_on_eigenfunction(square16):
 
 def test_nonlinear_forms_agree(square16, rng):
     theta = _random_ss(square16, rng)
-    a = nonlinear_term(theta, form="convective")
-    b = nonlinear_term(theta, form="divergence")
+    a = nonlinear_term(theta)
+    b = _divergence_term(theta)
     scale = np.max(np.abs(a.coefficients))
     assert np.max(np.abs(a.coefficients - b.coefficients)) <= 1e-11 * scale
-    with pytest.raises(ValueError):
-        nonlinear_term(theta, form="rotational")
     # Both forms truncate the last two axes of a stack, with each member's bits:
     # a stack longer than the band shows a slice taken along a stack axis.
     stack = SpectralField(square16, "SS", rng.uniform(-1.0, 1.0, (17, 16, 16)))
-    for form in ("convective", "divergence"):
-        got = nonlinear_term(stack, form=form).coefficients
+    for term_of in (nonlinear_term, _divergence_term):
+        got = term_of(stack).coefficients
         assert got.shape == (17, 16, 16)
         for member, term in zip(stack.coefficients, got):
-            assert np.array_equal(term, nonlinear_term(SpectralField(square16, "SS", member), form=form).coefficients)
+            assert np.array_equal(term, term_of(SpectralField(square16, "SS", member)).coefficients)
 
 
 def test_nonlinear_term_orthogonal_to_state(square16, rng):
@@ -187,7 +213,7 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     for shape in ((3, b1, b2), (b1, b2)):
         states = [SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, shape))]
         for _ in range(2):
-            states.append(step(states[-1], cfg))
+            states.append(_one_step(states[-1], cfg.dt))
         terms = [nonlinear_term(state).coefficients for state in states]
         with monkeypatch.context() as m:
             m.setattr(sqgbox.solver, "StepWorkspace", NaNWorkspace)
@@ -217,14 +243,14 @@ def test_convective_term_in_a_workspace_builds_only_its_result(monkeypatch, squa
         return wrapper
 
     names = ("synthesize", "analyze", "partial_derivative", "apply_multiplier")
-    for module in (sqgbox.domain, sqgbox.multipliers, sqgbox.solver):
+    for module in (sqgbox.domain, sqgbox.multipliers, sqgbox.solver, sys.modules[__name__]):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(SpectralField, "__post_init__", counted("SpectralField", SpectralField.__post_init__))
     nonlinear_term(theta, workspace=ws)
     assert calls == {"SpectralField": 1}
-    nonlinear_term(theta, form="divergence")  # the counters do see the field-level path
+    _divergence_term(theta)  # the counters do see the field-level path
     assert all(calls[name] > 0 for name in names)
 
 
@@ -241,8 +267,8 @@ def test_step_matches_heat_semigroup_formulation(square16, rng, scheme):
         ref = pred
     else:
         ref = heat_semigroup(theta - (dt / 2.0) * n0, dt) - (dt / 2.0) * nonlinear_term(pred)
-    out = step(theta, SolverConfig(dt=dt, horizon=dt, scheme=scheme))
-    # the step applies e^{dt Delta} through heat_semigroup itself: same bits
+    out = _one_step(theta, dt, scheme)
+    # the step scales by the heat table that heat_semigroup applies: same bits
     assert np.array_equal(out.coefficients, ref.coefficients)
 
 
@@ -285,18 +311,6 @@ def test_if_euler_first_order(square16):
     errs = [spectral_norm(final_state(T / n) - ref) for n in (16, 32, 64)]
     assert 1.7 <= errs[0] / errs[1] <= 2.4
     assert 1.7 <= errs[1] / errs[2] <= 2.4
-
-
-def test_step_matches_simulate(square16, rng):
-    theta0 = _random_ss(square16, rng)
-    cfg = SolverConfig(dt=1e-3, horizon=5e-3)
-    manual = theta0
-    for _ in range(5):
-        manual = step(manual, cfg)
-    traj = simulate(theta0, cfg)
-    np.testing.assert_allclose(
-        traj.snapshots[-1].coefficients, manual.coefficients, atol=1e-15
-    )
 
 
 def test_energy_never_increases(square16, rng):
