@@ -17,10 +17,12 @@ with the same bits as field by field for arrays of the same memory layout
 returns can differ in the last bit from its C-contiguous copy); the grid
 ``inner_product`` and snapshot files take single fields.
 
-Each transform allocates its result.  ``solver.StepWorkspace`` does not
-call them: it folds the derivative scales into synthesis tables of its own
-and works in buffers of its own, so the SQG step agrees with the
-composition of these functions to round-off, not bit for bit.
+Each transform allocates its result.  The gradient of an SS field has one
+owner here: ``synthesize_gradient`` reads synthesis tables with the
+derivative scales folded in, cached per (lengths, band, grid), and
+``solver.StepWorkspace`` runs its step on the same cached tables in buffers
+of its own.  Both agree with ``synthesize(partial_derivative(f, c))`` to
+round-off, not bit for bit.
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
@@ -334,6 +336,49 @@ def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     else:
         parity = new_fam + field.parity[1]
     return SpectralField(field.domain, parity, out)
+
+
+# Sized from the default config's traffic: a subcommand reads at most two
+# keys, in turn (verify-multipliers: the sample band on the base and the
+# refined grid), and the suite of subcommands four (the projection grid of
+# the step, the dealias grid of the bilinear battery, and those two), so
+# 4 entries hold every table the suite builds in one process.  Keyed on the
+# lengths, not the DomainSpec, whose default grid does not enter the tables.
+@lru_cache(maxsize=4)
+def _gradient_tables(L1: float, L2: float, band: tuple[int, int], grid: tuple[int, int]):
+    # [C1'; S1], S2^T and C2'^T (read-only, C-contiguous), where
+    # C1' = C1[:, 1:] diag(m pi / L1) and C2' = C2[:, 1:] diag(n pi / L2) are
+    # the cosine bases without the constant mode, scaled by the derivative.
+    (b1, b2), (n1, n2) = band, grid
+    c1 = _basis(n1, b1 + 1, "C")[:, 1:] * _derivative_scale(L1, b1).T
+    c2 = _basis(n2, b2 + 1, "C")[:, 1:] * _derivative_scale(L2, b2).T
+    left = np.concatenate((c1, _basis(n1, b1, "S")))
+    tables = (left, np.ascontiguousarray(_basis(n2, b2, "S").T), np.ascontiguousarray(c2.T))
+    for tab in tables:
+        tab.setflags(write=False)
+    return tables
+
+
+def synthesize_gradient(field: SpectralField, grid: tuple[int, int] | None = None) -> np.ndarray:
+    """(d1 f, d2 f) of an SS field (or a stack) on ``grid``, as one array of
+    shape (2, ..., n1, n2).
+
+    One left matmul with [C1'; S1] takes both left factors, and one right
+    matmul per half (S2^T, C2'^T) finishes d1 f = C1' c S2^T and
+    d2 f = S1 c C2'^T.  The tables carry the derivative scales, so the result
+    agrees with ``synthesize(partial_derivative(f, c), grid)`` to round-off;
+    each stack member gets the bits it gets alone.
+    """
+    if field.parity != "SS":
+        raise ValueError("gradient synthesis applies to SS fields only")
+    n1, n2 = grid if grid is not None else (field.domain.N1, field.domain.N2)
+    c = field.coefficients
+    left, s2t, c2t = _gradient_tables(field.domain.L1, field.domain.L2, c.shape[-2:], (n1, n2))
+    synth = left @ c
+    out = np.empty((2, *c.shape[:-2], n1, n2))
+    np.matmul(synth[..., :n1, :], s2t, out=out[0])
+    np.matmul(synth[..., n1:, :], c2t, out=out[1])
+    return out
 
 
 def laplacian(field: SpectralField) -> SpectralField:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .besov import BesovParams, besov_aggregate, besov_norm, block_lp_norms, block_scales
+from .besov import BesovParams, besov_aggregate, block_lp_norms, block_scales
 from .domain import (
     DomainSpec,
     GridField,
@@ -53,6 +53,7 @@ from .domain import (
     product_parity,
     spectral_norm,
     synthesize,
+    synthesize_gradient,
 )
 from .multipliers import (
     C0,
@@ -142,46 +143,13 @@ def symmetrized_product(f: SpectralField, g: SpectralField) -> tuple[SpectralFie
         raise ValueError("fields must share a band")
     band = f.band
     grid = dealias_grid(band)
-    Lf = fractional_power(f, -1.0)
-    Lg = fractional_power(g, -1.0)
-    out = []
-    for c in (1, 2):
-        vals = (
-            pointwise_product(partial_derivative(Lf, c), g, grid).values
-            + pointwise_product(f, partial_derivative(Lg, c), grid).values
-        )
-        out.append(analyze(GridField(f.domain, vals), "SS", modes=band))
-    return out[0], out[1]
-
-
-def verify_bilinear(
-    f: SpectralField,
-    g: SpectralField,
-    s: float,
-    p: float,
-    p1: float,
-    p2: float,
-    p3: float,
-    p4: float,
-    q: float,
-    profile: DyadicProfile | None = None,
-    grid: tuple[int, int] | None = None,
-) -> tuple[float, dict]:
-    """Ratio LHS/RHS of the bilinear Besov product bound for one tuple."""
-    _validate_bilinear_params(s, p, p1, p2, p3, p4)
-    if profile is None:
-        profile = DyadicProfile()
-    T1, T2 = symmetrized_product(f, g)
-    b1, _ = besov_norm(T1, BesovParams(s, p, q), profile, grid)
-    b2, _ = besov_norm(T2, BesovParams(s, p, q), profile, grid)
-    lhs = math.hypot(b1, b2)
-    bf, _ = besov_norm(f, BesovParams(s, p1, q), profile, grid)
-    bg, _ = besov_norm(g, BesovParams(s, p4, q), profile, grid)
-    lg = lp_norm(synthesize(g, grid), p2)
-    lf = lp_norm(synthesize(f, grid), p3)
-    rhs = bf * lg + lf * bg
-    parts = {"lhs": lhs, "rhs": rhs, "besov_f": bf, "besov_g": bg, "lp_g": lg, "lp_f": lf}
-    return (lhs / rhs if rhs > 0 else math.nan), parts
+    # both components on a leading axis of length 2
+    vals = (
+        synthesize_gradient(fractional_power(f, -1.0), grid) * synthesize(g, grid).values
+        + synthesize(f, grid).values * synthesize_gradient(fractional_power(g, -1.0), grid)
+    )
+    T1, T2 = analyze(GridField(f.domain, vals), "SS", modes=band).coefficients
+    return SpectralField(f.domain, "SS", T1), SpectralField(f.domain, "SS", T2)
 
 
 DEFAULT_BATTERY = {
@@ -551,8 +519,7 @@ def uniqueness_experiment(
 
 
 def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
-    gx = synthesize(partial_derivative(field, 1), grid).values
-    gy = synthesize(partial_derivative(field, 2), grid).values
+    gx, gy = synthesize_gradient(field, grid)
     return GridField(field.domain, np.hypot(gx, gy, out=gx))
 
 
@@ -651,7 +618,7 @@ def elliptic_ratio_study(domain: DomainSpec, sample_spec: SampleSpec, ps=(1.5, 2
         fxy = synthesize(partial_derivative(partial_derivative(f, 1), 2)).values
         fyy = synthesize(partial_derivative(partial_derivative(f, 2), 2)).values
         hess = GridField(domain, np.sqrt(fxx**2 + 2.0 * fxy**2 + fyy**2))
-        lap = synthesize(laplacian(f))
+        lap = GridField(domain, fxx + fyy)
         for p in ps:
             denom = lp_norm(lap, p)
             if denom > 0:

@@ -8,11 +8,11 @@ of the convective form u . grad theta back onto the sine band, which the
 3/2-rule ``projection_grid`` resolves exactly; ``mild_residual`` pairs the
 fluxes u theta with gradients of band-b test functions on ``dealias_grid``
 (2b+1).  A step runs in a ``StepWorkspace``: theta and psi share each
-transform call on a leading pair axis, in buffers and tables built once,
-with no field object in between; it does not call ``velocity``.  The
-derivative scales live in its synthesis tables, so the step agrees with
-the field-level ``velocity``/``partial_derivative``/``synthesize``
-composition to round-off, not bit for bit.
+transform call on a leading pair axis, in buffers built once, with no field
+object in between.  The step and ``mild_residual`` read the velocity from
+the gradient synthesis tables of ``domain``, which carry the derivative
+scales, so they agree with the field-level ``partial_derivative`` and
+``synthesize`` composition to round-off, not bit for bit.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
@@ -54,17 +54,15 @@ from .domain import (
     SpectralField,
     dealias_grid,
     inner_product,
-    partial_derivative,
-    pointwise_product,
     projection_grid,
     read_field,
     spectral_inner,
     spectral_norm,
     synthesize,
+    synthesize_gradient,
     write_field,
     _analysis,
-    _basis,
-    _derivative_scale,
+    _gradient_tables,
 )
 from .multipliers import fractional_power, heat_semigroup, multiplier_table
 
@@ -117,24 +115,18 @@ class SolverConfig:
         return k % self.snapshot_stride == 0 or k == self.n_steps
 
 
-def velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
-    """u = grad^perp Lambda^{-1} theta; components have parity (SC, CS)."""
-    psi = fractional_power(theta, -1.0)
-    return -partial_derivative(psi, 2), partial_derivative(psi, 1)
-
-
 class StepWorkspace:
     """The convective term and time step of SS states of one coefficient
     shape (band and stack): tables and buffers built once, reused by every call.
 
     The buffers carry theta and psi = Lambda^{-1} theta on a leading pair
-    axis of length 2.  The derivative scales are folded into the synthesis
-    tables, C1' = C1[:, 1:] diag(m pi / L1) and C2' = C2[:, 1:] diag(n pi / L2),
-    so one left matmul with the stacked table [C1'; S1] takes both basis
-    families of both fields, and one right matmul per family (S2^T, C2'^T)
-    finishes the four derivatives on the grid.  Every member gets the same
-    gemm shapes whatever the stack, so a stack member keeps the bits it gets
-    alone; the result agrees with the field-level transforms to round-off.
+    axis of length 2.  The synthesis tables are the cached gradient tables
+    of ``domain.synthesize_gradient``, with the derivative scales folded in:
+    one left matmul with [C1'; S1] takes both basis families of both fields,
+    and one right matmul per family (S2^T, C2'^T) finishes the four
+    derivatives on the grid.  Every member gets the same gemm shapes
+    whatever the stack, so a stack member keeps the bits it gets alone; the
+    result agrees with the field-level transforms to round-off.
     """
 
     def __init__(self, theta: SpectralField):
@@ -143,11 +135,7 @@ class StepWorkspace:
         n1, n2 = projection_grid((b1, b2))
         domain = theta.domain
         self.psi_weights = multiplier_table(domain, (b1, b2), "power", -1.0)
-        # C1' and C2': the cosine bases without the constant mode, scaled by m pi / L
-        c1 = _basis(n1, b1 + 1, "C")[:, 1:] * _derivative_scale(domain.L1, b1).T
-        c2 = _basis(n2, b2 + 1, "C")[:, 1:] * _derivative_scale(domain.L2, b2).T
-        self.left = np.concatenate((c1, _basis(n1, b1, "S")))  # [C1'; S1]
-        self.s2t, self.c2t = np.ascontiguousarray(_basis(n2, b2, "S").T), np.ascontiguousarray(c2.T)
+        self.left, self.s2t, self.c2t = _gradient_tables(domain.L1, domain.L2, (b1, b2), (n1, n2))
         self.a1, self.a2t = _analysis(n1, b1, "S"), _analysis(n2, b2, "S").T
         self.pair = np.empty((2, *stack, b1, b2))  # [theta, psi]
         self.synth = np.empty((2, *stack, 2 * n1, b2))  # [C1'; S1] @ pair
@@ -300,13 +288,12 @@ def mild_residual(traj: TrajectoryRecord, g: SpectralField, t: float) -> float:
     vals = np.empty(len(taus))
     for i, tau in enumerate(taus):
         state = traj.snapshots[i]
-        u1, u2 = velocity(state)
-        G = heat_semigroup(g, t - tau)
+        d1_psi, d2_psi = synthesize_gradient(fractional_power(state, -1.0), grid)
+        theta = synthesize(state, grid).values
+        dG = synthesize_gradient(heat_semigroup(g, t - tau), grid)
         acc = 0.0
-        for axis, u in ((1, u1), (2, u2)):
-            flux = pointwise_product(u, state, grid)
-            dG = synthesize(partial_derivative(G, axis), grid)
-            acc += inner_product(flux, GridField(g.domain, dG.values))
+        for u, dG_c in zip((-d2_psi, d1_psi), dG):  # u = grad^perp psi
+            acc += inner_product(GridField(g.domain, u * theta), GridField(g.domain, dG_c))
         vals[i] = acc
     duhamel = float(_trapezoid(vals, taus)) if len(taus) > 1 else 0.0
     return abs(lhs - linear - duhamel)

@@ -233,9 +233,11 @@ RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
 
 
 @pytest.mark.parametrize("subcommand, pinned", [
+    # re-taken when the symmetrized product read its gradients from the folded
+    # gradient tables: 66 of 945 bilinear.json values moved, by <= 2.9e-16 relative
     ("verify-bilinear", {
-        "bilinear.json": "2d3e347b3742dee022277dac84292146215adcf712542fcf0ea175396953bc41",
-        "bilinear_ratios.csv": "9de332a9584a65c27c9220066094da0f5216e9c32e7006a2ccee9a0d26931c6e",
+        "bilinear.json": "0f83c00bced2b3053028143324c769e1f6612bb297f7a9cd4270d60aef2f6f25",
+        "bilinear_ratios.csv": "637a70561dbf1484ea19b33be58db03a79fc788fa4ee8a0b881346b882595a8c",
     }),
     # re-taken when the step folded its derivative scales into its synthesis
     # tables: the twin distances moved at round-off (shrink_factor by 6e-14)

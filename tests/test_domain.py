@@ -30,6 +30,7 @@ from sqgbox import (
     spectral_inner,
     spectral_norm,
     synthesize,
+    synthesize_gradient,
     unit_mode,
     write_field,
 )
@@ -159,6 +160,40 @@ def test_mixed_partials_commute(square16, rng):
     a = partial_derivative(partial_derivative(f, 1), 2)
     b = partial_derivative(partial_derivative(f, 2), 1)
     np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
+
+
+# -- gradient synthesis ----------------------------------------------------
+
+
+@pytest.mark.parametrize("band", [(7, 12), (12, 7), (33, 20)])
+def test_gradient_synthesis_matches_the_field_level_composition(rng, band):
+    # The folded tables carry m pi / L per axis: on a pi x 2 rectangle with
+    # b1 != b2, a scale or a table taken along the wrong axis fails.  The
+    # scales enter the product in another order, so agreement is to round-off.
+    b1, b2 = band
+    domain = DomainSpec(PI, 2.0, b1, b2, 2 * b1, 2 * b2)
+    f = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, band))
+    for grid in (dealias_grid(band), projection_grid(band), (2 * b1 + 3, 2 * b2 - 1)):
+        got = synthesize_gradient(f, grid)
+        assert got.shape == (2, *grid)
+        for axis in (1, 2):
+            want = synthesize(partial_derivative(f, axis), grid).values
+            assert np.max(np.abs(got[axis - 1] - want)) <= 1e-14 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="SS"):
+        synthesize_gradient(partial_derivative(f, 1))
+
+
+@pytest.mark.parametrize("band", [(7, 12), (33, 20)])
+def test_gradient_synthesis_gives_stack_members_their_bits(rng, band):
+    b1, b2 = band
+    domain = DomainSpec(PI, 2.0, b1, b2, 2 * b1, 2 * b2)
+    stack = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (2, 3, b1, b2)))
+    for grid in (dealias_grid(band), projection_grid(band)):
+        got = synthesize_gradient(stack, grid)
+        assert got.shape == (2, 2, 3, *grid)
+        for i in np.ndindex(2, 3):
+            alone = synthesize_gradient(SpectralField(domain, "SS", stack.coefficients[i].copy()), grid)
+            assert np.array_equal(got[(slice(None), *i)], alone)
 
 
 # -- norms and inner products ----------------------------------------------

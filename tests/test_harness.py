@@ -35,15 +35,35 @@ from sqgbox import (
     synthesize,
     uniqueness_experiment,
     unit_mode,
-    verify_bilinear,
     verify_derivative_structure,
     verify_duhamel_growth,
     verify_initial_smallness,
     verify_product_decomposition,
 )
+from sqgbox.harness import _validate_bilinear_params
 
 
 SPEC = SampleSpec(mode_count=16, decay=1.0, seed=77, count=4)
+
+
+def verify_bilinear(f, g, s, p, p1, p2, p3, p4, q, profile=None, grid=None):
+    """Ratio LHS/RHS of the bilinear Besov product bound for one tuple, from
+    one pair's own norms: the reference ``bilinear_battery`` must match bit
+    for bit."""
+    _validate_bilinear_params(s, p, p1, p2, p3, p4)
+    if profile is None:
+        profile = DyadicProfile()
+    T1, T2 = symmetrized_product(f, g)
+    b1, _ = besov_norm(T1, BesovParams(s, p, q), profile, grid)
+    b2, _ = besov_norm(T2, BesovParams(s, p, q), profile, grid)
+    lhs = math.hypot(b1, b2)
+    bf, _ = besov_norm(f, BesovParams(s, p1, q), profile, grid)
+    bg, _ = besov_norm(g, BesovParams(s, p4, q), profile, grid)
+    lg = lp_norm(synthesize(g, grid), p2)
+    lf = lp_norm(synthesize(f, grid), p3)
+    rhs = bf * lg + lf * bg
+    parts = {"lhs": lhs, "rhs": rhs, "besov_f": bf, "besov_g": bg, "lp_g": lg, "lp_f": lf}
+    return (lhs / rhs if rhs > 0 else math.nan), parts
 
 
 def test_sample_field_deterministic(square16):

@@ -127,7 +127,6 @@ TEST_REFERENCES = {
     "evaluate_at": "test_domain.py::test_evaluate_at_matches_synthesis",
     "grid_points": "test_domain.py::test_unit_mode_matches_sine_product",
     "load_trajectory": "test_solver.py::test_save_load_round_trip",
-    "verify_bilinear": "test_harness.py::test_bilinear_battery_matches_verify_bilinear_bit_for_bit",
     "verify_duhamel_growth": "test_harness.py::test_duhamel_growth_heat_only",
 }
 

@@ -37,9 +37,8 @@ from sqgbox import (
     snapshot_index,
     spectral_inner,
     spectral_norm,
-    synthesize,
+    synthesize_gradient,
     unit_mode,
-    velocity,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -49,6 +48,13 @@ def _random_ss(domain, rng, decay=1.5):
     lam = lambda_table(domain)
     coeff = rng.uniform(-1.0, 1.0, lam.shape) * lam ** (-decay / 2.0)
     return SpectralField(domain, "SS", coeff)
+
+
+def velocity(theta):
+    """u = grad^perp Lambda^{-1} theta from the generic multiplier and
+    derivative calls; components have parity (SC, CS)."""
+    psi = fractional_power(theta, -1.0)
+    return -partial_derivative(psi, 2), partial_derivative(psi, 1)
 
 
 def _divergence_term(theta):
@@ -97,16 +103,12 @@ def test_config_validation():
 
 
 def test_velocity_oracle_single_mode(square16):
-    # stream function e11/sqrt(2): u = (-d_y, d_x) psi
-    u1, u2 = velocity(unit_mode(square16, 1, 1))
-    assert u1.parity == "SC" and u2.parity == "CS"
+    # stream function e11/sqrt(2): u = (-d_y, d_x) psi, read from the gradient
+    # synthesis that the step and mild_residual use
+    d1_psi, d2_psi = synthesize_gradient(fractional_power(unit_mode(square16, 1, 1), -1.0))
     x, y = grid_points(square16)
-    np.testing.assert_allclose(
-        synthesize(u1).values, -np.sin(x)[:, None] * np.cos(y)[None, :] / SQRT2, atol=1e-13
-    )
-    np.testing.assert_allclose(
-        synthesize(u2).values, np.cos(x)[:, None] * np.sin(y)[None, :] / SQRT2, atol=1e-13
-    )
+    np.testing.assert_allclose(-d2_psi, -np.sin(x)[:, None] * np.cos(y)[None, :] / SQRT2, atol=1e-13)
+    np.testing.assert_allclose(d1_psi, np.cos(x)[:, None] * np.sin(y)[None, :] / SQRT2, atol=1e-13)
 
 
 def test_velocity_divergence_free(square16, rng):
@@ -166,11 +168,10 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     # u . grad theta projected onto the band: exact on the 3/2-rule grid (and
     # that is the grid nonlinear_term uses), aliased one point below it.  The
     # reference velocity comes from the generic multiplier and derivative
-    # calls.  velocity() must match it bit for bit; the step, whose synthesis
-    # tables carry the derivative scales, must match the field-level
-    # composition to round-off, and a stack must give each member the bits
-    # it gets alone, on a rectangle with b1 != b2, where a table or
-    # derivative taken along the wrong axis fails.
+    # calls.  The step, whose synthesis tables carry the derivative scales,
+    # must match the field-level composition to round-off, and a stack must
+    # give each member the bits it gets alone, on a rectangle with b1 != b2,
+    # where a table or derivative taken along the wrong axis fails.
     b1, b2 = band
     domain = DomainSpec(math.pi, 2.0, b1, b2, 2 * b1, 2 * b2)
     theta = SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (3, b1, b2)))
@@ -191,8 +192,6 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     assert np.max(np.abs(stacked - exact)) <= 1e-14 * scale
     for member, expected in zip(theta.coefficients, stacked):
         assert np.array_equal(nonlinear_term(SpectralField(domain, "SS", member)).coefficients, expected)
-    for got, want in zip(velocity(theta), (u1, u2)):
-        assert got.parity == want.parity and np.array_equal(got.coefficients, want.coefficients)
     for grid in ((n1 - 1, n2), (n1, n2 - 1)):
         assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
     # One workspace carries a run of three states, for the stack and for one
@@ -252,6 +251,27 @@ def test_convective_term_in_a_workspace_builds_only_its_result(monkeypatch, squa
     assert calls == {"SpectralField": 1}
     _divergence_term(theta)  # the counters do see the field-level path
     assert all(calls[name] > 0 for name in names)
+
+
+def test_step_reads_the_cached_gradient_tables(rng):
+    # The step synthesizes on the one copy of the folded tables that
+    # synthesize_gradient reads: read-only, C-contiguous, cached per lengths,
+    # band and grid.  A domain that differs only in its default grid (as the
+    # refined domain of verify-bilinear does) shares them.
+    band = (12, 7)
+    domain = DomainSpec(math.pi, 2.0, *band, 24, 14)
+    refined = DomainSpec(math.pi, 2.0, *band, 48, 28)
+    ws = StepWorkspace(SpectralField(domain, "SS", rng.uniform(-1.0, 1.0, (3, *band))))
+    tables = sqgbox.domain._gradient_tables(math.pi, 2.0, band, projection_grid(band))
+    assert all(held is cached for held, cached in zip((ws.left, ws.s2t, ws.c2t), tables, strict=True))
+    for tab in tables:
+        assert tab.flags.c_contiguous and not tab.flags.writeable
+        with pytest.raises(ValueError):
+            tab[0, 0] = 0.0
+    before = sqgbox.domain._gradient_tables.cache_info()
+    synthesize_gradient(SpectralField(refined, "SS", rng.uniform(-1.0, 1.0, band)), projection_grid(band))
+    after = sqgbox.domain._gradient_tables.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
 
 
 # -- stepping --------------------------------------------------------------
