@@ -7,7 +7,8 @@ Ratio batteries and identity checks exercised here:
   Hoelder/Besov right side, over seeded random samples;
 * paraproduct-style decomposition of fg into ordered dyadic half sums;
 * second-derivative rewriting of (Lambda F) grad G - F grad(Lambda G) as a
-  resolvent quadrature, checked against direct spectral evaluation;
+  resolvent quadrature, checked against direct spectral evaluation; the
+  quadrature is summed on the product grid and transformed once per call;
 * heat/block smoothing and Bernstein ratios for multiplier bounds;
 * Duhamel-difference growth, initial-data smallness curves, and twin-run
   uniqueness refinement for the SQG integrator (``twin_distances`` pairs
@@ -301,11 +302,13 @@ def verify_derivative_structure(
         = c0 int mu^{-3/2} [ mu Delta(A B_c) - 2 mu sum_m d_m((d_m A) B_c) ] dmu
 
     with F = Lambda^{-1} f, G = Lambda^{-1} g, A = (1-mu Delta)^{-1} F and
-    B_c = d_c (1-mu Delta)^{-1} G.  The left side is evaluated directly in
-    spectral form, the right by mu quadrature with all composites analyzed
-    at the full product band (exact for band-limited states).  Returns the
-    relative L2 residual over both components and the relative truncation
-    bound of the quadrature bracket.
+    B_c = d_c (1-mu Delta)^{-1} G.  The left side is evaluated directly on
+    the product grid.  The right side sums the mu quadrature of the grid
+    products A B_c and (d_m A) B_c there, and analyzes each of the six sums
+    once at the full product band (exact for band-limited states) before
+    Delta or d_m applies: both steps are linear.  Returns the relative L2
+    residual over both components and the relative truncation bound of the
+    quadrature bracket; raises ValueError when f or g is zero.
     """
     if f.domain != g.domain:
         raise ValueError("fields live on different domains")
@@ -319,44 +322,37 @@ def verify_derivative_structure(
     grid = dealias_grid(band)
     F = fractional_power(f, -1.0)
     G = fractional_power(g, -1.0)
+    norms = lambda vals: lp_norm(GridField(f.domain, vals), 2)  # one per component
 
-    lhs, part_scale = [], []
-    for c in (1, 2):
-        t1 = pointwise_product(f, partial_derivative(G, c), grid).values
-        t2 = pointwise_product(F, partial_derivative(g, c), grid).values
-        lhs.append(t1 - t2)
-        part_scale.append(
-            lp_norm(GridField(f.domain, t1), 2) + lp_norm(GridField(f.domain, t2), 2)
-        )
+    # both components on a leading axis of length 2
+    t1 = synthesize(f, grid).values * synthesize_gradient(G, grid)
+    t2 = synthesize(F, grid).values * synthesize_gradient(g, grid)
+    lhs = t1 - t2
+    fallback = math.hypot(*(norms(t1) + norms(t2)))
+    if fallback == 0:
+        raise ValueError("derivative structure undefined for a zero field")
 
+    # sums[0, c] accumulates coeff A B_c and sums[m, c] coeff (d_m A) B_c
     mu_nodes, weights = quadrature_nodes(qspec)
-    rhs = [np.zeros_like(lhs[0]), np.zeros_like(lhs[1])]
+    sums = np.zeros((3, *lhs.shape))
+    products = np.empty_like(sums)  # reused: a fresh one per node re-faults its pages
     for mu, w in zip(mu_nodes, weights):
         A = resolvent(F, mu)
-        RG = resolvent(G, mu)
-        dA = {m: partial_derivative(A, m) for m in (1, 2)}
-        B = {c: partial_derivative(RG, c) for c in (1, 2)}
+        B = synthesize_gradient(resolvent(G, mu), grid)
         coeff = C0 * w * mu**-0.5  # mu^{-3/2} * mu from both identity terms
-        for c in (1, 2):
-            parity = product_parity("SS", B[c].parity)
-            P = analyze(pointwise_product(A, B[c], grid), parity, modes=full_band(grid, parity))
-            term = synthesize(laplacian(P), grid).values.copy()
-            for m in (1, 2):
-                parity_q = product_parity(dA[m].parity, B[c].parity)
-                Q = analyze(
-                    pointwise_product(dA[m], B[c], grid), parity_q, modes=full_band(grid, parity_q)
-                )
-                term -= 2.0 * synthesize(partial_derivative(Q, m), grid).values
-            rhs[c - 1] += coeff * term
+        factors = np.concatenate(([synthesize(A, grid).values], synthesize_gradient(A, grid)))
+        sums += np.multiply((coeff * factors)[:, None], B, out=products)
+    rhs = np.zeros_like(lhs)
+    grad_parity = ("CS", "SC")  # of d1 and d2 of an SS field
+    for k, pa in enumerate(("SS", *grad_parity)):  # A, d1 A, d2 A
+        for c, pb in enumerate(grad_parity):
+            parity = product_parity(pa, pb)
+            S = analyze(GridField(f.domain, sums[k, c]), parity, modes=full_band(grid, parity))
+            term = laplacian(S) if k == 0 else partial_derivative(S, k) * -2.0
+            rhs[c] += synthesize(term, grid).values
 
-    num = math.hypot(
-        lp_norm(GridField(f.domain, lhs[0] - rhs[0]), 2),
-        lp_norm(GridField(f.domain, lhs[1] - rhs[1]), 2),
-    )
-    lhs_scale = math.hypot(
-        lp_norm(GridField(f.domain, lhs[0]), 2), lp_norm(GridField(f.domain, lhs[1]), 2)
-    )
-    fallback = math.hypot(*part_scale)
+    num = math.hypot(*norms(lhs - rhs))
+    lhs_scale = math.hypot(*norms(lhs))
     denom = lhs_scale if lhs_scale > 1e-12 * fallback else fallback
     head = (4.0 / math.pi) * math.sqrt(qspec.mu_min * lam_max)
     tail = (4.0 / (3.0 * math.pi)) * (lam_min * qspec.mu_max) ** -1.5

@@ -7,27 +7,40 @@ import numpy as np
 import pytest
 
 from sqgbox import (
+    C0,
     DEFAULT_BATTERY,
     BesovParams,
     DuhamelSupremum,
     DyadicProfile,
+    GridField,
     QuadratureSpec,
     SampleSpec,
     SolverConfig,
     SpectralField,
     adapted_quadrature,
+    analyze,
     besov_norm,
     bilinear_battery,
     block_lp_bounds,
     block_lp_norms,
+    dealias_grid,
     duhamel_ensemble,
     dyadic_table,
     elliptic_ratio_study,
+    fractional_power,
+    full_band,
     heat_semigroup,
     heat_smoothing_study,
     holder_target,
+    lambda_table,
+    laplacian,
     lp_norm,
     multiplier_bound_study,
+    partial_derivative,
+    pointwise_product,
+    product_parity,
+    quadrature_nodes,
+    resolvent,
     sample_field,
     simulate,
     single_block_sample,
@@ -40,6 +53,7 @@ from sqgbox import (
     verify_initial_smallness,
     verify_product_decomposition,
 )
+from sqgbox import harness
 from sqgbox.harness import _validate_bilinear_params
 
 
@@ -86,8 +100,6 @@ def test_sample_spec_validation():
 def test_single_block_sample_is_spectrally_localized(square16):
     prof = DyadicProfile()
     f = single_block_sample(SPEC, square16, 0, 3, prof)
-    from sqgbox import lambda_table
-
     lam = lambda_table(square16, f.band)
     live = np.abs(f.coefficients) > 0
     sqrt_lam = np.sqrt(lam[live])
@@ -255,10 +267,59 @@ def test_adapted_quadrature_straddles_spectrum():
     assert spec.mu_max * 2.0 > 1e9
 
 
-def test_derivative_structure_random_blocks(square16):
+def per_node_structure_residual(f, g, qspec):
+    """Relative residual of the identity of ``verify_derivative_structure``
+    with every composite analyzed and re-synthesized at each mu node: the
+    reference its one-pass sum must match to round-off."""
+    band = (max(f.band[0], g.band[0]), max(f.band[1], g.band[1]))
+    grid = dealias_grid(band)
+    F = fractional_power(f, -1.0)
+    G = fractional_power(g, -1.0)
+    norm = lambda vals: lp_norm(GridField(f.domain, vals), 2)
+    lhs, part_scale = [], []
+    for c in (1, 2):
+        t1 = pointwise_product(f, partial_derivative(G, c), grid).values
+        t2 = pointwise_product(F, partial_derivative(g, c), grid).values
+        lhs.append(t1 - t2)
+        part_scale.append(norm(t1) + norm(t2))
+    rhs = [np.zeros_like(lhs[0]), np.zeros_like(lhs[1])]
+    for mu, w in zip(*quadrature_nodes(qspec)):
+        A = resolvent(F, mu)
+        RG = resolvent(G, mu)
+        dA = {m: partial_derivative(A, m) for m in (1, 2)}
+        coeff = C0 * w * mu**-0.5
+        for c in (1, 2):
+            B = partial_derivative(RG, c)
+            parity = product_parity("SS", B.parity)
+            P = analyze(pointwise_product(A, B, grid), parity, modes=full_band(grid, parity))
+            term = synthesize(laplacian(P), grid).values.copy()
+            for m in (1, 2):
+                parity_q = product_parity(dA[m].parity, B.parity)
+                Q = analyze(pointwise_product(dA[m], B, grid), parity_q, modes=full_band(grid, parity_q))
+                term -= 2.0 * synthesize(partial_derivative(Q, m), grid).values
+            rhs[c - 1] += coeff * term
+    num = math.hypot(norm(lhs[0] - rhs[0]), norm(lhs[1] - rhs[1]))
+    lhs_scale = math.hypot(norm(lhs[0]), norm(lhs[1]))
+    fallback = math.hypot(*part_scale)
+    return num / (lhs_scale if lhs_scale > 1e-12 * fallback else fallback)
+
+
+def _structure_pairs(domain):
+    """The random-block, degenerate and custom-bracket pairs of the tests
+    below, each with its quadrature (None: the adapted bracket)."""
     prof = DyadicProfile()
-    f = single_block_sample(SPEC, square16, 0, 3, prof)
-    g = single_block_sample(SPEC, square16, 1, 2, prof)
+    f = single_block_sample(SPEC, domain, 0, 3, prof)
+    g = single_block_sample(SPEC, domain, 1, 2, prof)
+    mode = unit_mode(domain, 2, 2)
+    return {
+        "random-blocks": (f, g, None),
+        "degenerate": (mode, mode, None),
+        "custom-bracket": (unit_mode(domain, 1, 2), unit_mode(domain, 2, 1), QuadratureSpec(32, 1e-12, 1e12)),
+    }
+
+
+def test_derivative_structure_random_blocks(square16):
+    f, g, _ = _structure_pairs(square16)["random-blocks"]
     residual, bound = verify_derivative_structure(f, g)
     assert residual <= 1e-8
     assert bound <= 1e-8
@@ -267,16 +328,61 @@ def test_derivative_structure_random_blocks(square16):
 def test_derivative_structure_degenerate_pair(square16):
     # f = g single mode: the left side vanishes identically, the fallback
     # denominator keeps the residual meaningful
-    f = unit_mode(square16, 2, 2)
-    residual, _ = verify_derivative_structure(f, f)
+    f, g, _ = _structure_pairs(square16)["degenerate"]
+    residual, _ = verify_derivative_structure(f, g)
     assert residual <= 1e-8
 
 
 def test_derivative_structure_custom_bracket(square16):
-    f = unit_mode(square16, 1, 2)
-    g = unit_mode(square16, 2, 1)
-    residual, bound = verify_derivative_structure(f, g, QuadratureSpec(32, 1e-12, 1e12))
+    f, g, qspec = _structure_pairs(square16)["custom-bracket"]
+    residual, bound = verify_derivative_structure(f, g, qspec)
     assert residual <= max(1e-8, 2.0 * bound)
+
+
+@pytest.mark.parametrize("pair", ["random-blocks", "degenerate", "custom-bracket"])
+def test_derivative_structure_matches_the_per_node_reference(square16, pair):
+    # summing the mu-integral on the grid and transforming once moves the
+    # residual at round-off only (measured <= 5e-16)
+    f, g, qspec = _structure_pairs(square16)[pair]
+    if qspec is None:
+        lam = np.concatenate((lambda_table(f).ravel(), lambda_table(g).ravel()))
+        qspec = adapted_quadrature(float(lam.min()), float(lam.max()))
+    residual, _ = verify_derivative_structure(f, g, qspec)
+    assert residual == pytest.approx(per_node_structure_residual(f, g, qspec), rel=0.0, abs=1e-14)
+
+
+def test_derivative_structure_analyzes_once_per_call(square16, monkeypatch):
+    # the six grid sums are analyzed after the node loop, and the loop takes
+    # first derivatives from synthesize_gradient: both counts are independent
+    # of the number of nodes
+    calls = {"analyze": 0, "partial_derivative": 0}
+
+    def counted(name):
+        inner = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    f, g, _ = _structure_pairs(square16)["random-blocks"]
+    qspecs = (QuadratureSpec(4, 1e-6, 1e2), QuadratureSpec(16, 1e-12, 1e12))
+    assert len({len(quadrature_nodes(q)[0]) for q in qspecs}) == 2
+    for qspec in qspecs:
+        calls.update(analyze=0, partial_derivative=0)
+        verify_derivative_structure(f, g, qspec)
+        assert calls == {"analyze": 6, "partial_derivative": 4}
+
+
+def test_derivative_structure_rejects_a_zero_field(square16):
+    # the left side and its fallback scale both vanish
+    f, g, _ = _structure_pairs(square16)["random-blocks"]
+    for pair in ((f * 0.0, g), (f, g * 0.0), (f * 0.0, g * 0.0)):
+        with pytest.raises(ValueError, match="zero field"):
+            verify_derivative_structure(*pair)
 
 
 def test_duhamel_growth_heat_only(square16):
