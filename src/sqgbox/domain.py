@@ -425,13 +425,38 @@ def lp_norm(grid_field: GridField, p: float):
     return float(norms[0]) if v.ndim == 2 else np.reshape(norms, v.shape[:-2])
 
 
+# |v|^p is formed from products of |v| (and one sqrt for half-integer p)
+# when 2p is an integer and p is at most this; np.power is several times
+# slower, and its SIMD kernel is not correctly rounded.
+_PRODUCT_POWER_MAX = 8
+
+
+def _abs_power(v: np.ndarray, p: float) -> np.ndarray:
+    """|v|^p, p >= 1, in a fresh array: by squaring, times sqrt|v| for
+    half-integer p, when 2p is an integer and p <= _PRODUCT_POWER_MAX; else
+    np.power."""
+    a = np.abs(v)
+    # 2 * p is infinite for p near 1e308, and int() of it would raise
+    if not (p <= _PRODUCT_POWER_MAX and float(2 * p).is_integer()):
+        return np.power(a, p, out=a)
+    n, half = divmod(int(2 * p), 2)
+    out = np.sqrt(a) if half else None
+    base = a
+    while True:
+        if n & 1:
+            out = base if out is None else np.multiply(out, base, out=out)
+        n >>= 1
+        if not n:
+            return out
+        base = base * base  # never in place: out may still hold the old base
+
+
 def _power_sum_root(v: np.ndarray, p: float, weight: float):
     """(weight sum |v|^p)^(1/p) over one field; when the sum overflows or
     falls below the smallest normal float (where it keeps few significant
     bits) and max|v| is finite and nonzero, the sum of (|v| / max|v|)^p
     instead, which lies in [1, v.size]."""
-    a = np.abs(v)
-    total = weight * np.power(a, p, out=a).sum(axis=(-2, -1))
+    total = weight * _abs_power(v, p).sum(axis=(-2, -1))
     if total < sys.float_info.min or total == math.inf:
         top = float(np.abs(v).max())
         if 0.0 < top < math.inf:

@@ -514,9 +514,30 @@ def uniqueness_experiment(
     return twin_distances(simulate(theta0, config_a), simulate(theta0, config_b))
 
 
+# gx^2 + gy^2 neither overflows nor loses more than 2^-56 max|grad f| to a
+# subnormal square when its maximum over a field lies in this range
+_SQUARE_SUM_RANGE = (2.0**-959, 2.0**1000)
+
+
 def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:
+    """|grad f| on the grid as sqrt(gx*gx + gy*gy), field by field for a
+    stack; np.hypot for a field whose largest square sum lies outside
+    ``_SQUARE_SUM_RANGE`` (max(|gx|, |gy|) outside about [2^-480, 2^500])
+    or is not finite, where the squares could overflow or underflow."""
     gx, gy = synthesize_gradient(field, grid)
-    return GridField(field.domain, np.hypot(gx, gy, out=gx))
+    # squared in place: fresh 128 kB temporaries per 128 x 128 field cost
+    # more than the arithmetic
+    with np.errstate(over="ignore"):  # an overflowing square goes to np.hypot
+        out = np.multiply(gx, gx, out=gx)
+        out += np.multiply(gy, gy, out=gy)
+    top = out.max(axis=(-2, -1))
+    lo, hi = _SQUARE_SUM_RANGE
+    far = ~((lo <= top) & (top <= hi))
+    np.sqrt(out, out=out)
+    if far.any():  # the squares overwrote the gradient: synthesize it again
+        gx, gy = synthesize_gradient(field, grid)
+        out[far] = np.hypot(gx[far], gy[far])
+    return GridField(field.domain, out)
 
 
 _BERNSTEIN_PS = (1.0, 2.0, math.inf)

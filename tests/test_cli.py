@@ -218,12 +218,13 @@ def test_verify_uniqueness_simulates_each_run_once(tmp_path, monkeypatch):
 def test_verify_duhamel_reports_are_pinned(tmp_path):
     # Hashes of the reports of the per-draw implementation that the streamed
     # ensemble replaced: the ensemble must keep every reported bit.
+    # Re-taken when L^1.5 norms took |v| sqrt|v|: max_ratio moved by 2.6e-16 relative
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "duhamel"
     assert run(["verify-duhamel", "--config", cfg, "--out", str(out)]) == 0
     pinned = {
-        "duhamel.csv": "5445e4ec8dda6932fc2918accc90bbd88c134ce610eadd5a1debf9651533ee12",
-        "duhamel.json": "de77b464b67272ef2fab6137109d9ca2619a7eb1a730dd9db09b59c69b4aacb8",
+        "duhamel.csv": "d267003562ed20f51c72d1db774ea2031e192146d91e629509bcbfe28c9c64b1",
+        "duhamel.json": "732765199e27d38e1ad81f61195349025e9a304f5cac6d968bc21e996e57a971",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -233,11 +234,10 @@ RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
 
 
 @pytest.mark.parametrize("subcommand, pinned", [
-    # re-taken when the symmetrized product read its gradients from the folded
-    # gradient tables: 66 of 945 bilinear.json values moved, by <= 2.9e-16 relative
+    # re-taken when lp_norm's |v|^p became products: 26 of 945 values moved, <= 2.6e-16 relative
     ("verify-bilinear", {
-        "bilinear.json": "0f83c00bced2b3053028143324c769e1f6612bb297f7a9cd4270d60aef2f6f25",
-        "bilinear_ratios.csv": "637a70561dbf1484ea19b33be58db03a79fc788fa4ee8a0b881346b882595a8c",
+        "bilinear.json": "d8a67740fcd732928558b4a1f7082255fae83cc90fad5dd5f253a3f3d2404226",
+        "bilinear_ratios.csv": "43ce904b4e58cf103a9b83a917cd78f0922656069e1149c286c1b93659896ec0",
     }),
     # re-taken when the step folded its derivative scales into its synthesis
     # tables: the twin distances moved at round-off (shrink_factor by 6e-14)
@@ -252,9 +252,9 @@ RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
         "trajectory/diagnostics.csv": "ebeb8f424e9f8b39dc847ec1c45e1bba42b03bd58911d336e0be997b680b10e3",
         "trajectory/snapshot_000002.field": "4e862646e3ae1c1075233a7a4dffb9d434f4efd2bb83411afa3ea1045ba53bd3",
     }),
-    # heat smoothing
+    # heat smoothing; re-taken for sqrt(gx*gx + gy*gy): one value moved by 2.1e-16 relative
     ("verify-multipliers", {
-        "multipliers.json": "33c530511980a3af77c86326874ca7d96137f60dfb38751f0413907c7ce6ecdd",
+        "multipliers.json": "f0970e498721e5ec1153c57f5e28286a890a79a5b58a22bea103be7c4211ecbd",
     }),
     # the resolvent at every quadrature node; re-taken when the mu-integral
     # was summed on the grid and transformed once (residual moved by 1.1e-16)

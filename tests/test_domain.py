@@ -237,7 +237,7 @@ def test_lp_norm_rejects_bad_exponent(square16):
 
 
 def _direct_lp(g, p):
-    # exactly rounded sum, independent of numpy's pairwise summation
+    # exactly rounded sum of libm powers, independent of numpy's kernels
     h1, h2 = g.weights
     return (h1 * h2 * math.fsum(abs(x) ** p for x in g.values.ravel())) ** (1.0 / p)
 
@@ -273,6 +273,45 @@ def test_lp_norm_at_large_p_is_scaled_past_under_and_overflow(square16, amplitud
     # each member of a stack keeps its bits; an all-zero field stays 0
     stack = GridField(square16, np.stack([g.values, 0.0 * g.values, unit.values]))
     assert list(lp_norm(stack, p)) == [got, 0.0, lp_norm(unit, p)]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 6.0, 7.25])
+def test_lp_norm_powers_match_the_libm_sum(rect, rng, p):
+    # p = 1.5 ... 6 take |v|^p from products and one sqrt, p = 7.25 np.power;
+    # both stay at round-off from libm's pow (measured <= 2.3e-16)
+    stack = GridField(rect, rng.standard_normal((2, 3, 33, 57)) * rng.uniform(0.1, 10.0, (2, 3, 1, 1)))
+    norms = lp_norm(stack, p)
+    assert norms.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        one = GridField(rect, stack.values[i].copy())
+        alone = lp_norm(one, p)
+        assert type(alone) is float
+        assert norms[i] == alone  # each member keeps the bits it gets alone
+        assert alone == pytest.approx(_direct_lp(one, p), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e120, 1e-120])
+def test_lp_norm_product_power_is_scaled_past_under_and_overflow(rect, rng, scale):
+    # |v|^3 overflows at 1e120 and underflows to 0 at 1e-120: without the
+    # scaled fallback the norm would be inf or 0
+    unit = GridField(rect, rng.standard_normal((33, 57)))
+    got = lp_norm(GridField(rect, unit.values * scale), 3.0)
+    assert got == pytest.approx(scale * lp_norm(unit, 3.0), rel=1e-14)
+
+
+def test_lp_norm_at_huge_and_fractional_p_keeps_np_power():
+    # p = 1e308 (2p is infinite) and p = 7.25 stay on np.power, bit for bit
+    # on any numpy kernel; the literals are the values before the product path
+    domain = DomainSpec(1.0, 1.3, 1, 1, 8, 8)
+    g = GridField(domain, np.random.default_rng(7).uniform(-2.0, 2.0, (13, 11)))
+    h1, h2 = g.weights
+    a = np.abs(g.values)
+    top = float(a.max())
+    huge = 1e308
+    assert lp_norm(g, huge) == top * (h1 * h2) ** (1.0 / huge) * float(np.power(a / top, huge).sum()) ** (1.0 / huge)
+    assert lp_norm(g, huge) == pytest.approx(1.9850630317916962, rel=1e-15)
+    assert lp_norm(g, 7.25) == (h1 * h2 * np.power(a, 7.25).sum()) ** (1.0 / 7.25)
+    assert lp_norm(g, 7.25) == pytest.approx(1.5274582237336134, rel=1e-15)
 
 
 def test_norm_scaling(square16, rng):

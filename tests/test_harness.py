@@ -29,6 +29,7 @@ from sqgbox import (
     elliptic_ratio_study,
     fractional_power,
     full_band,
+    gradient_magnitude,
     heat_semigroup,
     heat_smoothing_study,
     holder_target,
@@ -46,6 +47,7 @@ from sqgbox import (
     single_block_sample,
     symmetrized_product,
     synthesize,
+    synthesize_gradient,
     uniqueness_experiment,
     unit_mode,
     verify_derivative_structure,
@@ -499,6 +501,28 @@ def test_multiplier_bound_study_structure(square16):
             assert math.isfinite(v) and v > 0.0
     # phi <= 1 pointwise and sine-grid L2 is exact, so blocks cannot grow in L2
     assert all(v <= 1.0 + 1e-10 for v in out["block_ratio"]["2.0"].values())
+
+
+@pytest.mark.parametrize("grid", [(32, 32), (64, 48)])
+def test_gradient_magnitude_is_hypot_at_round_off(square16, grid):
+    f = sample_field(SPEC, square16, 0)
+    gx, gy = synthesize_gradient(f, grid)
+    got = gradient_magnitude(f, grid).values
+    np.testing.assert_allclose(got, np.hypot(gx, gy), rtol=4.5e-16, atol=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_gradient_magnitude_keeps_hypot_where_squares_leave_the_range(square16, scale):
+    # squares of ~1e200 overflow and of ~1e-170 underflow; an escaped
+    # RuntimeWarning would fail the test as an error
+    f = sample_field(SPEC, square16, 0) * scale
+    gx, gy = synthesize_gradient(f)
+    np.testing.assert_array_equal(gradient_magnitude(f).values, np.hypot(gx, gy))
+    # in a stack, each member gets the bits it gets alone
+    unit = SpectralField(square16, "SS", f.coefficients / scale)
+    got = gradient_magnitude(SpectralField(square16, "SS", np.stack([f.coefficients, unit.coefficients]))).values
+    np.testing.assert_array_equal(got[0], gradient_magnitude(f).values)
+    np.testing.assert_array_equal(got[1], gradient_magnitude(unit).values)
 
 
 def test_heat_smoothing_study_rates(square16):
