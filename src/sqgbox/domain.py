@@ -17,6 +17,15 @@ with the same bits as field by field for arrays of the same memory layout
 returns can differ in the last bit from its C-contiguous copy); the grid
 ``inner_product`` and snapshot files take single fields.
 
+Every exact L2 pairing has one primitive, the per-member BLAS dot
+(..., 1, n) @ (..., n, 1), which a lone field takes too: ``lp_norm`` at
+p = 2, ``inner_product`` and ``spectral_inner`` (hence ``spectral_norm``).
+An SS pair is one dot times the constant weight (L1/2)(L2/2); other
+parities fold their separable weights (L for a cosine axis's mode 0, L/2
+otherwise) into one operand first.  Like the transforms' bits, a pairing's
+follow the BLAS kernel and thread count, and a stack member keeps the bits
+it gets alone at any thread count.
+
 Each transform allocates its result.  The gradient of an SS field has one
 owner here: ``synthesize_gradient`` reads synthesis tables with the
 derivative scales folded in, cached per (lengths, band, grid), and
@@ -405,9 +414,7 @@ def lp_norm(grid_field: GridField, p: float):
     v = grid_field.values
     axes = (-2, -1)
     if p == 2:
-        # Field-by-field dot products through matmul: the same sums as np.vdot.
-        rows = v.reshape(v.shape[:-2] + (1, -1))
-        norms = np.sqrt(weight * (rows @ rows.swapaxes(-1, -2))[..., 0, 0])
+        norms = np.sqrt(weight * _pair(v, v))
         return float(norms) if v.ndim == 2 else norms
     if p < 1 and not np.isinf(p):
         raise ValueError("p must be >= 1 or inf")
@@ -460,9 +467,16 @@ def _power_sum_root(v: np.ndarray, p: float, weight: float):
     if total < sys.float_info.min or total == math.inf:
         top = float(np.abs(v).max())
         if 0.0 < top < math.inf:
-            scaled = float(np.power(np.abs(v) / top, p).sum())
+            scaled = float(_abs_power(v / top, p).sum())
             return top * weight ** (1.0 / p) * scaled ** (1.0 / p)
     return total ** (1.0 / p)
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum(a * b) over the last two axes, member by member: one BLAS dot per
+    member, (..., 1, n) @ (..., n, 1).  A lone field takes the same call, so
+    a stack member keeps the bits it gets alone."""
+    return (a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
 def inner_product(a: GridField, b: GridField) -> float:
@@ -472,39 +486,45 @@ def inner_product(a: GridField, b: GridField) -> float:
     if a.values.shape != b.values.shape or a.values.ndim != 2:
         raise ValueError("inner_product pairs two single fields sampled on the same grid")
     h1, h2 = a.weights
-    return float(h1 * h2 * np.vdot(a.values, b.values).real)
+    return float(h1 * h2 * _pair(a.values, b.values))
 
 
 @lru_cache(maxsize=None)
-def _axis_weight(L: float, r: int, family: str) -> np.ndarray:
-    # int_0^L sin^2 = L/2; int_0^L cos^2 = L/2 for m >= 1 and L for m = 0.
-    w = np.full(r, L / 2.0)
-    if family == "C":
-        w[0] = L
-    w.setflags(write=False)
-    return w
+def _parity_weight(L1: float, L2: float, shape: tuple[int, int], parity: str) -> np.ndarray:
+    # w1 w2^T with int_0^L sin^2 = L/2, int_0^L cos^2 = L/2 for m >= 1 and L
+    # for m = 0 (read-only).
+    w1, w2 = np.full(shape[0], L1 / 2.0), np.full(shape[1], L2 / 2.0)
+    if parity[0] == "C":
+        w1[0] = L1
+    if parity[1] == "C":
+        w2[0] = L2
+    table = np.multiply.outer(w1, w2)
+    table.setflags(write=False)
+    return table
 
 
 def spectral_inner(a: SpectralField, b: SpectralField):
     """Exact continuum L2 inner product of two same-parity fields: a float
     for one field, an array over the stack axes for a stack, each member
-    with the bits it gets alone."""
+    with the bits it gets alone.
+
+    An SS pair is one dot times the constant weight (L1/2)(L2/2); other
+    parities fold their weights into ``a`` first."""
     a._check_compatible(b)
-    r1, r2 = a.coefficients.shape[-2:]
-    w1 = _axis_weight(a.domain.L1, r1, a.parity[0])
-    w2 = _axis_weight(a.domain.L2, r2, a.parity[1])
-    if a.coefficients.ndim == 2:
-        return float(np.einsum("ij,ij,i,j->", a.coefficients, b.coefficients, w1, w2))
-    return np.einsum("...ij,...ij,i,j->...", a.coefficients, b.coefficients, w1, w2)
+    L1, L2 = a.domain.L1, a.domain.L2
+    if a.parity == "SS":
+        inner = _pair(a.coefficients, b.coefficients) * ((L1 / 2.0) * (L2 / 2.0))
+    else:
+        weight = _parity_weight(L1, L2, a.coefficients.shape[-2:], a.parity)
+        inner = _pair(a.coefficients * weight, b.coefficients)
+    return float(inner) if a.coefficients.ndim == 2 else inner
 
 
 def spectral_norm(f: SpectralField):
     """Exact continuum L2 norm via Parseval in the field's parity basis: a
     float for one field, an array over the stack axes for a stack."""
-    sq = spectral_inner(f, f)
-    if f.coefficients.ndim == 2:
-        return float(np.sqrt(max(sq, 0.0)))
-    return np.sqrt(np.maximum(sq, 0.0))
+    sq = spectral_inner(f, f)  # a weighted sum of squares: never negative
+    return math.sqrt(sq) if f.coefficients.ndim == 2 else np.sqrt(sq)
 
 
 def evaluate_at(field: SpectralField, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -407,11 +407,13 @@ class DuhamelSupremum:
     time by ``add``; ``numerator`` holds the suprema over the stack axes.
 
     Each state's difference is split into its dyadic blocks, and a block is
-    synthesized for its exact grid ``lp_norm`` only when 2^{js} times its
+    synthesized for its exact grid ``lp_norm`` only when the member's
+    difference is not exactly zero and 2^{js} times the block's
     ``block_lp_bounds`` bound reaches the member's running maximum.  A
-    pruned block lies below a value already computed exactly, so the
-    supremum keeps every bit of the full evaluation; ``evaluated`` counts
-    the exact block norms taken.
+    pruned block is zero or lies below a value already computed exactly, so
+    the supremum keeps every bit of the full evaluation; ``evaluated``
+    counts the exact block norms taken (none at t = 0, where the difference
+    vanishes).
     """
 
     def __init__(self, theta0: SpectralField, p: float, profile: DyadicProfile | None = None):
@@ -433,7 +435,11 @@ class DuhamelSupremum:
         best = self.numerator.reshape(-1)  # a view: updated in place
         field = SpectralField(domain, "SS", diff)
         upper = self._scale * block_lp_bounds(field, self._weights, self.params.p, self._tables)
-        members, rows = np.nonzero(~(upper < best[:, None]))
+        # A member whose difference is exactly zero (every member at t = 0)
+        # has only zero blocks.  A zero bound does not show that: its squares
+        # underflow for coefficients below ~1e-162.
+        live = diff.any(axis=(-2, -1))
+        members, rows = np.nonzero(~(upper < best[:, None]) & live[:, None])
         terms = np.zeros(upper.shape)
         for lo in range(0, members.size, _SYNTH_CHUNK):
             m, r = members[lo : lo + _SYNTH_CHUNK], rows[lo : lo + _SYNTH_CHUNK]

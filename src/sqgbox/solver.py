@@ -199,9 +199,16 @@ def integrate(theta0: SpectralField, config: SolverConfig):
 
     ``theta0`` may carry leading stack axes; the members then step in
     lockstep, each with the bits it gets alone, and the norm is an array
-    over the stack.  A step that leaves the finite range raises
+    over the stack.  The norm is ``domain``'s one pairing, a BLAS dot per
+    member, so its bits follow the BLAS kernel and thread count as the
+    transforms' do.
+
+    The norm each step takes is also its finiteness check: a non-finite
+    coefficient makes its member's norm nan or inf, and only then are the
+    coefficients scanned.  A step that leaves the finite range raises
     ``BlowUpError`` before that state is yielded, naming the first failing
-    member of a stack and its last finite norm.
+    member of a stack and its last finite norm; a member whose coefficients
+    stay finite while its norm overflows steps on with an inf norm.
     """
     if theta0.parity != "SS":
         raise ValueError("initial state must be an SS field")
@@ -209,19 +216,24 @@ def integrate(theta0: SpectralField, config: SolverConfig):
     stacked = theta0.coefficients.ndim > 2
     workspace, heat = StepWorkspace(theta0), multiplier_table(theta0.domain, theta0.band, "heat", config.dt)
     theta = theta0
-    l2 = last_l2 = spectral_norm(theta)
+    with np.errstate(over="ignore"):  # finite coefficients can overflow the norm
+        l2 = last_l2 = spectral_norm(theta)
     for k in range(n + 1):
         nl = nonlinear_term(theta, workspace=workspace)
         yield k, theta, nl, l2
         if k == n:
             return
         theta = SpectralField(theta.domain, "SS", workspace.advance(theta.coefficients, nl.coefficients, config, heat))
+        with np.errstate(over="ignore"):
+            l2 = spectral_norm(theta)
+        if np.isfinite(l2).all():
+            last_l2 = l2
+            continue
         finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
         if not np.all(finite):
             member = int(np.flatnonzero(~finite)[0]) if stacked else None
             raise BlowUpError((k + 1) * config.dt, float(np.ravel(last_l2)[member or 0]), member)
-        l2 = spectral_norm(theta)
-        last_l2 = np.where(np.isfinite(l2), l2, last_l2)  # finite coefficients can still overflow the norm
+        last_l2 = np.where(np.isfinite(l2), l2, last_l2)
 
 
 @dataclass

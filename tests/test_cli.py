@@ -219,12 +219,13 @@ def test_verify_duhamel_reports_are_pinned(tmp_path):
     # Hashes of the reports of the per-draw implementation that the streamed
     # ensemble replaced: the ensemble must keep every reported bit.
     # Re-taken when L^1.5 norms took |v| sqrt|v|: max_ratio moved by 2.6e-16 relative
+    # Re-taken when sup_t ||theta||_2 came from one BLAS dot: max_ratio moved by 3.9e-16 relative
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "duhamel"
     assert run(["verify-duhamel", "--config", cfg, "--out", str(out)]) == 0
     pinned = {
-        "duhamel.csv": "d267003562ed20f51c72d1db774ea2031e192146d91e629509bcbfe28c9c64b1",
-        "duhamel.json": "732765199e27d38e1ad81f61195349025e9a304f5cac6d968bc21e996e57a971",
+        "duhamel.csv": "1b17786884bb4e008fab1f130b0f8c65700d97c37a417382574facfd4db6cb07",
+        "duhamel.json": "12375b9b5522e8371d8818311400369754994eda0dcac4922ff0c1d748b676d9",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -240,21 +241,24 @@ RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
         "bilinear_ratios.csv": "43ce904b4e58cf103a9b83a917cd78f0922656069e1149c286c1b93659896ec0",
     }),
     # re-taken when the step folded its derivative scales into its synthesis
-    # tables: the twin distances moved at round-off (shrink_factor by 6e-14)
+    # tables: the twin distances moved at round-off (shrink_factor by 6e-14);
+    # again when spectral_norm became one BLAS dot (shrink_factor by 4.4e-16)
     ("verify-uniqueness", {
-        "uniqueness.json": "8d64424a2b2f84c313f03087b2b28d5d1fe63ca01016db1547bdad93066c6ef7",
-        "uniqueness_distance.csv": "5cb7e34c4f7f2f8976e3015e1a711a0399524fb02f0a71a55eda94ba204d5fcf",
-        "uniqueness_cross.csv": "f0e6a73309c3082854eb3bb5562ee5fb21cb972ea993b3a74781c6f0e6dcae49",
+        "uniqueness.json": "dd7ccb586d4179f3e18063560ec1517078625c42272d7242470dcf8fd257414f",
+        "uniqueness_distance.csv": "eda9f7c3a604938e11db0f41374a873dd5fed9f8da63bdb314a58f8f5c1bfbae",
+        "uniqueness_cross.csv": "dc668c48074b61f96a0ea7fe2e2d351c72e0753b7649ca0bf7b5ebe48e749555",
     }),
-    # the heat step: the default single-mode data has no advection term
+    # the heat step: the default single-mode data has no advection term;
+    # diagnostics.csv re-taken for the one-dot norm (one l2 value by 1.4e-16)
     ("simulate", {
         "simulate.json": "f6d5284215cdc8e4b8eef393167520854bc0b5d9d436312e8d94c979ffb3a66b",
-        "trajectory/diagnostics.csv": "ebeb8f424e9f8b39dc847ec1c45e1bba42b03bd58911d336e0be997b680b10e3",
+        "trajectory/diagnostics.csv": "edd90bbf272289dcc356a793dd48bf00fe8905210251ebee50c28e3eb765f86d",
         "trajectory/snapshot_000002.field": "4e862646e3ae1c1075233a7a4dffb9d434f4efd2bb83411afa3ea1045ba53bd3",
     }),
-    # heat smoothing; re-taken for sqrt(gx*gx + gy*gy): one value moved by 2.1e-16 relative
+    # heat smoothing; re-taken for sqrt(gx*gx + gy*gy): one value moved by 2.1e-16 relative,
+    # and for the one-dot spectral_norm: 6 decay rates moved, <= 3.9e-16 relative
     ("verify-multipliers", {
-        "multipliers.json": "f0970e498721e5ec1153c57f5e28286a890a79a5b58a22bea103be7c4211ecbd",
+        "multipliers.json": "ceb492ab401f72df24e059f3baf7c08f6badd8a8940aa105a1afe556b830741e",
     }),
     # the resolvent at every quadrature node; re-taken when the mu-integral
     # was summed on the grid and transformed once (residual moved by 1.1e-16)
@@ -267,15 +271,16 @@ RANDOM_RECTANGLE = '--set initial.type="random" --set domain.lengths=[3.0,2.0]'
         "besov_profile.csv": "fee26f3ef74f58f6d3a87eb1d18d9e14e97737d96cadf275ac112456ea4c808d",
     }),
     # the step's advection arithmetic under each scheme: random data on a 3 x 2
-    # rectangle, where the derivative scales m pi / L are not integers
+    # rectangle, where the derivative scales m pi / L are not integers; re-taken
+    # for the one-dot norms (l2 <= 4.3e-16 relative, residuals ~1e-16 by <= 3.3e-17)
     pytest.param(f"simulate {RANDOM_RECTANGLE} --set solver.scheme=\"ETD2\"", {
-        "simulate.json": "362a2a434195b9401c32b0de6f1e048c3ac91902ca66274e82d47f9a1d6b408a",
-        "trajectory/diagnostics.csv": "09ec8bb0a22db33f197b0acb910a5ecc249e78f9f82583e5791a9bfa01bb76a0",
+        "simulate.json": "0cfa0718753a08a17b41e9d64c17b9cd180924ced8f2c987a1c6045abb25621b",
+        "trajectory/diagnostics.csv": "ffa706ab386640b733e23b821d7e1db4d5660eb095635b6f1fb098ce8d821690",
         "trajectory/snapshot_000002.field": "b6ad4f80f396a658afd39c2200294aed9da71ab47ea55565be3bfa0fdb09305f",
     }, id="simulate-random-ETD2"),
     pytest.param(f"simulate {RANDOM_RECTANGLE} --set solver.scheme=\"IF-Euler\"", {
-        "simulate.json": "459616e33b3453081c90d1e51ed19b5dc617e7ac2bcad97620f87afb6cc10dff",
-        "trajectory/diagnostics.csv": "4618dd5c83b3131ce170a3179cab46203453b8cf4207eea8f84486a29ef9c323",
+        "simulate.json": "7ce2aff2d4aa8c0e749ec4e76c72a312820977cbcde4b36a20fa7b1f22038a01",
+        "trajectory/diagnostics.csv": "ad66288dcd7ddabf783bf4005d86eec0f0f4642b5b42537441a976deb973945b",
         "trajectory/snapshot_000002.field": "c1c8ef41d5205535afc4b42ecaf3ce9501ec378cc213854fa66023edb446b7e3",
     }, id="simulate-random-IF-Euler"),
 ])

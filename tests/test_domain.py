@@ -297,6 +297,15 @@ def test_lp_norm_product_power_is_scaled_past_under_and_overflow(rect, rng, scal
     unit = GridField(rect, rng.standard_normal((33, 57)))
     got = lp_norm(GridField(rect, unit.values * scale), 3.0)
     assert got == pytest.approx(scale * lp_norm(unit, 3.0), rel=1e-14)
+    # The fallback cubes the scaled field by products too, so its bits do not
+    # depend on which pow kernel numpy dispatches.  The cube root hides a
+    # one-ulp change of the sum in about two of three fields, so 16 are checked.
+    g = GridField(rect, rng.standard_normal((16, 33, 57)) * scale)
+    h1, h2 = g.weights
+    for values, norm in zip(g.values, lp_norm(g, 3.0), strict=True):
+        top = float(np.abs(values).max())
+        a = np.abs(values) / top
+        assert norm == top * (h1 * h2) ** (1.0 / 3.0) * float((a * (a * a)).sum()) ** (1.0 / 3.0)
 
 
 def test_lp_norm_at_huge_and_fractional_p_keeps_np_power():
@@ -379,21 +388,57 @@ def test_pair_stack_synthesis_gives_members_the_bits_of_their_layout(rng, band, 
 def test_spectral_inner_and_norm_broadcast_over_stacks(rect, rng, parity):
     # One field gives a float; a stack gives an array over its stack axes,
     # each member with the bits it gets alone (the solver's per-member
-    # diagnostics of an ensemble depend on it).
-    shape = _random_field(rect, parity, rng).coefficients.shape
-    a = SpectralField(rect, parity, rng.standard_normal((4, 5) + shape))
-    b = SpectralField(rect, parity, rng.standard_normal((4, 5) + shape))
-    inner, norm = spectral_inner(a, b), spectral_norm(a)
-    assert inner.shape == norm.shape == (4, 5)
-    for i in np.ndindex(4, 5):
-        fa = SpectralField(rect, parity, a.coefficients[i].copy())
-        fb = SpectralField(rect, parity, b.coefficients[i].copy())
-        single_inner, single_norm = spectral_inner(fa, fb), spectral_norm(fa)
-        assert type(single_inner) is float and type(single_norm) is float
-        assert inner[i] == single_inner
-        assert norm[i] == single_norm
-    with pytest.raises(ValueError):  # stacks must have matching shapes
-        spectral_inner(a, SpectralField(rect, parity, b.coefficients[0]))
+    # diagnostics of an ensemble depend on it).  At band (128, 128) a member
+    # has ~16k coefficients, where OpenBLAS may split one dot over threads.
+    for domain in (rect, DomainSpec(1.0, 2.0, 128, 128, 128, 128)):
+        shape = _random_field(domain, parity, rng).coefficients.shape
+        a = SpectralField(domain, parity, rng.standard_normal((4, 5) + shape))
+        b = SpectralField(domain, parity, rng.standard_normal((4, 5) + shape))
+        inner, norm = spectral_inner(a, b), spectral_norm(a)
+        assert inner.shape == norm.shape == (4, 5)
+        for i in np.ndindex(4, 5):
+            fa = SpectralField(domain, parity, a.coefficients[i].copy())
+            fb = SpectralField(domain, parity, b.coefficients[i].copy())
+            single_inner, single_norm = spectral_inner(fa, fb), spectral_norm(fa)
+            assert type(single_inner) is float and type(single_norm) is float
+            assert inner[i] == single_inner
+            assert norm[i] == single_norm
+        with pytest.raises(ValueError):  # stacks must have matching shapes
+            spectral_inner(a, SpectralField(domain, parity, b.coefficients[0]))
+
+
+def _fsum_inner(f, g):
+    # exactly rounded sum of the weighted products, independent of BLAS
+    L1, L2 = f.domain.lengths
+    w1 = [L1 if (f.parity[0] == "C" and i == 0) else L1 / 2 for i in range(f.coefficients.shape[0])]
+    w2 = [L2 if (f.parity[1] == "C" and j == 0) else L2 / 2 for j in range(f.coefficients.shape[1])]
+    return math.fsum(
+        x * y * w1[i] * w2[j]
+        for (i, j), x, y in zip(np.ndindex(f.coefficients.shape), f.coefficients.ravel(), g.coefficients.ravel())
+    )
+
+
+@pytest.mark.parametrize("band", [(8, 8), (7, 12), (128, 128)])
+@pytest.mark.parametrize("parity", ["SS", "SC", "CS", "CC"])
+def test_spectral_inner_matches_the_fsum_reference(rng, parity, band):
+    domain = DomainSpec(PI, 2.0, *band, *band)
+    a = _random_field(domain, parity, rng, band)
+    b = _random_field(domain, parity, rng, band)
+    tol = 1e-15 * spectral_norm(a) * spectral_norm(b)
+    assert abs(spectral_inner(a, b) - _fsum_inner(a, b)) <= tol
+    assert spectral_norm(a) == pytest.approx(math.sqrt(_fsum_inner(a, a)), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("grid", [(33, 57), (128, 128), (256, 256)])
+def test_grid_pairings_keep_the_bits_of_one_dot(rect, rng, grid):
+    # inner_product and lp_norm at p = 2 take the sums np.vdot takes, on
+    # either side of the size where OpenBLAS may thread the dot
+    a, b = (GridField(rect, rng.standard_normal(grid)) for _ in range(2))
+    h1, h2 = a.weights
+    assert inner_product(a, b) == float(h1 * h2 * np.vdot(a.values, b.values))
+    assert lp_norm(a, 2) == math.sqrt(h1 * h2 * np.vdot(a.values, a.values))
+    stack = GridField(rect, np.stack([b.values, a.values]))
+    assert list(lp_norm(stack, 2)) == [lp_norm(b, 2), lp_norm(a, 2)]
 
 
 # -- products --------------------------------------------------------------

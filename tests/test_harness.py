@@ -468,6 +468,27 @@ def test_duhamel_supremum_matches_full_evaluation(square16, p):
     assert sup.evaluated < blocks
 
 
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_duhamel_supremum_takes_no_block_at_the_initial_time(square16, p):
+    # At t = 0 the difference theta0 - e^{0 Delta} theta0 is exactly zero, so
+    # no block is synthesized for a norm of 0.
+    stack = _duhamel_members(square16)
+    sup = DuhamelSupremum(stack, p)
+    sup.add(0.0, stack)
+    assert sup.evaluated == 0
+    assert not np.any(sup.numerator)
+    alone = DuhamelSupremum(SpectralField(square16, "SS", stack.coefficients[0]), p)
+    alone.add(0.0, alone.theta0)
+    assert alone.evaluated == 0 and float(alone.numerator) == 0.0
+    # A nonzero difference still takes its blocks when their bounds
+    # underflow to 0 (squares of coefficients near 1e-170).
+    tiny = unit_mode(square16, 1, 1, 1e-170)
+    sup = DuhamelSupremum(tiny, p)
+    sup.add(0.0, tiny + unit_mode(square16, 2, 3, 1e-170))
+    exact = besov_norm(unit_mode(square16, 2, 3, 1e-170), sup.params)[0]
+    assert sup.evaluated > 0 and float(sup.numerator) == exact > 0.0
+
+
 def test_initial_smallness_curve_oracle(square16):
     theta0 = unit_mode(square16, 1, 1)
     rows = verify_initial_smallness(theta0, 2.0, np.array([1e-2, 1e-4]))

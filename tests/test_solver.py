@@ -447,6 +447,26 @@ def test_blow_up_names_the_stack_member(square16, rng):
     assert info.value.time == alone.value.time
 
 
+def test_a_norm_that_overflows_is_not_a_blow_up():
+    # A (1, 1) mode at 1e60 in a box of side 1e100: the coefficients stay
+    # finite, and the step's products too, but the squared sum overflows.
+    # The norm is the finiteness check, so it steps on with an inf norm;
+    # only non-finite coefficients raise, naming their member.
+    domain = DomainSpec(1e100, 1e100, 16, 16, 32, 32)
+    huge = unit_mode(domain, 1, 1, 1e60).coefficients
+    cfg = SolverConfig(dt=1e-3, horizon=0.005)
+    alone = list(integrate(SpectralField(domain, "SS", huge), cfg))
+    assert len(alone) == cfg.n_steps + 1
+    assert all(l2 == math.inf and np.all(np.isfinite(theta.coefficients)) for _, theta, _, l2 in alone)
+    small = np.random.default_rng(5).uniform(-1.0, 1.0, huge.shape)
+    for _, theta, _, l2 in integrate(SpectralField(domain, "SS", np.stack([huge, small])), cfg):
+        assert l2[0] == math.inf and 0.0 < l2[1] < math.inf
+    with pytest.raises(BlowUpError, match="in member 1 at") as info:
+        for _ in integrate(SpectralField(domain, "SS", np.stack([huge, np.full_like(huge, np.nan)])), cfg):
+            pass
+    assert info.value.member == 1
+
+
 def test_orthogonality_diagnostic_small(square16, rng):
     theta0 = _random_ss(square16, rng)
     traj = simulate(theta0, SolverConfig(dt=1e-3, horizon=0.01))
