@@ -24,7 +24,9 @@ An SS pair is one dot times the constant weight (L1/2)(L2/2); other
 parities fold their separable weights (L for a cosine axis's mode 0, L/2
 otherwise) into one operand first.  Like the transforms' bits, a pairing's
 follow the BLAS kernel and thread count, and a stack member keeps the bits
-it gets alone at any thread count.
+it gets alone at any thread count.  The two L2 norms (``lp_norm`` at p = 2,
+``spectral_norm``) take a member's sum of squares again scaled by its
+max|.| when the sum falls below the smallest normal float.
 
 Each transform allocates its result.  The gradient of an SS field has one
 owner here: ``synthesize_gradient`` reads synthesis tables with the
@@ -407,15 +409,14 @@ def product_parity(pa: str, pb: str) -> str:
 def lp_norm(grid_field: GridField, p: float):
     """Composite interior-point L^p norm, p = inf the grid maximum: a float
     for one field, an array of norms for a stack.  A sum of |v|^p that
-    overflows or falls below the smallest normal float is taken again
-    scaled by max|v|."""
+    falls below the smallest normal float is taken again scaled by max|v|,
+    and so is one that overflows, except at p = 2."""
     h1, h2 = grid_field.weights
     weight = h1 * h2
     v = grid_field.values
     axes = (-2, -1)
     if p == 2:
-        norms = np.sqrt(weight * _pair(v, v))
-        return float(norms) if v.ndim == 2 else norms
+        return _root_sum_squares(v, lambda a: weight * _pair(a, a))
     if p < 1 and not np.isinf(p):
         raise ValueError("p must be >= 1 or inf")
     # Other exponents need |v|: one field at a time, so a stack costs no
@@ -479,6 +480,26 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
+def _root_sum_squares(v: np.ndarray, sum_squares):
+    """sqrt(sum_squares(v)) member by member over the last two axes: a float
+    for one field, an array for a stack.  ``sum_squares`` is a weighted
+    ``_pair(v, v)``; a member whose sum falls below the smallest normal float
+    (where it keeps few significant bits) and whose max|v| is nonzero is
+    summed again as sum_squares(v / max|v|), as ``_power_sum_root`` does.
+    An overflowing sum is left as it is."""
+    squares = sum_squares(v)
+    norms = np.sqrt(squares)
+    low = np.flatnonzero(np.ravel(squares) < sys.float_info.min)
+    if low.size:
+        norms = np.array(norms, ndmin=1)
+        fields = v.reshape(-1, *v.shape[-2:])
+        for i in low.tolist():
+            top = float(np.abs(fields[i]).max())
+            if top > 0.0:
+                norms.flat[i] = top * math.sqrt(sum_squares(fields[i] / top))
+    return float(np.ravel(norms)[0]) if v.ndim == 2 else norms
+
+
 def inner_product(a: GridField, b: GridField) -> float:
     """Quadrature L2 pairing of two grid fields on the same grid."""
     if a.domain != b.domain:
@@ -511,20 +532,24 @@ def spectral_inner(a: SpectralField, b: SpectralField):
     An SS pair is one dot times the constant weight (L1/2)(L2/2); other
     parities fold their weights into ``a`` first."""
     a._check_compatible(b)
-    L1, L2 = a.domain.L1, a.domain.L2
-    if a.parity == "SS":
-        inner = _pair(a.coefficients, b.coefficients) * ((L1 / 2.0) * (L2 / 2.0))
-    else:
-        weight = _parity_weight(L1, L2, a.coefficients.shape[-2:], a.parity)
-        inner = _pair(a.coefficients * weight, b.coefficients)
+    inner = _spectral_pair(a.domain, a.parity, a.coefficients, b.coefficients)
     return float(inner) if a.coefficients.ndim == 2 else inner
+
+
+def _spectral_pair(domain: DomainSpec, parity: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    L1, L2 = domain.L1, domain.L2
+    if parity == "SS":
+        return _pair(a, b) * ((L1 / 2.0) * (L2 / 2.0))
+    weight = _parity_weight(L1, L2, a.shape[-2:], parity)
+    return _pair(a * weight, b)
 
 
 def spectral_norm(f: SpectralField):
     """Exact continuum L2 norm via Parseval in the field's parity basis: a
-    float for one field, an array over the stack axes for a stack."""
-    sq = spectral_inner(f, f)  # a weighted sum of squares: never negative
-    return math.sqrt(sq) if f.coefficients.ndim == 2 else np.sqrt(sq)
+    float for one field, an array over the stack axes for a stack.  A sum of
+    squares below the smallest normal float is taken again scaled by
+    max|c|, so a field below ~1e-154 keeps its bits."""
+    return _root_sum_squares(f.coefficients, lambda c: _spectral_pair(f.domain, f.parity, c, c))
 
 
 def evaluate_at(field: SpectralField, x: np.ndarray, y: np.ndarray) -> np.ndarray:

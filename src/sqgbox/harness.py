@@ -21,19 +21,23 @@ the exponents it reads (the Hoelder targets for the product components, p1
 for the factors), stacks every table over the samples, and aggregates it
 with one ``besov_aggregate`` call per (s, p, q, field, grid).
 
-The Duhamel supremum is reduced state by state (``DuhamelSupremum``), for
-one trajectory or for a stacked ensemble stepped by ``solver.integrate``
-(``duhamel_ensemble``).  Each block of theta(t) - e^{t Delta} theta0 gets a
-coefficient-space upper bound on its grid L^p norm (``block_lp_bounds``:
-Hoelder against the Parseval L2 norm for p <= 2, the l1 coefficient sum
-bounding the maximum for p >= 2, with a 1 + 1e-9 round-off margin); only
-blocks whose weighted bound reaches the member's running maximum are
-synthesized for their exact norm, so the reported supremum keeps every bit.
+The Duhamel supremum is a branch and bound over the whole run
+(``DuhamelSupremum``), for one trajectory or for a stacked ensemble stepped
+by ``solver.integrate`` (``duhamel_ensemble``).  Each block of
+theta(t) - e^{t Delta} theta0 gets coefficient-space upper and lower bounds
+on its grid L^p norm from one Parseval sum and one sum |c| (``_block_bounds``;
+``block_lp_bounds`` is the upper one), with round-off margins 1 +- 1e-9.
+Blocks whose weighted upper bound reaches the member's largest lower bound
+are kept, cropped to their support box, and synthesized for their exact norm
+only when the supremum is read: largest bound first, so a block whose bound
+the supremum has passed is never synthesized, and the reported supremum
+keeps every bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -359,11 +363,15 @@ def verify_derivative_structure(
     return num / denom, head + tail
 
 
-# Relative margin of ``block_lp_bounds`` over the round-off of the grid norms
-# it bounds, and the most blocks the Duhamel reducer synthesizes at once (the
-# first states select every block; 16 keeps a default-grid chunk at 0.5 MB).
+# Relative margins of ``block_lp_bounds`` and ``_block_bounds`` over the
+# round-off of the grid norms they bound; the most blocks the Duhamel reducer
+# synthesizes at once (16 keeps a default-grid chunk at 0.5 MB); and the most
+# coefficients it holds in pending blocks before it takes their exact norms
+# (512 kB; the default verify-duhamel holds at most 14,400).
 _BOUND_MARGIN = 1.0 + 1e-9
+_LOWER_MARGIN = 1.0 - 1e-9
 _SYNTH_CHUNK = 16
+_PENDING_CAP = 1 << 16
 
 
 def _weight_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,6 +379,48 @@ def _weight_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the right factors of ``block_lp_bounds``."""
     w = np.abs(weights).reshape(len(weights), -1)
     return w.T, (w * w).T
+
+
+def _block_bounds(
+    field: SpectralField, weights: np.ndarray, p: float, tables: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) bounds on the grid L^p norm of each block of
+    ``block_lp_bounds``, from one Parseval sum and one sum |c| per block.
+
+    With ||.||_2^2 the Parseval sum, sum |c| >= max|.| and |Omega| above the
+    grid's measure, the lower bound is
+      p < 2:   (||.||_2^2 / (sum |c|)^{2-p})^{1/p}   (||.||_2^2 <= max^{2-p} ||.||_p^p),
+      p >= 2:  |Omega|^{1/p - 1/2} ||.||_2   (Hoelder on a measure < |Omega|),
+    times 1 - 1e-9.  Where a sum or a bound leaves the normal float range,
+    its squares underflowed or overflowed and it shows nothing: the upper
+    bound is then inf, and the lower 0.  The upper bound is 0 only for a
+    zero block.
+    """
+    if not p >= 1:
+        raise ValueError("p must be >= 1 or inf")
+    dom = field.domain
+    c = field.coefficients.reshape(field.coefficients.shape[:-2] + (-1,))
+    w_t, w2_t = _weight_tables(weights) if tables is None else tables
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # masked below
+        squares = (c * c) @ w2_t
+        l1 = np.abs(c) @ w_t
+        parseval = (dom.L1 * dom.L2 / 4.0) * squares
+        l2 = np.sqrt(parseval)
+        hoelder = (dom.L1 * dom.L2) ** (1.0 / p - 0.5) * l2
+        upper = hoelder if p <= 2 else l1 ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
+        if p < 2:
+            power = parseval / l1 ** (2.0 - p)  # bounds ||.||_p^p from below
+            lower = power ** (1.0 / p)
+        else:
+            power = lower = hoelder
+    fit = (np.minimum(np.minimum(squares, parseval), np.minimum(power, upper)) >= sys.float_info.min) & (
+        upper < math.inf
+    )
+    if fit.all():
+        return upper * _BOUND_MARGIN, lower * _LOWER_MARGIN
+    zero = ~(l1 > 0)  # every |c w| rounded to 0: the block's coefficients are zero too
+    upper = np.where(fit, upper * _BOUND_MARGIN, np.where(zero, 0.0, math.inf))
+    return upper, np.where(fit, lower * _LOWER_MARGIN, 0.0)
 
 
 def block_lp_bounds(
@@ -383,37 +433,43 @@ def block_lp_bounds(
     which equals the grid L2 norm for modes <= N:
       p <= 2:  |Omega|^{1/p - 1/2} ||.||_2   (Hoelder on a measure < |Omega|),
       p >= 2:  (sum |c|)^{1 - 2/p} ||.||_2^{2/p}   (sum |c| bounds the maximum),
-    each times 1 + 1e-9 against round-off.  Shape: the stack axes of
+    each times 1 + 1e-9 against round-off; inf where the Parseval sum or the
+    bound leaves the normal float range (coefficients below ~1e-154 or above
+    ~1e154), and 0 only for a zero block.  Shape: the stack axes of
     ``field`` followed by one axis over the rows of ``weights``.
     ``tables`` is ``_weight_tables(weights)``, which a caller that bounds
     many fields against the same weights builds once.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1 or inf")
-    dom = field.domain
-    c = field.coefficients.reshape(field.coefficients.shape[:-2] + (-1,))
-    w_t, w2_t = _weight_tables(weights) if tables is None else tables
-    l2 = np.sqrt((dom.L1 * dom.L2 / 4.0) * ((c * c) @ w2_t))
-    if p <= 2:
-        bound = (dom.L1 * dom.L2) ** (1.0 / p - 0.5) * l2
-    else:
-        bound = (np.abs(c) @ w_t) ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
-    return bound * _BOUND_MARGIN
+    return _block_bounds(field, weights, p, tables)[0]
+
+
+def _support_box(weights: np.ndarray) -> tuple[slice, slice]:
+    """The smallest index box outside which ``weights`` vanishes."""
+    rows = np.flatnonzero(weights.any(axis=1))
+    cols = np.flatnonzero(weights.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
 
 
 class DuhamelSupremum:
-    """Running sup_t ||theta(t) - e^{t Delta} theta0||_{B^{-1+2/p}_{p,inf}}
-    of every member of a (possibly stacked) ``theta0``, fed one state at a
-    time by ``add``; ``numerator`` holds the suprema over the stack axes.
+    """sup_t ||theta(t) - e^{t Delta} theta0||_{B^{-1+2/p}_{p,inf}} of every
+    member of a (possibly stacked) ``theta0``, fed one state at a time by
+    ``add``; ``numerator`` holds the suprema over the stack axes.
 
-    Each state's difference is split into its dyadic blocks, and a block is
-    synthesized for its exact grid ``lp_norm`` only when the member's
-    difference is not exactly zero and 2^{js} times the block's
-    ``block_lp_bounds`` bound reaches the member's running maximum.  A
-    pruned block is zero or lies below a value already computed exactly, so
-    the supremum keeps every bit of the full evaluation; ``evaluated``
-    counts the exact block norms taken (none at t = 0, where the difference
-    vanishes).
+    A branch and bound over the whole run.  ``add`` splits the state's
+    difference into its dyadic blocks and takes 2^{js} times both
+    ``_block_bounds`` of each.  A member's floor rises to the largest lower
+    bound seen, and only a nonzero block whose upper bound reaches
+    max(floor, best), best being the member's largest exact value so far, is
+    kept as pending: its weighted coefficients, cropped to its row's support
+    box.  Exact norms are taken only when ``numerator`` or ``evaluated`` is
+    read, or when the pending coefficients pass ``_PENDING_CAP``: in
+    decreasing upper-bound order, in same-row chunks of distinct members,
+    each block padded back to the full band so that its ``synthesize`` and
+    ``lp_norm`` keep the bits of a full evaluation.  A block whose bound has
+    fallen below its member's best is skipped.  Every dropped block lies
+    below an exact value, so the supremum keeps every bit; without a cap
+    flush, ``evaluated`` (the exact block norms taken) is the count of blocks
+    whose upper bound reaches their member's final supremum.
     """
 
     def __init__(self, theta0: SpectralField, p: float, profile: DyadicProfile | None = None):
@@ -424,34 +480,90 @@ class DuhamelSupremum:
         table = dyadic_table(theta0.domain, theta0.band, profile)
         self._weights = table.weights[table.live]
         self._tables = _weight_tables(self._weights)  # built once, not on every add
+        self._boxes = [_support_box(w) for w in self._weights]
         self._scale = block_scales(table.js, self.params.s)[table.live]
-        self.numerator = np.zeros(theta0.coefficients.shape[:-2])
-        self.evaluated = 0
+        self._shape = theta0.coefficients.shape[:-2]
+        self._best = np.zeros(math.prod(self._shape))
+        self._floor = np.zeros_like(self._best)
+        self._evaluated = 0
+        # row -> (member indices, upper bounds, cropped coefficients), one of each per add
+        self._pending: dict[int, tuple[list, list, list]] = {}
+        self._pending_size = 0  # coefficients held
+
+    @property
+    def numerator(self) -> np.ndarray:
+        self._flush()
+        return self._best.reshape(self._shape).copy()
+
+    @property
+    def evaluated(self) -> int:
+        self._flush()
+        return self._evaluated
 
     def add(self, t: float, state: SpectralField) -> None:
-        domain = self.theta0.domain
         diff = state.coefficients - heat_semigroup(self.theta0, t).coefficients
         diff = diff.reshape((-1,) + diff.shape[-2:])
-        best = self.numerator.reshape(-1)  # a view: updated in place
-        field = SpectralField(domain, "SS", diff)
-        upper = self._scale * block_lp_bounds(field, self._weights, self.params.p, self._tables)
-        # A member whose difference is exactly zero (every member at t = 0)
-        # has only zero blocks.  A zero bound does not show that: its squares
-        # underflow for coefficients below ~1e-162.
-        live = diff.any(axis=(-2, -1))
-        members, rows = np.nonzero(~(upper < best[:, None]) & live[:, None])
-        terms = np.zeros(upper.shape)
-        for lo in range(0, members.size, _SYNTH_CHUNK):
-            m, r = members[lo : lo + _SYNTH_CHUNK], rows[lo : lo + _SYNTH_CHUNK]
-            blocks = synthesize(SpectralField(domain, "SS", diff[m] * self._weights[r]))
-            terms[m, r] = self._scale[r] * lp_norm(blocks, self.params.p)
-        self.evaluated += members.size
-        state_max = terms.max(axis=1)  # a nan block never raises the maximum
-        np.copyto(best, state_max, where=state_max > best)
+        field = SpectralField(self.theta0.domain, "SS", diff)
+        upper, lower = _block_bounds(field, self._weights, self.params.p, self._tables)
+        upper *= self._scale
+        lower *= self._scale
+        np.maximum(self._floor, lower.max(axis=1), out=self._floor)
+        keep = (upper >= np.maximum(self._floor, self._best)[:, None]) & (upper > 0)
+        for r in np.flatnonzero(keep.any(axis=0)).tolist():
+            members = np.flatnonzero(keep[:, r])
+            rows, cols = self._boxes[r]
+            crop = diff[members, rows, cols] * self._weights[r, rows, cols]
+            for held, item in zip(self._pending.setdefault(r, ([], [], [])), (members, upper[members, r], crop)):
+                held.append(item)
+            self._pending_size += crop.size
+        if self._pending_size > _PENDING_CAP:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Take the exact norms the pending blocks still need; empty the store.
+
+        Each member's blocks go in decreasing upper-bound order.  A round
+        synthesizes the largest next block of any member together with the
+        next block of every other member in the same row, at most
+        ``_SYNTH_CHUNK`` of them; a member is done once its next bound falls
+        below its best, since all its later bounds are lower still.
+        """
+        queues = {}  # member -> [(upper, row, crop)] in increasing order: the next block is last
+        for r, held in self._pending.items():
+            members, upper, crop = map(np.concatenate, held)
+            for m, u, c in zip(members.tolist(), upper.tolist(), crop):
+                queues.setdefault(m, []).append((u, r, c))
+        self._pending.clear()
+        self._pending_size = 0
+        for queue in queues.values():
+            queue.sort(key=lambda block: block[0])
+        best = self._best
+        while True:
+            heads = {m: q[-1] for m, q in queues.items() if q and q[-1][0] >= best[m]}
+            if not heads:
+                return
+            row = max(heads.values(), key=lambda block: block[0])[1]
+            chunk = sorted((m for m, h in heads.items() if h[1] == row), key=lambda m: -heads[m][0])[:_SYNTH_CHUNK]
+            self._evaluate(row, np.stack([queues[m].pop()[2] for m in chunk]), chunk)
+            queues = {m: queues[m] for m in heads}
+
+    def _evaluate(self, r: int, crop: np.ndarray, members: list) -> None:
+        """Exact weighted norms of the row-``r`` blocks ``crop``, one per member."""
+        coeffs = np.zeros((len(crop), *self._weights.shape[-2:]))
+        rows, cols = self._boxes[r]
+        coeffs[:, rows, cols] = crop
+        blocks = synthesize(SpectralField(self.theta0.domain, "SS", coeffs))
+        terms = self._scale[r] * lp_norm(blocks, self.params.p)
+        self._evaluated += len(crop)
+        self._best[members] = np.fmax(self._best[members], terms)  # a nan block never raises it
 
 
 def _duhamel_ratio(numerator: float, sup_l2: float) -> float:
-    return math.nan if sup_l2 == 0.0 else numerator / sup_l2**2
+    if sup_l2 == 0.0:
+        return math.nan
+    if sup_l2 < 2.0**-511:  # its square would leave the normal range
+        return numerator / sup_l2 / sup_l2
+    return numerator / sup_l2**2
 
 
 def verify_duhamel_growth(

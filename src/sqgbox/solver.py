@@ -236,6 +236,15 @@ def integrate(theta0: SpectralField, config: SolverConfig):
         last_l2 = np.where(np.isfinite(l2), l2, last_l2)
 
 
+def _orthogonality_residual(nl: SpectralField, theta: SpectralField, l2: float) -> float:
+    """|<N(theta), theta>| / ||theta||^2, 0 for a zero state; below 2^-511,
+    where the square of ``l2`` leaves the normal range, divided by it twice."""
+    if not l2 > 0:
+        return 0.0
+    inner = abs(spectral_inner(nl, theta))
+    return inner / l2 / l2 if l2 < 2.0**-511 else inner / l2**2
+
+
 @dataclass
 class TrajectoryRecord:
     domain: DomainSpec
@@ -263,7 +272,7 @@ def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
     for k, theta, nl, l2 in integrate(theta0, config):
         diag_times.append(k * config.dt)
         diag_l2.append(l2)
-        diag_orth.append(abs(spectral_inner(nl, theta)) / l2**2 if l2 > 0 else 0.0)
+        diag_orth.append(_orthogonality_residual(nl, theta, l2))
         if config.snapshot_due(k):
             times.append(k * config.dt)
             snapshots.append(theta.copy())

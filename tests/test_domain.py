@@ -308,6 +308,26 @@ def test_lp_norm_product_power_is_scaled_past_under_and_overflow(rect, rng, scal
         assert norm == top * (h1 * h2) ** (1.0 / 3.0) * float((a * (a * a)).sum()) ** (1.0 / 3.0)
 
 
+@pytest.mark.parametrize("parity", ["SS", "CS"])
+def test_l2_norms_are_rescaled_below_the_normal_range(rect, rng, parity):
+    # Squares of ~1e-170 underflow to 0: unscaled, both norms would read 0.
+    shape = (6, 10) if parity == "SS" else (7, 10)
+    u = SpectralField(rect, parity, rng.standard_normal(shape))
+    tiny = u * 1e-170
+    assert spectral_norm(tiny) == pytest.approx(1e-170 * spectral_norm(u), rel=1e-15, abs=0.0)
+    grid = synthesize(u, (33, 57))
+    got = lp_norm(GridField(rect, grid.values * 1e-170), 2.0)
+    assert got == pytest.approx(1e-170 * lp_norm(grid, 2.0), rel=1e-15, abs=0.0)
+    # in a stack, each member gets the bits it gets alone, and a normal-range
+    # member keeps its unscaled bits
+    stack = SpectralField(rect, parity, np.stack([tiny.coefficients, u.coefficients, 0.0 * u.coefficients]))
+    assert spectral_norm(stack).tolist() == [spectral_norm(tiny), math.sqrt(spectral_inner(u, u)), 0.0]
+    values = synthesize(stack, (33, 57)).values
+    alone = [lp_norm(GridField(rect, v), 2.0) for v in values]
+    assert lp_norm(GridField(rect, values), 2.0).tolist() == alone
+    assert alone[1] == math.sqrt(inner_product(GridField(rect, values[1]), GridField(rect, values[1])))
+
+
 def test_lp_norm_at_huge_and_fractional_p_keeps_np_power():
     # p = 1e308 (2p is infinite) and p = 7.25 stay on np.power, bit for bit
     # on any numpy kernel; the literals are the values before the product path

@@ -33,6 +33,7 @@ from sqgbox import (
     heat_semigroup,
     heat_smoothing_study,
     holder_target,
+    integrate,
     lambda_table,
     laplacian,
     lp_norm,
@@ -45,6 +46,7 @@ from sqgbox import (
     sample_field,
     simulate,
     single_block_sample,
+    spectral_norm,
     symmetrized_product,
     synthesize,
     synthesize_gradient,
@@ -56,6 +58,7 @@ from sqgbox import (
     verify_product_decomposition,
 )
 from sqgbox import harness
+from sqgbox.besov import block_scales
 from sqgbox.harness import _validate_bilinear_params
 
 
@@ -487,6 +490,125 @@ def test_duhamel_supremum_takes_no_block_at_the_initial_time(square16, p):
     sup.add(0.0, tiny + unit_mode(square16, 2, 3, 1e-170))
     exact = besov_norm(unit_mode(square16, 2, 3, 1e-170), sup.params)[0]
     assert sup.evaluated > 0 and float(sup.numerator) == exact > 0.0
+
+
+def _duhamel_run(domain, p, cfg=SolverConfig(1e-3, 0.02)):
+    """Feed a DuhamelSupremum every state of the stepped ``_duhamel_members``
+    stack; returns it with the (t, difference) pairs it was given."""
+    stack = _duhamel_members(domain)
+    sup = DuhamelSupremum(stack, p)
+    diffs = []
+    for k, state, _, _ in integrate(stack, cfg):
+        t = k * cfg.dt
+        sup.add(t, state)
+        diffs.append(state.coefficients - heat_semigroup(stack, t).coefficients)
+    return sup, diffs
+
+
+def _duhamel_upper_bounds(domain, p, diff):
+    """2^{js} times ``block_lp_bounds`` of every live block of each member of
+    ``diff``: the reducer's upper bounds."""
+    table = dyadic_table(domain, diff.shape[-2:], DyadicProfile())
+    scale = block_scales(table.js, -1.0 + 2.0 / p)[table.live]
+    return scale * block_lp_bounds(SpectralField(domain, "SS", diff), table.weights[table.live], p)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e150])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0, math.inf])
+def test_duhamel_block_bounds_enclose_the_grid_norm(rect, rng, p, scale):
+    # at most ~1e153 on the grid, whose squares still sum below the overflow
+    coeff = rng.standard_normal((5, 6, 10)) * rng.uniform(1e-3, 1.0, (5, 1, 1))
+    coeff[2] = 0.0  # a zero member: both bounds 0
+    field = SpectralField(rect, "SS", coeff * scale)
+    table = dyadic_table(rect, field.band, DyadicProfile())
+    weights = table.weights[table.live]
+    upper, lower = harness._block_bounds(field, weights, p)
+    np.testing.assert_array_equal(upper, block_lp_bounds(field, weights, p))
+    assert not np.any(upper[2]) and not np.any(lower[2])
+    blocks = SpectralField(rect, "SS", field.coefficients[:, None] * weights)
+    for grid in (None, (41, 29)):
+        exact = lp_norm(synthesize(blocks, grid), p)
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+    if scale == 1.0:  # in the normal range both bounds hold within a factor, at p = 2 within round-off
+        live = np.delete(np.arange(5), 2)
+        factor = 1.0 + 1e-8 if p == 2 else 16.0
+        assert np.all(exact[live] <= factor * lower[live]) and np.all(upper[live] <= factor * exact[live])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_duhamel_supremum_takes_the_offline_minimum(square16, p):
+    # The fewest exact norms these bounds allow: every nonzero block whose
+    # upper bound reaches its member's final supremum needs its exact norm.
+    sup, diffs = _duhamel_run(square16, p)
+    final = np.ravel(sup.numerator)
+    uppers = np.stack([_duhamel_upper_bounds(square16, p, d) for d in diffs])
+    needed = int(np.sum((uppers >= final[:, None]) & (uppers > 0)))
+    assert sup.evaluated == needed < uppers.size // 4
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
+def test_duhamel_numerator_read_after_every_add_is_the_running_supremum(square16, p):
+    stack = _duhamel_members(square16)
+    params = BesovParams(-1.0 + 2.0 / p, p, math.inf)
+    sup = DuhamelSupremum(stack, p)
+    running = np.zeros(len(stack.coefficients))
+    cfg = SolverConfig(1e-3, 0.02)
+    for k, state, _, _ in integrate(stack, cfg):
+        t = k * cfg.dt
+        sup.add(t, state)
+        diff = state.coefficients - heat_semigroup(stack, t).coefficients
+        reference = [besov_norm(SpectralField(square16, "SS", d), params)[0] for d in diff]
+        running = np.maximum(running, reference)
+        np.testing.assert_array_equal(sup.numerator, running)
+
+
+@pytest.mark.parametrize("p", [1.5, math.inf])
+def test_duhamel_pending_store_stays_under_its_cap(square16, monkeypatch, p):
+    free, _ = _duhamel_run(square16, p)
+    monkeypatch.setattr(harness, "_PENDING_CAP", 30)  # three 3x3 blocks and three 1x1
+    stack = _duhamel_members(square16)
+    sup = DuhamelSupremum(stack, p)
+    cfg = SolverConfig(1e-3, 0.02)
+    for k, state, _, _ in integrate(stack, cfg):
+        sup.add(k * cfg.dt, state)
+        assert sup._pending_size <= 30
+    np.testing.assert_array_equal(sup.numerator, free.numerator)
+    assert sup.evaluated > free.evaluated  # the early flushes met lower bests
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_duhamel_supremum_keeps_its_bits_for_tiny_and_huge_differences(square16, p):
+    params = BesovParams(-1.0 + 2.0 / p, p, math.inf)
+    # Two modes at 1e-100: the differences at t = dt lie below 1e-204, so
+    # their squares underflow and their bounds must not read 0.
+    theta0 = unit_mode(square16, 1, 1, 0.3e-100) + unit_mode(square16, 1, 2, -0.4e-100)
+    traj = simulate(theta0, SolverConfig(1e-3, 0.005))
+    states = list(zip(traj.times.tolist(), traj.snapshots))
+    first = states[1][1] - heat_semigroup(theta0, states[1][0])
+    assert 0.0 < np.abs(first.coefficients).max() < 1e-200
+    bounds = _duhamel_upper_bounds(square16, p, first.coefficients)
+    assert np.all(np.isin(bounds, [0.0, math.inf])) and bounds.max() == math.inf  # 0 for a zero block only
+    # At 1e150 the squares of the differences (~1e147) still fit.
+    g = sample_field(SPEC, square16, 1) * 1e150
+    big = sample_field(SPEC, square16, 0) * 1e150
+    cases = [(theta0, states), (big, [(t, heat_semigroup(big, t) + g * t) for t in (0.0, 1e-3, 2e-3, 5e-3)])]
+    for theta0, states in cases:
+        sup = DuhamelSupremum(theta0, p)
+        reference = 0.0
+        for t, state in states:
+            sup.add(t, state)
+            reference = max(reference, besov_norm(state - heat_semigroup(theta0, t), params)[0])
+        assert float(sup.numerator) == reference > 0.0
+
+
+def test_duhamel_growth_of_a_trajectory_below_the_normal_range(square16):
+    # ||theta||_2 ~ 1e-170 has a square below the smallest normal float.
+    theta0 = unit_mode(square16, 1, 1, 0.5e-170) + unit_mode(square16, 1, 2, -0.3e-170)
+    traj = simulate(theta0, SolverConfig(1e-3, 0.01))
+    assert np.all(traj.diag_l2 > 0.0)
+    np.testing.assert_allclose(traj.diag_l2[0], 1e-170 * spectral_norm(theta0 * 1e170), rtol=1e-15)
+    ratio, details = verify_duhamel_growth(traj, 1.5)
+    assert math.isfinite(ratio) and details["sup_l2"] > 0.0
 
 
 def test_initial_smallness_curve_oracle(square16):
