@@ -500,6 +500,12 @@ def _root_sum_squares(v: np.ndarray, sum_squares):
     return float(np.ravel(norms)[0]) if v.ndim == 2 else norms
 
 
+def _over_square(x: float, norm: float) -> float:
+    """x / norm^2 for a positive norm; below 2^-511, where the square of
+    ``norm`` leaves the normal range, x divided by it twice."""
+    return x / norm / norm if norm < 2.0**-511 else x / norm**2
+
+
 def inner_product(a: GridField, b: GridField) -> float:
     """Quadrature L2 pairing of two grid fields on the same grid."""
     if a.domain != b.domain:

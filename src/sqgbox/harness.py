@@ -22,16 +22,15 @@ for the factors), stacks every table over the samples, and aggregates it
 with one ``besov_aggregate`` call per (s, p, q, field, grid).
 
 The Duhamel supremum is a branch and bound over the whole run
-(``DuhamelSupremum``), for one trajectory or for a stacked ensemble stepped
-by ``solver.integrate`` (``duhamel_ensemble``).  Each block of
-theta(t) - e^{t Delta} theta0 gets coefficient-space upper and lower bounds
-on its grid L^p norm from one Parseval sum and one sum |c| (``_block_bounds``;
-``block_lp_bounds`` is the upper one), with round-off margins 1 +- 1e-9.
-Blocks whose weighted upper bound reaches the member's largest lower bound
-are kept, cropped to their support box, and synthesized for their exact norm
-only when the supremum is read: largest bound first, so a block whose bound
-the supremum has passed is never synthesized, and the reported supremum
-keeps every bit.
+(``DuhamelSupremum``), fed by ``duhamel_ensemble`` as ``solver.integrate``
+steps a stacked ensemble.  Each block of theta(t) - e^{t Delta} theta0 gets
+coefficient-space upper and lower bounds on its grid L^p norm from one
+Parseval sum and one sum |c| (``_block_bounds``), with round-off margins
+1 +- 1e-9.  Blocks whose weighted upper bound reaches the member's largest
+lower bound are kept, cropped to their support box, and synthesized for
+their exact norm only when the supremum is read: largest bound first, so a
+block whose bound the supremum has passed is never synthesized, and the
+reported supremum keeps every bit.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from .domain import (
     spectral_norm,
     synthesize,
     synthesize_gradient,
+    _over_square,
 )
 from .multipliers import (
     C0,
@@ -363,50 +363,46 @@ def verify_derivative_structure(
     return num / denom, head + tail
 
 
-# Relative margins of ``block_lp_bounds`` and ``_block_bounds`` over the
-# round-off of the grid norms they bound; the most blocks the Duhamel reducer
-# synthesizes at once (16 keeps a default-grid chunk at 0.5 MB); and the most
-# coefficients it holds in pending blocks before it takes their exact norms
-# (512 kB; the default verify-duhamel holds at most 14,400).
+# Relative margins of ``_block_bounds`` over the round-off of the grid norms
+# it bounds; the most blocks the Duhamel reducer synthesizes at once (16 keeps
+# a default-grid chunk at 0.5 MB); and the most coefficients it holds in
+# pending blocks before it drops those it has passed and, if still over,
+# takes their exact norms (512 kB; the default verify-duhamel holds at most
+# 14,400).
 _BOUND_MARGIN = 1.0 + 1e-9
 _LOWER_MARGIN = 1.0 - 1e-9
 _SYNTH_CHUNK = 16
 _PENDING_CAP = 1 << 16
 
 
-def _weight_tables(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|weights| and its square, one flattened row per block, transposed:
-    the right factors of ``block_lp_bounds``."""
-    w = np.abs(weights).reshape(len(weights), -1)
-    return w.T, (w * w).T
-
-
 def _block_bounds(
-    field: SpectralField, weights: np.ndarray, p: float, tables: tuple[np.ndarray, np.ndarray] | None = None
+    c: np.ndarray, area: float, p: float, tables: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, lower) bounds on the grid L^p norm of each block of
-    ``block_lp_bounds``, from one Parseval sum and one sum |c| per block.
+    """(upper, lower) bounds U[k, j], L[k, j] on the grid L^p norm of the
+    block with coefficients ``c[k] * weights[j]``, from one Parseval sum and
+    one sum |c| per block.  ``c`` holds flattened coefficient rows (K, b1*b2)
+    of a domain of area ``area`` = L1*L2, and ``tables`` = (|w|^T, (w*w)^T)
+    the flattened weights, one column per block.
 
-    With ||.||_2^2 the Parseval sum, sum |c| >= max|.| and |Omega| above the
-    grid's measure, the lower bound is
-      p < 2:   (||.||_2^2 / (sum |c|)^{2-p})^{1/p}   (||.||_2^2 <= max^{2-p} ||.||_p^p),
-      p >= 2:  |Omega|^{1/p - 1/2} ||.||_2   (Hoelder on a measure < |Omega|),
-    times 1 - 1e-9.  Where a sum or a bound leaves the normal float range,
-    its squares underflowed or overflowed and it shows nothing: the upper
-    bound is then inf, and the lower 0.  The upper bound is 0 only for a
-    zero block.
+    Valid on any grid that resolves the band.  With ||.||_2^2 the Parseval
+    sum, which equals the grid L2 norm squared for modes <= N, sum |c| >= max|.|
+    and |Omega| above the grid's measure:
+      upper, p <= 2:  |Omega|^{1/p - 1/2} ||.||_2   (Hoelder on a measure < |Omega|),
+      upper, p >= 2:  (sum |c|)^{1 - 2/p} ||.||_2^{2/p},
+      lower, p < 2:   (||.||_2^2 / (sum |c|)^{2-p})^{1/p}   (||.||_2^2 <= max^{2-p} ||.||_p^p),
+      lower, p >= 2:  |Omega|^{1/p - 1/2} ||.||_2,
+    times 1 + 1e-9 and 1 - 1e-9.  Where a sum or a bound leaves the normal
+    float range (coefficients below ~1e-154 or above ~1e154), its squares
+    underflowed or overflowed and it shows nothing: the upper bound is then
+    inf, and the lower 0.  The upper bound is 0 only for a zero block.
     """
-    if not p >= 1:
-        raise ValueError("p must be >= 1 or inf")
-    dom = field.domain
-    c = field.coefficients.reshape(field.coefficients.shape[:-2] + (-1,))
-    w_t, w2_t = _weight_tables(weights) if tables is None else tables
+    w_t, w2_t = tables
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # masked below
         squares = (c * c) @ w2_t
         l1 = np.abs(c) @ w_t
-        parseval = (dom.L1 * dom.L2 / 4.0) * squares
+        parseval = (area / 4.0) * squares
         l2 = np.sqrt(parseval)
-        hoelder = (dom.L1 * dom.L2) ** (1.0 / p - 0.5) * l2
+        hoelder = area ** (1.0 / p - 0.5) * l2
         upper = hoelder if p <= 2 else l1 ** (1.0 - 2.0 / p) * l2 ** (2.0 / p)
         if p < 2:
             power = parseval / l1 ** (2.0 - p)  # bounds ||.||_p^p from below
@@ -421,26 +417,6 @@ def _block_bounds(
     zero = ~(l1 > 0)  # every |c w| rounded to 0: the block's coefficients are zero too
     upper = np.where(fit, upper * _BOUND_MARGIN, np.where(zero, 0.0, math.inf))
     return upper, np.where(fit, lower * _LOWER_MARGIN, 0.0)
-
-
-def block_lp_bounds(
-    field: SpectralField, weights: np.ndarray, p: float, tables: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """Upper bounds U[..., j] on the grid L^p norm of the block with
-    coefficients ``field.coefficients * weights[j]``, from coefficients alone.
-
-    Valid on any grid that resolves the band.  With ||.||_2 from Parseval,
-    which equals the grid L2 norm for modes <= N:
-      p <= 2:  |Omega|^{1/p - 1/2} ||.||_2   (Hoelder on a measure < |Omega|),
-      p >= 2:  (sum |c|)^{1 - 2/p} ||.||_2^{2/p}   (sum |c| bounds the maximum),
-    each times 1 + 1e-9 against round-off; inf where the Parseval sum or the
-    bound leaves the normal float range (coefficients below ~1e-154 or above
-    ~1e154), and 0 only for a zero block.  Shape: the stack axes of
-    ``field`` followed by one axis over the rows of ``weights``.
-    ``tables`` is ``_weight_tables(weights)``, which a caller that bounds
-    many fields against the same weights builds once.
-    """
-    return _block_bounds(field, weights, p, tables)[0]
 
 
 def _support_box(weights: np.ndarray) -> tuple[slice, slice]:
@@ -461,15 +437,17 @@ class DuhamelSupremum:
     bound seen, and only a nonzero block whose upper bound reaches
     max(floor, best), best being the member's largest exact value so far, is
     kept as pending: its weighted coefficients, cropped to its row's support
-    box.  Exact norms are taken only when ``numerator`` or ``evaluated`` is
-    read, or when the pending coefficients pass ``_PENDING_CAP``: in
-    decreasing upper-bound order, in same-row chunks of distinct members,
-    each block padded back to the full band so that its ``synthesize`` and
-    ``lp_norm`` keep the bits of a full evaluation.  A block whose bound has
-    fallen below its member's best is skipped.  Every dropped block lies
-    below an exact value, so the supremum keeps every bit; without a cap
-    flush, ``evaluated`` (the exact block norms taken) is the count of blocks
-    whose upper bound reaches their member's final supremum.
+    box.  When the pending coefficients pass ``_PENDING_CAP``, the blocks
+    whose bound has fallen below their member's max(floor, best) are
+    dropped.  Exact norms are taken only when ``numerator`` or ``evaluated``
+    is read, or when the store is still over the cap: in decreasing
+    upper-bound order, in same-row chunks of distinct members, each block
+    padded back to the full band so that its ``synthesize`` and ``lp_norm``
+    keep the bits of a full evaluation.  A block whose bound has fallen
+    below its member's best is skipped.  Every dropped block lies below an
+    exact value, so the supremum keeps every bit; without a cap flush,
+    ``evaluated`` (the exact block norms taken) is the count of blocks whose
+    upper bound reaches their member's final supremum.
     """
 
     def __init__(self, theta0: SpectralField, p: float, profile: DyadicProfile | None = None):
@@ -479,7 +457,9 @@ class DuhamelSupremum:
         self.theta0 = theta0
         table = dyadic_table(theta0.domain, theta0.band, profile)
         self._weights = table.weights[table.live]
-        self._tables = _weight_tables(self._weights)  # built once, not on every add
+        w = np.abs(self._weights).reshape(len(self._weights), -1)
+        self._tables = (w.T, (w * w).T)  # the right factors of ``_block_bounds``, built once
+        self._area = theta0.domain.L1 * theta0.domain.L2
         self._boxes = [_support_box(w) for w in self._weights]
         self._scale = block_scales(table.js, self.params.s)[table.live]
         self._shape = theta0.coefficients.shape[:-2]
@@ -503,8 +483,7 @@ class DuhamelSupremum:
     def add(self, t: float, state: SpectralField) -> None:
         diff = state.coefficients - heat_semigroup(self.theta0, t).coefficients
         diff = diff.reshape((-1,) + diff.shape[-2:])
-        field = SpectralField(self.theta0.domain, "SS", diff)
-        upper, lower = _block_bounds(field, self._weights, self.params.p, self._tables)
+        upper, lower = _block_bounds(diff.reshape(len(diff), -1), self._area, self.params.p, self._tables)
         upper *= self._scale
         lower *= self._scale
         np.maximum(self._floor, lower.max(axis=1), out=self._floor)
@@ -517,7 +496,23 @@ class DuhamelSupremum:
                 held.append(item)
             self._pending_size += crop.size
         if self._pending_size > _PENDING_CAP:
+            self._prune()
+        if self._pending_size > _PENDING_CAP:
             self._flush()
+
+    def _prune(self) -> None:
+        """Drop the pending blocks whose upper bound lies below their
+        member's max(floor, best); their exact norms cannot reach it."""
+        bar = np.maximum(self._floor, self._best)
+        self._pending_size = 0
+        for r, held in list(self._pending.items()):
+            members, upper, crop = map(np.concatenate, held)
+            keep = upper >= bar[members]
+            if keep.any():
+                self._pending[r] = ([members[keep]], [upper[keep]], [crop[keep]])
+                self._pending_size += crop[keep].size
+            else:
+                del self._pending[r]
 
     def _flush(self) -> None:
         """Take the exact norms the pending blocks still need; empty the store.
@@ -559,35 +554,19 @@ class DuhamelSupremum:
 
 
 def _duhamel_ratio(numerator: float, sup_l2: float) -> float:
-    if sup_l2 == 0.0:
-        return math.nan
-    if sup_l2 < 2.0**-511:  # its square would leave the normal range
-        return numerator / sup_l2 / sup_l2
-    return numerator / sup_l2**2
-
-
-def verify_duhamel_growth(
-    traj: TrajectoryRecord, p: float, profile: DyadicProfile | None = None
-) -> tuple[float, dict]:
-    """sup_t ||theta(t) - e^{t Delta} theta0||_{B^{-1+2/p}_{p,inf}} divided by
-    (sup_t ||theta(t)||_2)^2; nan when the trajectory is identically zero."""
-    theta0 = traj.snapshots[0]
-    sup = DuhamelSupremum(theta0, p, profile)
-    for t, snap in zip(traj.times, traj.snapshots):
-        sup.add(float(t), snap)
-    num = float(sup.numerator)
-    sup_l2 = float(np.max(traj.diag_l2)) if len(traj.diag_l2) else spectral_norm(theta0)
-    details = {"numerator": num, "sup_l2": sup_l2, "s": sup.params.s}
-    return _duhamel_ratio(num, sup_l2), details
+    return math.nan if sup_l2 == 0.0 else _over_square(numerator, sup_l2)
 
 
 def duhamel_ensemble(
     theta0: SpectralField, config: SolverConfig, p: float, profile: DyadicProfile | None = None
 ) -> list[float]:
-    """``verify_duhamel_growth(simulate(member, config), p)`` for every member
-    of the stacked ``theta0`` (flat stack order), with the same bits: one
-    ``integrate`` run steps the stack and feeds ``DuhamelSupremum`` as it
-    goes, so no trajectory is stored."""
+    """sup_t ||theta(t) - e^{t Delta} theta0||_{B^{-1+2/p}_{p,inf}} divided by
+    (sup_t ||theta(t)||_2)^2 for every member of the stacked ``theta0`` (flat
+    stack order), nan for a member that is identically zero.  The numerator
+    is taken over the snapshot times of ``config``, the L2 supremum over
+    every step: one ``integrate`` run steps the stack and feeds
+    ``DuhamelSupremum`` as it goes, so no trajectory is stored, and each
+    member keeps the bits it gets alone."""
     sup = DuhamelSupremum(theta0, p, profile)
     sup_l2 = None
     for k, state, _, l2 in integrate(theta0, config):

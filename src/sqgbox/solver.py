@@ -63,6 +63,7 @@ from .domain import (
     write_field,
     _analysis,
     _gradient_tables,
+    _over_square,
 )
 from .multipliers import fractional_power, heat_semigroup, multiplier_table
 
@@ -237,12 +238,8 @@ def integrate(theta0: SpectralField, config: SolverConfig):
 
 
 def _orthogonality_residual(nl: SpectralField, theta: SpectralField, l2: float) -> float:
-    """|<N(theta), theta>| / ||theta||^2, 0 for a zero state; below 2^-511,
-    where the square of ``l2`` leaves the normal range, divided by it twice."""
-    if not l2 > 0:
-        return 0.0
-    inner = abs(spectral_inner(nl, theta))
-    return inner / l2 / l2 if l2 < 2.0**-511 else inner / l2**2
+    """|<N(theta), theta>| / ||theta||^2, 0 for a zero state."""
+    return _over_square(abs(spectral_inner(nl, theta)), l2) if l2 > 0 else 0.0
 
 
 @dataclass

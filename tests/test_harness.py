@@ -21,7 +21,6 @@ from sqgbox import (
     analyze,
     besov_norm,
     bilinear_battery,
-    block_lp_bounds,
     block_lp_norms,
     dealias_grid,
     duhamel_ensemble,
@@ -53,7 +52,6 @@ from sqgbox import (
     uniqueness_experiment,
     unit_mode,
     verify_derivative_structure,
-    verify_duhamel_growth,
     verify_initial_smallness,
     verify_product_decomposition,
 )
@@ -390,6 +388,28 @@ def test_derivative_structure_rejects_a_zero_field(square16):
             verify_derivative_structure(*pair)
 
 
+def verify_duhamel_growth(traj, p):
+    """The Duhamel ratio of one stored trajectory, its states fed to a
+    ``DuhamelSupremum`` one by one: the per-trajectory reference that
+    ``duhamel_ensemble`` must match bit for bit."""
+    theta0 = traj.snapshots[0]
+    sup = DuhamelSupremum(theta0, p)
+    for t, snap in zip(traj.times, traj.snapshots):
+        sup.add(float(t), snap)
+    num = float(sup.numerator)
+    sup_l2 = float(np.max(traj.diag_l2)) if len(traj.diag_l2) else spectral_norm(theta0)
+    return harness._duhamel_ratio(num, sup_l2), {"numerator": num, "sup_l2": sup_l2}
+
+
+def block_lp_bounds(field, weights, p):
+    """Upper bounds U[..., j] from ``harness._block_bounds`` on the grid L^p
+    norm of the block with coefficients ``field.coefficients * weights[j]``,
+    with the weight tables built here, not by ``DuhamelSupremum``."""
+    w = np.abs(weights).reshape(len(weights), -1)
+    c = field.coefficients.reshape(field.coefficients.shape[:-2] + (-1,))
+    return harness._block_bounds(c, field.domain.L1 * field.domain.L2, p, (w.T, (w * w).T))[0]
+
+
 def test_duhamel_growth_heat_only(square16):
     # eigenfunction trajectory: theta(t) equals the heat flow, numerator ~ 0
     traj = simulate(unit_mode(square16, 1, 1), SolverConfig(1e-3, 0.01))
@@ -520,9 +540,10 @@ def test_duhamel_block_bounds_enclose_the_grid_norm(rect, rng, p, scale):
     coeff = rng.standard_normal((5, 6, 10)) * rng.uniform(1e-3, 1.0, (5, 1, 1))
     coeff[2] = 0.0  # a zero member: both bounds 0
     field = SpectralField(rect, "SS", coeff * scale)
-    table = dyadic_table(rect, field.band, DyadicProfile())
-    weights = table.weights[table.live]
-    upper, lower = harness._block_bounds(field, weights, p)
+    sup = DuhamelSupremum(field, p)  # the reducer's own weights and tables
+    weights = sup._weights
+    upper, lower = harness._block_bounds(field.coefficients.reshape(5, -1), rect.L1 * rect.L2, p, sup._tables)
+    assert upper.shape == lower.shape == (5, len(weights))
     np.testing.assert_array_equal(upper, block_lp_bounds(field, weights, p))
     assert not np.any(upper[2]) and not np.any(lower[2])
     blocks = SpectralField(rect, "SS", field.coefficients[:, None] * weights)
@@ -562,18 +583,28 @@ def test_duhamel_numerator_read_after_every_add_is_the_running_supremum(square16
         np.testing.assert_array_equal(sup.numerator, running)
 
 
-@pytest.mark.parametrize("p", [1.5, math.inf])
-def test_duhamel_pending_store_stays_under_its_cap(square16, monkeypatch, p):
+@pytest.mark.parametrize(
+    "p, cap, evaluated",
+    [
+        pytest.param(1.5, 30, 101, id="1.5"),  # three 3x3 blocks and three 1x1: a flush on every add
+        pytest.param(math.inf, 30, 147, id="inf"),
+        # At p = 1 the full-band member fills the store with blocks that the
+        # floor passes later on; a full store drops them before it takes norms.
+        pytest.param(1.0, 6000, 54, id="1.0-cap6000"),  # 63 when a full store flushed at once
+        pytest.param(1.0, 16000, 47, id="1.0-cap16000"),  # no flush: 66 when a full store flushed at once
+    ],
+)
+def test_duhamel_pending_store_stays_under_its_cap(square16, monkeypatch, p, cap, evaluated):
     free, _ = _duhamel_run(square16, p)
-    monkeypatch.setattr(harness, "_PENDING_CAP", 30)  # three 3x3 blocks and three 1x1
+    monkeypatch.setattr(harness, "_PENDING_CAP", cap)
     stack = _duhamel_members(square16)
     sup = DuhamelSupremum(stack, p)
     cfg = SolverConfig(1e-3, 0.02)
     for k, state, _, _ in integrate(stack, cfg):
         sup.add(k * cfg.dt, state)
-        assert sup._pending_size <= 30
+        assert sup._pending_size <= cap
     np.testing.assert_array_equal(sup.numerator, free.numerator)
-    assert sup.evaluated > free.evaluated  # the early flushes met lower bests
+    assert sup.evaluated == evaluated >= free.evaluated  # a flush meets lower bests: never fewer
 
 
 @pytest.mark.parametrize("p", [1.5, 4.0])
