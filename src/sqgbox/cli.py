@@ -668,6 +668,8 @@ def _cmd_besov_norm(cfg: dict, written: dict) -> int:
             # the domain rules and size cap that parse_config applies to a config
             if max(field.domain.grid) > MAX_GRID:
                 raise ValueError(f"grid {list(field.domain.grid)} exceeds {MAX_GRID} points per axis")
+            if not _inside(field.domain.grid, [field.band]):
+                raise ValueError(f"grid {list(field.domain.grid)} must resolve the band {list(field.band)}")
             lengths = field.domain.lengths
             if not (0 < _eigenvalue(lengths, (1, 1)) and math.isfinite(_eigenvalue(lengths, field.band))):
                 raise ValueError("lengths must give a positive first eigenvalue and a finite one at the top of the band")

@@ -27,10 +27,10 @@ steps a stacked ensemble.  Each block of theta(t) - e^{t Delta} theta0 gets
 coefficient-space upper and lower bounds on its grid L^p norm from one
 Parseval sum and one sum |c| (``_block_bounds``), with round-off margins
 1 +- 1e-9.  Blocks whose weighted upper bound reaches the member's largest
-lower bound are kept, cropped to their support box, and synthesized for
-their exact norm only when the supremum is read: largest bound first, so a
-block whose bound the supremum has passed is never synthesized, and the
-reported supremum keeps every bit.
+lower bound are kept in the member's own list, cropped to their support
+box, and synthesized for their exact norm only when the supremum is read:
+largest bound first, so a block whose bound the supremum has passed is
+never synthesized, and the reported supremum keeps every bit.
 """
 
 from __future__ import annotations
@@ -364,14 +364,11 @@ def verify_derivative_structure(
 
 
 # Relative margins of ``_block_bounds`` over the round-off of the grid norms
-# it bounds; the most blocks the Duhamel reducer synthesizes at once (16 keeps
-# a default-grid chunk at 0.5 MB); and the most coefficients it holds in
-# pending blocks before it drops those it has passed and, if still over,
-# takes their exact norms (512 kB; the default verify-duhamel holds at most
-# 14,400).
+# it bounds, and the most coefficients the Duhamel reducer holds in pending
+# blocks before it drops those it has passed and, if still over, takes their
+# exact norms (512 kB; the default verify-duhamel holds at most 14,400).
 _BOUND_MARGIN = 1.0 + 1e-9
 _LOWER_MARGIN = 1.0 - 1e-9
-_SYNTH_CHUNK = 16
 _PENDING_CAP = 1 << 16
 
 
@@ -436,18 +433,19 @@ class DuhamelSupremum:
     ``_block_bounds`` of each.  A member's floor rises to the largest lower
     bound seen, and only a nonzero block whose upper bound reaches
     max(floor, best), best being the member's largest exact value so far, is
-    kept as pending: its weighted coefficients, cropped to its row's support
-    box.  When the pending coefficients pass ``_PENDING_CAP``, the blocks
-    whose bound has fallen below their member's max(floor, best) are
-    dropped.  Exact norms are taken only when ``numerator`` or ``evaluated``
-    is read, or when the store is still over the cap: in decreasing
-    upper-bound order, in same-row chunks of distinct members, each block
-    padded back to the full band so that its ``synthesize`` and ``lp_norm``
-    keep the bits of a full evaluation.  A block whose bound has fallen
-    below its member's best is skipped.  Every dropped block lies below an
-    exact value, so the supremum keeps every bit; without a cap flush,
-    ``evaluated`` (the exact block norms taken) is the count of blocks whose
-    upper bound reaches their member's final supremum.
+    kept in the member's pending list: its bound, its row and its weighted
+    coefficients, cropped to its row's support box.  When the pending
+    coefficients pass ``_PENDING_CAP``, the blocks whose bound has fallen
+    below their member's max(floor, best) are dropped.  Exact norms are
+    taken only when ``numerator`` or ``evaluated`` is read, or when the
+    store is still over the cap: each member's blocks in decreasing
+    upper-bound order, each padded back to the full band so that its
+    ``synthesize`` and ``lp_norm`` keep the bits of a full evaluation.  A
+    block whose bound has fallen below its member's best is skipped.  Every
+    dropped block lies below an exact value, so the supremum keeps every
+    bit; without a cap flush, ``evaluated`` (the exact block norms taken) is
+    the count of blocks whose upper bound reaches their member's final
+    supremum.
     """
 
     def __init__(self, theta0: SpectralField, p: float, profile: DyadicProfile | None = None):
@@ -466,8 +464,7 @@ class DuhamelSupremum:
         self._best = np.zeros(math.prod(self._shape))
         self._floor = np.zeros_like(self._best)
         self._evaluated = 0
-        # row -> (member indices, upper bounds, cropped coefficients), one of each per add
-        self._pending: dict[int, tuple[list, list, list]] = {}
+        self._pending = [[] for _ in self._best]  # per member: (upper bound, row, cropped coefficients)
         self._pending_size = 0  # coefficients held
 
     @property
@@ -492,8 +489,8 @@ class DuhamelSupremum:
             members = np.flatnonzero(keep[:, r])
             rows, cols = self._boxes[r]
             crop = diff[members, rows, cols] * self._weights[r, rows, cols]
-            for held, item in zip(self._pending.setdefault(r, ([], [], [])), (members, upper[members, r], crop)):
-                held.append(item)
+            for m, u, c in zip(members.tolist(), upper[members, r].tolist(), crop):
+                self._pending[m].append((u, r, c))
             self._pending_size += crop.size
         if self._pending_size > _PENDING_CAP:
             self._prune()
@@ -502,54 +499,36 @@ class DuhamelSupremum:
 
     def _prune(self) -> None:
         """Drop the pending blocks whose upper bound lies below their
-        member's max(floor, best); their exact norms cannot reach it."""
-        bar = np.maximum(self._floor, self._best)
-        self._pending_size = 0
-        for r, held in list(self._pending.items()):
-            members, upper, crop = map(np.concatenate, held)
-            keep = upper >= bar[members]
-            if keep.any():
-                self._pending[r] = ([members[keep]], [upper[keep]], [crop[keep]])
-                self._pending_size += crop[keep].size
-            else:
-                del self._pending[r]
+        member's max(floor, best); their exact norms cannot reach it.  A
+        kept crop is copied out of the array ``add`` stacked it in, so that
+        array is freed with the blocks dropped from it."""
+        bar = np.maximum(self._floor, self._best).tolist()
+        self._pending = [[(u, r, c.copy()) for u, r, c in held if u >= b] for held, b in zip(self._pending, bar)]
+        self._pending_size = sum(block[2].size for held in self._pending for block in held)
 
     def _flush(self) -> None:
         """Take the exact norms the pending blocks still need; empty the store.
 
         Each member's blocks go in decreasing upper-bound order.  A round
-        synthesizes the largest next block of any member together with the
-        next block of every other member in the same row, at most
-        ``_SYNTH_CHUNK`` of them; a member is done once its next bound falls
-        below its best, since all its later bounds are lower still.
+        synthesizes the next block of every member still running; a member
+        is done once its next bound falls below its best, since all its
+        later bounds are lower still.
         """
-        queues = {}  # member -> [(upper, row, crop)] in increasing order: the next block is last
-        for r, held in self._pending.items():
-            members, upper, crop = map(np.concatenate, held)
-            for m, u, c in zip(members.tolist(), upper.tolist(), crop):
-                queues.setdefault(m, []).append((u, r, c))
-        self._pending.clear()
-        self._pending_size = 0
-        for queue in queues.values():
-            queue.sort(key=lambda block: block[0])
-        best = self._best
-        while True:
-            heads = {m: q[-1] for m, q in queues.items() if q and q[-1][0] >= best[m]}
-            if not heads:
-                return
-            row = max(heads.values(), key=lambda block: block[0])[1]
-            chunk = sorted((m for m, h in heads.items() if h[1] == row), key=lambda m: -heads[m][0])[:_SYNTH_CHUNK]
-            self._evaluate(row, np.stack([queues[m].pop()[2] for m in chunk]), chunk)
-            queues = {m: queues[m] for m in heads}
+        queues, self._pending, self._pending_size = self._pending, [[] for _ in self._best], 0
+        for queue in queues:
+            queue.sort(key=lambda block: block[0])  # increasing: the next block is last
+        running = range(len(queues))
+        while running := [m for m in running if queues[m] and queues[m][-1][0] >= self._best[m]]:
+            self._evaluate([queues[m].pop() for m in running], running)
 
-    def _evaluate(self, r: int, crop: np.ndarray, members: list) -> None:
-        """Exact weighted norms of the row-``r`` blocks ``crop``, one per member."""
-        coeffs = np.zeros((len(crop), *self._weights.shape[-2:]))
-        rows, cols = self._boxes[r]
-        coeffs[:, rows, cols] = crop
-        blocks = synthesize(SpectralField(self.theta0.domain, "SS", coeffs))
-        terms = self._scale[r] * lp_norm(blocks, self.params.p)
-        self._evaluated += len(crop)
+    def _evaluate(self, blocks: list, members: list) -> None:
+        """Exact weighted norms of ``blocks`` = [(bound, row, crop)], one per member."""
+        coeffs = np.zeros((len(blocks), *self._weights.shape[-2:]))
+        for c, (_, r, crop) in zip(coeffs, blocks):
+            c[self._boxes[r]] = crop
+        scale = self._scale[[r for _, r, _ in blocks]]
+        terms = scale * lp_norm(synthesize(SpectralField(self.theta0.domain, "SS", coeffs)), self.params.p)
+        self._evaluated += len(blocks)
         self._best[members] = np.fmax(self._best[members], terms)  # a nan block never raises it
 
 

@@ -459,6 +459,9 @@ def _broken_field_file(tmp_path, case):
     if case == "non-SS parity":
         write_field(path, SpectralField(domain, "CS", np.ones((9, 8))))
         return path
+    if case == "band above the grid":  # on 16 points mode 20 aliases onto mode 14
+        write_field(path, SpectralField(domain, "SS", np.ones((20, 1))))
+        return path
     write_field(path, unit_mode(domain, 1, 1))
     header, payload = path.read_bytes().split(b"\n", 1)
     meta = json.loads(header)
@@ -513,10 +516,13 @@ def test_bad_field_file_exits_2_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("case", ["infinite top eigenvalue", "zero first eigenvalue", "grid above the cap"])
+@pytest.mark.parametrize(
+    "case", ["infinite top eigenvalue", "zero first eigenvalue", "grid above the cap", "band above the grid"]
+)
 def test_field_file_keeps_the_domain_rules_and_size_cap(tmp_path, capsys, monkeypatch, case):
     # the rules parse_config applies to domain.lengths and domain.grid hold
-    # for the header of a field file too.  The norm is stubbed out: without
+    # for the header of a field file too, and its grid must resolve the band
+    # of its coefficients.  The norm is stubbed out: without
     # the cap, the 10^7 grid would synthesize 800 TB per block.
     monkeypatch.setattr("sqgbox.cli.besov_norm", lambda *args: pytest.fail("besov_norm ran"))
     path = _broken_field_file(tmp_path, case)

@@ -583,6 +583,23 @@ def test_duhamel_numerator_read_after_every_add_is_the_running_supremum(square16
         np.testing.assert_array_equal(sup.numerator, running)
 
 
+@pytest.mark.parametrize("p, evaluated", [(1.0, 47), (1.5, 29), (4.0, 51), (math.inf, 43)])
+def test_duhamel_supremum_reduces_each_member_alone(square16, monkeypatch, p, evaluated):
+    # A member's floor, best and pending blocks are its own, so without the
+    # shared cap the stack takes exactly the norms its members take alone.
+    monkeypatch.setattr(harness, "_PENDING_CAP", math.inf)
+    stack = _duhamel_members(square16)
+    sup = DuhamelSupremum(stack, p)
+    alone = [DuhamelSupremum(SpectralField(square16, "SS", c), p) for c in stack.coefficients]
+    cfg = SolverConfig(1e-3, 0.02)
+    for k, state, _, _ in integrate(stack, cfg):
+        sup.add(k * cfg.dt, state)
+        for member, c in zip(alone, state.coefficients):
+            member.add(k * cfg.dt, SpectralField(square16, "SS", c))
+    np.testing.assert_array_equal(sup.numerator, [float(member.numerator) for member in alone])
+    assert sup.evaluated == sum(member.evaluated for member in alone) == evaluated
+
+
 @pytest.mark.parametrize(
     "p, cap, evaluated",
     [

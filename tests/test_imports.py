@@ -1,6 +1,7 @@
 """Every name a package module imports is read somewhere in that module,
-every name the package exports has a reader, and no module tunes the
-allocator or the environment of its process."""
+every name the package exports has a reader, every private module-level
+name is read by the package, and no module tunes the allocator or the
+environment of its process."""
 
 import ast
 import os
@@ -92,6 +93,35 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants of ``sources``
+    (file name -> source) that no module loads or reads as an attribute."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(name, n.id) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        read |= loaded_names(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return [f"{file}: {name}" for file, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_checker_flags_an_unread_private_name():
+    sources = {
+        "a.py": "_CHUNK = 16\n_CAP, _SPARE = 1, 2\ndef _helper(): return _CAP\nclass _Box: pass\n",
+        "b.py": "import a\nfrom a import _helper\nprint(_helper(), a._Box)\n",
+    }
+    assert unread_private_names(sources) == ["a.py: _CHUNK", "a.py: _SPARE"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.name: path.read_text() for path in SOURCES}) == []
 
 
 # The library runs inside other people's processes and must leave their
