@@ -18,9 +18,14 @@ config that ``build_*`` and the handlers read without converting again.
 Exit codes: 0 on success, 1 when an asserted property fails or the
 integration blows up, 2 on config validation errors and on a field file
 that cannot be loaded or breaks the domain rules or grid cap of a config.
-Non-finite report values are written as the strings "nan", "inf" and "-inf".
-Every report goes through ``RunDir.write_json``, ``write_csv`` or
-``add_tree``, which record it in the manifest inventory.
+One converter, ``_report_value``, writes every JSON file of a run
+(``config.json``, the reports, ``manifest.json``) and every CSV cell:
+dataclasses become dicts of their fields, numpy values become Python
+numbers, and non-finite floats are spelled "nan", "inf" and "-inf".  JSON is
+sorted, indented and strict; a CSV float is written as its ``repr``.
+``RunDir.write_json``, ``write_csv`` and ``add_tree`` record each file in
+the manifest inventory, whose ``config_sha256`` hashes the config text
+without its final newline.
 """
 
 from __future__ import annotations
@@ -408,13 +413,9 @@ class RunDir:
     def __init__(self, cfg: dict, name: str = "run"):
         self.path, self.name = cfg["output_dir"], name
         os.makedirs(self.path, exist_ok=True)
-        self.cfg_text = json.dumps(
-            _report_value(cfg), sort_keys=True, indent=2, allow_nan=False, default=_json_default
-        )
+        self.files = set()  # the manifest inventory
+        self.config_sha256 = hashlib.sha256(self.write_json("config.json", cfg)[:-1].encode()).hexdigest()
         self.log_path = os.path.join(self.path, "runlog.txt")
-        with open(os.path.join(self.path, "config.json"), "w") as fh:
-            fh.write(self.cfg_text + "\n")
-        self.files = {"config.json"}  # the manifest inventory
         self.log(f"{name} start")
         self.log(" ".join(f"{var}={os.environ.get(var, 'unset')}" for var in BLAS_THREAD_VARIABLES))
 
@@ -423,21 +424,21 @@ class RunDir:
         with open(self.log_path, "a") as fh:
             fh.write(f"{stamp} {message}\n")
 
-    def write_json(self, name: str, payload) -> None:
-        with open(os.path.join(self.path, name), "w") as fh:
-            json.dump(
-                _report_value(payload), fh, sort_keys=True, indent=2, allow_nan=False, default=_json_default
-            )
-            fh.write("\n")
+    def _create(self, name: str):
+        """Open ``name`` for writing and record it in the manifest inventory."""
         self.files.add(name)
+        return open(os.path.join(self.path, name), "w", newline="")
+
+    def write_json(self, name: str, payload) -> str:
+        """Write ``payload`` as sorted, indented strict JSON; returns the text written."""
+        text = json.dumps(_report_value(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        with self._create(name) as fh:
+            fh.write(text)
+        return text
 
     def write_csv(self, name: str, header, rows) -> None:
-        with open(os.path.join(self.path, name), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_csv_cell(c) for c in row])
-        self.files.add(name)
+        with self._create(name) as fh:
+            csv.writer(fh).writerows(_report_value([header, *rows]))
 
     def add_tree(self, relpath: str) -> None:
         for root, _, names in os.walk(os.path.join(self.path, relpath)):
@@ -447,54 +448,38 @@ class RunDir:
         """Write the manifest and print the summary line; returns the exit code, 1 unless ``ok``."""
         inventory = {}
         for rel in sorted(self.files):
-            full = os.path.join(self.path, rel)
-            with open(full, "rb") as fh:
+            with open(os.path.join(self.path, rel), "rb") as fh:
                 data = fh.read()
             inventory[rel] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
-        manifest = {
-            "version": __version__,
-            "config_sha256": hashlib.sha256(self.cfg_text.encode()).hexdigest(),
-            "files": inventory,
-        }
-        with open(os.path.join(self.path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        self.write_json("manifest.json", {"version": __version__, "config_sha256": self.config_sha256,
+                                          "files": inventory})
         self.log(f"{self.name} done")
         print(f"{self.name}: {summary}")
         return 0 if ok else 1
 
 
 def _report_value(o):
-    """Copy of ``o`` with non-finite floats spelled "nan", "inf" or "-inf".
+    """Plain JSON data of study output ``o``, the one converter of every report.
 
-    Strict JSON has no NaN or Infinity; "inf" is also how a config spells
-    infinity where a key admits it.  Arrays become lists, everything else
-    passes through.
+    Dataclass instances become dicts of their fields, read without a copy;
+    tuples and arrays become lists; numpy scalars become Python ones.
+    Non-finite floats are spelled "nan", "inf" or "-inf": strict JSON has
+    none, and "inf" is also how a config spells infinity where a key admits
+    it.  Everything else passes through.
     """
+    if dataclasses.is_dataclass(o) and not isinstance(o, type):
+        return {f.name: _report_value(getattr(o, f.name)) for f in dataclasses.fields(o)}
     if isinstance(o, dict):
         return {k: _report_value(v) for k, v in o.items()}
     if isinstance(o, (list, tuple)):
         return [_report_value(v) for v in o]
     if isinstance(o, np.ndarray):
         return _report_value(o.tolist())
-    if isinstance(o, (float, np.floating)) and not math.isfinite(o):
+    if isinstance(o, np.generic):
+        o = o.item()
+    if isinstance(o, float) and not math.isfinite(o):
         return "nan" if math.isnan(o) else ("inf" if o > 0 else "-inf")
     return o
-
-
-def _json_default(o):
-    if isinstance(o, (np.floating,)):
-        return float(o)
-    if isinstance(o, (np.integer,)):
-        return int(o)
-    raise TypeError(f"cannot serialize {type(o)}")
-
-
-def _csv_cell(c):
-    c = _report_value(c)
-    if isinstance(c, (float, np.floating)):
-        return repr(float(c))
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +510,7 @@ def _cmd_verify_bilinear(cfg: dict, written: dict) -> int:
     domain = build_domain(cfg)
     refined = build_domain(cfg, grid=cfg["refined_grid"])
     reports = bilinear_battery(domain, refined, build_sample_spec(cfg), cfg["battery"], build_profile(cfg))
-    run.write_json("bilinear.json", [dataclasses.asdict(r) for r in reports])
+    run.write_json("bilinear.json", reports)
     rows = [
         [
             r.params["s"], r.params["p1"], r.params["p2"], r.params["q"],

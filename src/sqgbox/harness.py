@@ -619,25 +619,33 @@ def gradient_magnitude(field: SpectralField, grid: tuple[int, int] | None = None
 _BERNSTEIN_PS = (1.0, 2.0, math.inf)
 
 
+def _grid_label(grid: tuple[int, int]) -> str:
+    """Report key of a grid: "64x64"."""
+    return f"{grid[0]}x{grid[1]}"
+
+
 def multiplier_bound_study(
     domain: DomainSpec,
     sample_spec: SampleSpec,
     profile: DyadicProfile | None = None,
-    grids: list[tuple[int, int]] | None = None,
+    *,
+    grids: list[tuple[int, int]],
 ) -> dict:
     """Maxima of block and block-gradient Bernstein ratios per exponent p in
-    (1, 2, inf) and grid, plus the (2, inf) smoothing pair
+    (1, 2, inf) and grid of ``grids``, plus the (2, inf) smoothing pair
     ||phi_j f||_inf / (2^j ||f||_2)."""
     if profile is None:
         profile = DyadicProfile()
-    if grids is None:
-        grids = [(domain.N1, domain.N2)]
+    report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
 
-    def per_sample(i):
+    def keep(maxima, label, val):  # max() keeps its first argument against a nan: order counts
+        maxima[label] = max(maxima.get(label, 0.0), val)
+
+    for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)
         js, blocks = dyadic_blocks(f, profile)  # zero blocks give zero ratios
-        out = []
-        for gi, grid in enumerate(grids):
+        for grid in grids:
+            label = _grid_label(grid)
             gf = synthesize(f, grid)
             base = {p: lp_norm(gf, p) for p in _BERNSTEIN_PS}
             # One block at a time: refined-grid stacks of all blocks are
@@ -646,39 +654,30 @@ def multiplier_bound_study(
                 block = SpectralField(domain, "SS", c)
                 gb = synthesize(block, grid)
                 gradb = gradient_magnitude(block, grid)
+                sup = lp_norm(gb, math.inf)
                 for p in _BERNSTEIN_PS:
                     if base[p] > 0:
-                        out.append(("block", p, gi, lp_norm(gb, p) / base[p]))
-                        out.append(("gradient", p, gi, lp_norm(gradb, p) / (2.0**j * base[p])))
+                        key = "inf" if math.isinf(p) else str(p)
+                        block_p = sup if math.isinf(p) else lp_norm(gb, p)
+                        keep(report["block_ratio"].setdefault(key, {}), label, block_p / base[p])
+                        keep(report["gradient_ratio"].setdefault(key, {}), label,
+                             lp_norm(gradb, p) / (2.0**j * base[p]))
                 if base[2.0] > 0:
-                    out.append(("smoothing_2_inf", None, gi, lp_norm(gb, math.inf) / (2.0**j * base[2.0])))
-        return out
-
-    rows = [r for i in range(sample_spec.count) for r in per_sample(i)]
-    report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
-    labels = [f"{g[0]}x{g[1]}" for g in grids]
-    for kind, p, gi, val in rows:
-        if kind == "smoothing_2_inf":
-            d = report["smoothing_2_inf"]
-            d[labels[gi]] = max(d.get(labels[gi], 0.0), val)
-        else:
-            key = "inf" if math.isinf(p) else p
-            d = report[f"{kind}_ratio"].setdefault(str(key), {})
-            d[labels[gi]] = max(d.get(labels[gi], 0.0), val)
+                    keep(report["smoothing_2_inf"], label, sup / (2.0**j * base[2.0]))
     return report
 
 
 def heat_smoothing_study(
     field: SpectralField,
     profile: DyadicProfile | None = None,
-    grids: list[tuple[int, int]] | None = None,
+    *,
+    grids: list[tuple[int, int]],
 ) -> dict:
     """Fitted exponential block decay rates over 9 times in [0, 4^{-j}],
-    plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2."""
+    plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2
+    on each grid of ``grids``."""
     if profile is None:
         profile = DyadicProfile()
-    if grids is None:
-        grids = [(field.domain.N1, field.domain.N2)]
     rates = {}
     js, blocks = dyadic_blocks(field, profile)  # a zero block has no rate
     for j, c in zip(js, blocks.coefficients):
@@ -690,14 +689,14 @@ def heat_smoothing_study(
         logr = np.array([math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts])
         rates[j] = float(np.polyfit(ts, logr, 1)[0])
     l2 = spectral_norm(field)
-    sups = {}
     ts = np.geomspace(1e-4, 1.0, 25)
-    for grid in grids:
-        vals = [
-            math.sqrt(t) * lp_norm(gradient_magnitude(heat_semigroup(field, float(t)), grid), 2) / l2
-            for t in ts
-        ]
-        sups[f"{grid[0]}x{grid[1]}"] = float(max(vals))
+    states = [heat_semigroup(field, float(t)) for t in ts]  # shared by every grid
+    sups = {
+        _grid_label(grid): float(max(
+            math.sqrt(t) * lp_norm(gradient_magnitude(u, grid), 2) / l2 for t, u in zip(ts, states)
+        ))
+        for grid in grids
+    }
     return {"block_decay_rates": rates, "gradient_smoothing_sup": sups}
 
 

@@ -140,6 +140,10 @@ def test_simulate_run_and_manifest(tmp_path):
     assert "runlog.txt" not in man["files"]
     assert "manifest.json" not in man["files"]
     assert "simulate.json" in man["files"]
+    # the config hash is of the config text without its final newline
+    config_bytes = (out / "config.json").read_bytes()
+    assert config_bytes.endswith(b"}\n")
+    assert man["config_sha256"] == hashlib.sha256(config_bytes[:-1]).hexdigest()
     for rel, meta in man["files"].items():
         data = (out / rel).read_bytes()
         assert hashlib.sha256(data).hexdigest() == meta["sha256"]
@@ -608,19 +612,42 @@ def test_verify_multipliers_fails_when_a_smoothing_sup_is_not_finite(tmp_path, c
     assert code == 1 and "UNSTABLE" in capsys.readouterr().out
 
 
+@dataclasses.dataclass
+class _NumpyReport:
+    """Shaped like EstimateReport, with numpy values where a study could leave them."""
+
+    params: dict
+    ratios: np.ndarray
+    max_ratio: np.float64
+    stable: np.bool_
+
+
 def test_reports_spell_nonfinite_values_as_strings(tmp_path):
+    # one converter writes JSON and CSV: numpy values become Python ones, a
+    # dataclass the dict of its fields, and non-finite floats strings
     def strict(token):
         raise ValueError(f"bare {token} in a report")
 
     rd = RunDir(dict(DEFAULT_CONFIG, output_dir=str(tmp_path / "r")))
-    values = [math.nan, math.inf, -math.inf, np.float64("nan"), 0.25]
-    rd.write_json("r.json", {"list": values, "array": np.array(values), "nested": {"x": math.nan}})
-    rep = json.loads((tmp_path / "r" / "r.json").read_text(), parse_constant=strict)
-    spelled = ["nan", "inf", "-inf", "nan", 0.25]
-    assert rep == {"list": spelled, "array": spelled, "nested": {"x": "nan"}}
-    rd.write_csv("r.csv", ["a", "b", "c", "d", "e"], [values])
-    row = (tmp_path / "r" / "r.csv").read_text().splitlines()[1]
-    assert row == "nan,inf,-inf,nan,0.25"
+    values = [math.nan, math.inf, -math.inf, np.float64("nan"), 0.25, np.int64(7), np.float32(0.1), np.bool_(True)]
+    report = _NumpyReport(
+        params={"q": np.float64(np.inf), "count": np.int64(2)},
+        ratios=np.array([0.5, np.nan]), max_ratio=np.float64(0.5), stable=np.bool_(False),
+    )
+    text = rd.write_json("r.json", {"list": values, "array": np.array(values[:5]), "nested": {"x": math.nan},
+                                    "reports": [report]})
+    assert text == (tmp_path / "r" / "r.json").read_text()
+    rep = json.loads(text, parse_constant=strict)
+    spelled = ["nan", "inf", "-inf", "nan", 0.25, 7, 0.10000000149011612, True]
+    assert rep == {
+        "list": spelled, "array": spelled[:5], "nested": {"x": "nan"},
+        "reports": [{"params": {"q": "inf", "count": 2}, "ratios": [0.5, "nan"], "max_ratio": 0.5, "stable": False}],
+    }
+    assert [type(v) for v in rep["list"][5:]] == [int, float, bool]
+    rd.write_csv("r.csv", list("abcdefgh"), [values, [report.params["q"], report.max_ratio, report.stable]])
+    rows = (tmp_path / "r" / "r.csv").read_text().splitlines()[1:]
+    assert rows == ["nan,inf,-inf,nan,0.25,7,0.10000000149011612,True", "inf,0.5,False"]
+    assert rd.files == {"config.json", "r.json", "r.csv"}
 
 
 def test_estimate_report_params_keep_the_sign_of_infinity(tmp_path):
@@ -632,7 +659,7 @@ def test_estimate_report_params_keep_the_sign_of_infinity(tmp_path):
         ratios=[0.5], max_ratio=0.5, mean_ratio=0.5, refined_max_ratio=0.5, stable=True,
     )
     rd = RunDir(dict(DEFAULT_CONFIG, output_dir=str(tmp_path / "r")))
-    rd.write_json("bilinear.json", [dataclasses.asdict(report)])
+    rd.write_json("bilinear.json", [report])
     back = json.loads((tmp_path / "r" / "bilinear.json").read_text(), parse_constant=strict)
     assert back[0]["params"] == {"s": 0.5, "p": "-inf", "q": "inf"}
 

@@ -172,8 +172,9 @@ def test_bilinear_battery_shape_and_stability(square16):
 
 
 def test_bilinear_report_dicts_hold_plain_python_values(square16):
-    # verify-bilinear writes dataclasses.asdict of each report, so every
-    # leaf must already be a Python scalar, not a numpy one
+    # library callers get the reports as they are (only the CLI's report
+    # converter turns numpy scalars into Python ones), so every leaf must
+    # already be a Python scalar, not a numpy one
     from sqgbox import DomainSpec
 
     def leaves(x):
