@@ -638,8 +638,8 @@ def multiplier_bound_study(
         profile = DyadicProfile()
     report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
 
-    def keep(maxima, label, val):  # max() keeps its first argument against a nan: order counts
-        maxima[label] = max(maxima.get(label, 0.0), val)
+    def keep(maxima, label, val):  # a nan sticks: max() returns a nan first argument, and drops a nan second one
+        maxima[label] = val if math.isnan(val) else max(maxima.get(label, 0.0), val)
 
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)

@@ -32,8 +32,12 @@ instead of allocating them: at band (128, 128) each projection-grid array
 is 295 KB, above glibc's mmap threshold, and a freed one is faulted back in
 on the next step.  The states and advection terms it yields are new arrays,
 never the workspace's, so they stay valid after later steps.
-``simulate`` consumes it for one field and records a ``TrajectoryRecord``;
-the Duhamel ensemble in the harness consumes it without storing states.
+``simulate`` consumes it for one field and records a ``TrajectoryRecord``
+in memory; ``write_trajectory`` consumes it the same way but writes each
+snapshot file the moment its state is due and keeps only the per-step
+diagnostics, so its memory does not grow with the horizon or the number of
+snapshots.  The Duhamel ensemble in the harness consumes it without storing
+states.
 """
 
 from __future__ import annotations
@@ -253,34 +257,48 @@ class TrajectoryRecord:
     diag_orthogonality: np.ndarray
 
 
-def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
-    """Integrate one field from t=0 to the horizon, recording snapshots and
-    diagnostics.
+def _record(theta0: SpectralField, config: SolverConfig, sink) -> tuple[np.ndarray, ...]:
+    """Step ``theta0`` through ``integrate``, hand each due state to
+    ``sink(k, theta)`` as it comes, and keep only the per-step diagnostics.
 
-    Snapshots are stored at stride multiples plus the final time; the
-    diagnostics (exact L2 norm and the relative advection orthogonality
-    residual |<N(theta), theta>| / ||theta||^2) are recorded every step.
-    A stack of initial states is stepped by ``integrate`` itself.
+    Returns ``(times, diag_times, diag_l2, diag_orthogonality)``: the
+    snapshot times, then per step the time, the exact L2 norm and the
+    relative advection orthogonality residual |<N(theta), theta>| / ||theta||^2.
     """
     if theta0.coefficients.ndim != 2:
-        raise ValueError("simulate records one trajectory: pass a single field, or step a stack with integrate")
-    times, snapshots = [], []
-    diag_times, diag_l2, diag_orth = [], [], []
+        raise ValueError("a trajectory is one field: pass a single field, or step a stack with integrate")
+    times, diag_times, diag_l2, diag_orth = [], [], [], []
     for k, theta, nl, l2 in integrate(theta0, config):
         diag_times.append(k * config.dt)
         diag_l2.append(l2)
         diag_orth.append(_orthogonality_residual(nl, theta, l2))
         if config.snapshot_due(k):
             times.append(k * config.dt)
-            snapshots.append(theta.copy())
+            sink(k, theta)
+    return tuple(np.asarray(v) for v in (times, diag_times, diag_l2, diag_orth))
+
+
+def simulate(theta0: SpectralField, config: SolverConfig) -> TrajectoryRecord:
+    """Integrate one field from t=0 to the horizon, recording snapshots and
+    diagnostics in memory.
+
+    Snapshots are stored at stride multiples plus the final time; the
+    diagnostics are recorded every step (see ``_record``).  A stack of
+    initial states is stepped by ``integrate`` itself.
+    """
+    snapshots = []
+    # integrate yields a new state for every k >= 1; only the caller's theta0 is copied
+    times, diag_times, diag_l2, diag_orth = _record(
+        theta0, config, lambda k, theta: snapshots.append(theta if k else theta.copy())
+    )
     return TrajectoryRecord(
         domain=theta0.domain,
         config=config,
-        times=np.asarray(times),
+        times=times,
         snapshots=snapshots,
-        diag_times=np.asarray(diag_times),
-        diag_l2=np.asarray(diag_l2),
-        diag_orthogonality=np.asarray(diag_orth),
+        diag_times=diag_times,
+        diag_l2=diag_l2,
+        diag_orthogonality=diag_orth,
     )
 
 
@@ -323,34 +341,58 @@ def mild_residual(traj: TrajectoryRecord, g: SpectralField, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def save_trajectory(dirpath, traj: TrajectoryRecord) -> None:
+def write_trajectory(dirpath, theta0: SpectralField, config: SolverConfig) -> tuple[int, np.ndarray, np.ndarray]:
+    """Integrate one field like ``simulate`` and write its trajectory
+    directory, which ``load_trajectory`` reads back as ``simulate``'s record.
+
+    Each snapshot file is written the moment its state is due and no state
+    is kept, so memory does not grow with the horizon; ``trajectory.json``
+    and ``diagnostics.csv`` follow at the end.  On ``BlowUpError`` the
+    snapshot files written so far are removed, with the directory if this
+    call made it, and the error is re-raised.  Returns the snapshot count
+    and the per-step L2 norms and orthogonality residuals.
+    """
+    made = not os.path.isdir(dirpath)
     os.makedirs(dirpath, exist_ok=True)
-    snap_files = [f"snapshot_{i:06d}.field" for i in range(len(traj.snapshots))]
+    snap_files = []
+
+    def write(k, theta):
+        snap_files.append(f"snapshot_{len(snap_files):06d}.field")
+        write_field(os.path.join(dirpath, snap_files[-1]), theta)
+
+    try:
+        times, diag_times, diag_l2, diag_orth = _record(theta0, config, write)
+    except BlowUpError:
+        for name in snap_files:
+            os.remove(os.path.join(dirpath, name))
+        if made:
+            os.rmdir(dirpath)
+        raise
+    domain = theta0.domain
     doc = {
         "domain": {
-            "lengths": [traj.domain.L1, traj.domain.L2],
-            "modes": [traj.domain.M1, traj.domain.M2],
-            "grid": [traj.domain.N1, traj.domain.N2],
+            "lengths": [domain.L1, domain.L2],
+            "modes": [domain.M1, domain.M2],
+            "grid": [domain.N1, domain.N2],
         },
         "solver": {
-            "dt": traj.config.dt,
-            "horizon": traj.config.horizon,
-            "scheme": traj.config.scheme,
-            "snapshot_stride": traj.config.snapshot_stride,
+            "dt": config.dt,
+            "horizon": config.horizon,
+            "scheme": config.scheme,
+            "snapshot_stride": config.snapshot_stride,
         },
-        "times": [float(t) for t in traj.times],
+        "times": [float(t) for t in times],
         "snapshot_files": snap_files,
     }
     with open(os.path.join(dirpath, "trajectory.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    for name, snap in zip(snap_files, traj.snapshots):
-        write_field(os.path.join(dirpath, name), snap)
     with open(os.path.join(dirpath, "diagnostics.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "l2_norm", "orthogonality_residual"])
-        for t, l2, orth in zip(traj.diag_times, traj.diag_l2, traj.diag_orthogonality):
+        for t, l2, orth in zip(diag_times, diag_l2, diag_orth):
             writer.writerow([repr(float(t)), repr(float(l2)), repr(float(orth))])
+    return len(snap_files), diag_l2, diag_orth
 
 
 def load_trajectory(dirpath) -> TrajectoryRecord:

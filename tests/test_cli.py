@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -561,7 +562,7 @@ def test_blow_up_exits_1_with_message(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     code = run(
         ["simulate", "--config", cfg, "--out", str(tmp_path / "x"),
-         "--set", "solver.dt=0.5", "--set", "solver.horizon=50",
+         "--set", "solver.dt=0.5", "--set", "solver.horizon=50", "--set", "solver.snapshot_stride=1",
          "--set", 'initial.type="random"', "--set", "initial.amplitude=1e6"]
     )
     assert code == 1
@@ -569,6 +570,32 @@ def test_blow_up_exits_1_with_message(tmp_path, capsys):
     assert "simulate: blow-up: non-finite state at t=" in err
     last = float(err.split("last finite L2 norm ")[1].split(")")[0])
     assert math.isfinite(last)
+    # the snapshots written before the blow-up are removed with their directory
+    assert not (tmp_path / "x" / "trajectory").exists()
+    assert sorted(os.listdir(tmp_path / "x")) == ["config.json", "runlog.txt"]
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # simulate writes each snapshot as it is due and keeps no state: 20 times
+    # the steps and snapshots must add less than 4 band-64 states (128 KB)
+    # to the peak
+    cfg = _write_cfg(tmp_path, {"domain": {"modes": [64, 64], "grid": [128, 128]}, "refined_grid": [128, 128],
+                                "samples": {"mode_count": 64}, "initial": {"type": "random"},
+                                "solver": {"dt": 1e-3, "horizon": 0.01, "snapshot_stride": 1}})
+
+    def peak(horizon):
+        args = ["simulate", "--config", cfg, "--out", str(tmp_path / f"h{horizon}"), "--set", f"solver.horizon={horizon}"]
+        tracemalloc.start()
+        try:
+            assert run(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0  # fills the table caches
+    short, long = peak(0.01), peak(0.2)
+    assert len(os.listdir(tmp_path / "h0.2" / "trajectory")) == 201 + 2
+    assert long - short < 4 * 64 * 64 * 8
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

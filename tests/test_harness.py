@@ -10,6 +10,7 @@ from sqgbox import (
     C0,
     DEFAULT_BATTERY,
     BesovParams,
+    DomainSpec,
     DuhamelSupremum,
     DyadicProfile,
     GridField,
@@ -693,6 +694,20 @@ def test_multiplier_bound_study_structure(square16):
             assert math.isfinite(v) and v > 0.0
     # phi <= 1 pointwise and sine-grid L2 is exact, so blocks cannot grow in L2
     assert all(v <= 1.0 + 1e-10 for v in out["block_ratio"]["2.0"].values())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_multiplier_bound_study_keeps_a_nan_ratio():
+    # On a 1e308 x pi rectangle the p = 1 and p = 2 norms of the samples and
+    # their blocks overflow, so those block ratios are inf / inf = nan; the
+    # maxima must report the nan, not 0.0 or a finite ratio of another draw
+    domain = DomainSpec(1e308, 3.14159, 8, 8, 16, 16)
+    out = multiplier_bound_study(domain, SampleSpec(mode_count=8, count=2), grids=[(16, 16), (32, 32)])
+    for section in ("block_ratio", "gradient_ratio"):
+        for p_key in ("1.0", "2.0"):
+            assert set(out[section][p_key]) == {"16x16", "32x32"}
+            assert all(math.isnan(v) for v in out[section][p_key].values())
+        assert all(math.isfinite(v) for v in out[section]["inf"].values())
 
 
 @pytest.mark.parametrize("grid", [(32, 32), (64, 48)])

@@ -32,13 +32,13 @@ from sqgbox import (
     pointwise_product,
     product_parity,
     projection_grid,
-    save_trajectory,
     simulate,
     snapshot_index,
     spectral_inner,
     spectral_norm,
     synthesize_gradient,
     unit_mode,
+    write_trajectory,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -486,17 +486,27 @@ def test_snapshot_schedule(square16):
         snapshot_index(traj, 5e-3)
 
 
-def test_save_load_round_trip(tmp_path, square16, rng):
+def test_written_trajectory_loads_back_as_simulate(tmp_path, square16, rng):
+    # write_trajectory streams the states that simulate keeps in memory: the
+    # directory must load back as simulate's record of the same input, bit for bit
     theta0 = _random_ss(square16, rng)
-    traj = simulate(theta0, SolverConfig(dt=1e-3, horizon=0.01, snapshot_stride=2))
-    save_trajectory(tmp_path / "run", traj)
+    config = SolverConfig(dt=1e-3, horizon=0.01, snapshot_stride=3)
+    traj = simulate(theta0, config)
+    count, l2, orth = write_trajectory(tmp_path / "run", theta0, config)
     back = load_trajectory(tmp_path / "run")
     assert back.domain == traj.domain
     assert back.config == traj.config
+    assert count == len(traj.snapshots) == 5  # 0, 3, 6, 9 and the final step
     np.testing.assert_array_equal(back.times, traj.times)
-    for a, b in zip(back.snapshots, traj.snapshots):
+    for a, b in zip(back.snapshots, traj.snapshots, strict=True):
         assert np.array_equal(a.coefficients, b.coefficients)
-    np.testing.assert_array_equal(back.diag_l2, traj.diag_l2)
+    want = (traj.diag_times, traj.diag_l2, traj.diag_orthogonality, traj.diag_l2, traj.diag_orthogonality)
+    for got, ref in zip((back.diag_times, back.diag_l2, back.diag_orthogonality, l2, orth), want, strict=True):
+        np.testing.assert_array_equal(got, ref)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "diagnostics.csv", *(f"snapshot_{i:06d}.field" for i in range(5)), "trajectory.json"]
+    # simulate's first snapshot is a copy: the caller's field stays its own
+    assert traj.snapshots[0] is not theta0 and np.array_equal(traj.snapshots[0].coefficients, theta0.coefficients)
     # directories written before the dealias grid was fixed carry an extra key
     doc_path = tmp_path / "run" / "trajectory.json"
     doc = json.loads(doc_path.read_text())
