@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import SpectralField, lp_norm, synthesize
+from .domain import SpectralField, _power_root, lp_norm, synthesize
 from .multipliers import DyadicProfile, dyadic_blocks, dyadic_table
 
 
@@ -97,15 +97,14 @@ def besov_aggregate(js, block_norms: np.ndarray, s: float, q: float) -> tuple[fl
     ``block_norms`` holds the block norms over ``js`` on its last axis; its
     leading axes are a stack of fields, for which the value is an array,
     one per row, with the bits that row gets alone.  One field gives a
-    float.  The rows are summed along contiguous rows, and the 1/q roots
-    are taken in scalar arithmetic, as numpy's vectorised pow can differ
-    from libm's in the last bit.
+    float.  The rows are summed along contiguous rows; the 1/q roots come
+    from ``domain``'s one power-sum root, scalar and rescued by the row's
+    largest term, so a value is inf only when the true norm overflows.
     """
     norms = np.ascontiguousarray(block_norms, dtype=np.float64)
     terms = block_scales(js, s) * norms
-    if np.isinf(q):
-        values = terms.max(axis=-1) if terms.shape[-1] else np.zeros(terms.shape[:-1])
-    else:
-        sums = np.sum(terms**q, axis=-1)
-        values = np.reshape([row ** (1.0 / q) for row in np.ravel(sums)], np.shape(sums))
+    if not np.isinf(q):
+        value = _power_root(terms, lambda total: total ** (1.0 / q), lambda t, w: w * np.sum(t**q, axis=-1), 1.0)
+        return value, terms
+    values = terms.max(axis=-1) if terms.shape[-1] else np.zeros(terms.shape[:-1])
     return (float(values) if terms.ndim == 1 else values), terms

@@ -24,9 +24,11 @@ An SS pair is one dot times the constant weight (L1/2)(L2/2); other
 parities fold their separable weights (L for a cosine axis's mode 0, L/2
 otherwise) into one operand first.  Like the transforms' bits, a pairing's
 follow the BLAS kernel and thread count, and a stack member keeps the bits
-it gets alone at any thread count.  The two L2 norms (``lp_norm`` at p = 2,
-``spectral_norm``) take a member's sum of squares again scaled by its
-max|.| when the sum falls below the smallest normal float.
+it gets alone at any thread count.  Every norm of finite exponent
+(``lp_norm``, ``spectral_norm``, the l^q sum of ``besov_aggregate``) takes
+its root through one owner, ``_power_root``, which takes a member's sum
+again scaled by its max|.| when the sum overflows or falls below the
+smallest normal float, so a norm is inf only when the true norm is.
 
 Each transform allocates its result.  The gradient of an SS field has one
 owner here: ``synthesize_gradient`` reads synthesis tables with the
@@ -408,29 +410,26 @@ def product_parity(pa: str, pb: str) -> str:
 
 def lp_norm(grid_field: GridField, p: float):
     """Composite interior-point L^p norm, p = inf the grid maximum: a float
-    for one field, an array of norms for a stack.  A sum of |v|^p that
-    falls below the smallest normal float is taken again scaled by max|v|,
-    and so is one that overflows, except at p = 2."""
+    for one field, an array of norms for a stack.  A finite p takes its
+    root through ``_power_root``, so the norm is inf only when the true
+    norm overflows."""
     h1, h2 = grid_field.weights
-    weight = h1 * h2
     v = grid_field.values
-    axes = (-2, -1)
-    if p == 2:
-        return _root_sum_squares(v, lambda a: weight * _pair(a, a))
-    if p < 1 and not np.isinf(p):
-        raise ValueError("p must be >= 1 or inf")
-    # Other exponents need |v|: one field at a time, so a stack costs no
-    # stack-sized temporary, with roots in scalar arithmetic, as numpy's
-    # vectorised pow can differ from libm's in the last bit.
-    fields = v.reshape(-1, *v.shape[-2:])
     if np.isinf(p):
-        norms = [np.abs(one).max(axis=axes) for one in fields]
-    elif p == 1:
-        norms = [weight * np.abs(one).sum(axis=axes) for one in fields]
-    else:
-        with np.errstate(over="ignore"):  # an overflowing sum is taken again, scaled
-            norms = [_power_sum_root(one, p, weight) for one in fields]
-    return float(norms[0]) if v.ndim == 2 else np.reshape(norms, v.shape[:-2])
+        norms = [np.abs(one).max(axis=(-2, -1)) for one in v.reshape(-1, *v.shape[-2:])]
+        return float(norms[0]) if v.ndim == 2 else np.reshape(norms, v.shape[:-2])
+    if p < 1:
+        raise ValueError("p must be >= 1 or inf")
+    if p == 2:
+        return _power_root(v, math.sqrt, lambda x, w: w * _pair(x, x), h1 * h2)
+
+    def sums(x, w):
+        if x.ndim == 2:
+            return w * _abs_power(x, p).sum(axis=(-2, -1))
+        # one field at a time, so a stack costs no stack-sized temporary
+        return np.array([sums(one, w) for one in x.reshape(-1, *x.shape[-2:])]).reshape(x.shape[:-2])
+
+    return _power_root(v, lambda total: total ** (1.0 / p), sums, h1 * h2)
 
 
 # |v|^p is formed from products of |v| (and one sqrt for half-integer p)
@@ -459,20 +458,6 @@ def _abs_power(v: np.ndarray, p: float) -> np.ndarray:
         base = base * base  # never in place: out may still hold the old base
 
 
-def _power_sum_root(v: np.ndarray, p: float, weight: float):
-    """(weight sum |v|^p)^(1/p) over one field; when the sum overflows or
-    falls below the smallest normal float (where it keeps few significant
-    bits) and max|v| is finite and nonzero, the sum of (|v| / max|v|)^p
-    instead, which lies in [1, v.size]."""
-    total = weight * _abs_power(v, p).sum(axis=(-2, -1))
-    if total < sys.float_info.min or total == math.inf:
-        top = float(np.abs(v).max())
-        if 0.0 < top < math.inf:
-            scaled = float(_abs_power(v / top, p).sum())
-            return top * weight ** (1.0 / p) * scaled ** (1.0 / p)
-    return total ** (1.0 / p)
-
-
 def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum(a * b) over the last two axes, member by member: one BLAS dot per
     member, (..., 1, n) @ (..., n, 1).  A lone field takes the same call, so
@@ -480,30 +465,40 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.reshape(a.shape[:-2] + (1, -1)) @ b.reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0]
 
 
-def _root_sum_squares(v: np.ndarray, sum_squares):
-    """sqrt(sum_squares(v)) member by member over the last two axes: a float
-    for one field, an array for a stack.  ``sum_squares`` is a weighted
-    ``_pair(v, v)``; a member whose sum falls below the smallest normal float
-    (where it keeps few significant bits) and whose max|v| is nonzero is
-    summed again as sum_squares(v / max|v|), as ``_power_sum_root`` does.
-    An overflowing sum is left as it is."""
-    squares = sum_squares(v)
-    norms = np.sqrt(squares)
-    low = np.flatnonzero(np.ravel(squares) < sys.float_info.min)
-    if low.size:
-        norms = np.array(norms, ndmin=1)
-        fields = v.reshape(-1, *v.shape[-2:])
-        for i in low.tolist():
-            top = float(np.abs(fields[i]).max())
-            if top > 0.0:
-                norms.flat[i] = top * math.sqrt(sum_squares(fields[i] / top))
-    return float(np.ravel(norms)[0]) if v.ndim == 2 else norms
+def _power_root(v: np.ndarray, root, power_sum, weight: float):
+    """root(power_sum(v, weight)) member by member, the one owner of the
+    L^p and l^q roots: a float for one member, an array over the stack axes
+    for a stack, each member with the bits it gets alone.
+
+    ``root`` is the scalar 1/p-th root, math.sqrt or ``x ** (1/p)`` (numpy's
+    vectorised pow can differ from libm's in the last bit).
+    ``power_sum(x, w)`` returns sum w |x|^p over each member of ``x`` for a
+    scalar w > 0; its result's shape gives the stack axes.  A member whose
+    sum overflows or falls below the smallest normal float (a subnormal sum
+    keeps few bits), while its max|v| is finite and nonzero, is taken again
+    as max|v| root(weight) root(power_sum(v / max|v|, 1)), so its root is
+    inf only when the true one overflows.
+    """
+
+    def rescued(i, total):  # the unscaled root when max|.| of member i is 0, inf or nan
+        member = v.reshape(-1, *v.shape[np.ndim(sums) :])[i]
+        top = float(np.abs(member).max(initial=0.0))
+        return top * root(weight) * root(float(power_sum(member / top, 1.0))) if 0.0 < top < math.inf else root(total)
+
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again
+        sums = power_sum(v, weight)
+    tiny = sys.float_info.min
+    if np.ndim(sums) == 0:
+        total = float(sums)
+        return root(total) if tiny <= total < math.inf else rescued(0, total)
+    totals = enumerate(sums.ravel().tolist())
+    return np.array([root(t) if tiny <= t < math.inf else rescued(i, t) for i, t in totals]).reshape(sums.shape)
 
 
 def _over_square(x: float, norm: float) -> float:
-    """x / norm^2 for a positive norm; below 2^-511, where the square of
-    ``norm`` leaves the normal range, x divided by it twice."""
-    return x / norm / norm if norm < 2.0**-511 else x / norm**2
+    """x / norm^2 for a positive norm; x divided by it twice outside
+    [2^-511, 2^511], where the square leaves the normal range."""
+    return x / norm / norm if not 2.0**-511 <= norm <= 2.0**511 else x / norm**2
 
 
 def inner_product(a: GridField, b: GridField) -> float:
@@ -517,15 +512,16 @@ def inner_product(a: GridField, b: GridField) -> float:
 
 
 @lru_cache(maxsize=None)
-def _parity_weight(L1: float, L2: float, shape: tuple[int, int], parity: str) -> np.ndarray:
-    # w1 w2^T with int_0^L sin^2 = L/2, int_0^L cos^2 = L/2 for m >= 1 and L
-    # for m = 0 (read-only).
-    w1, w2 = np.full(shape[0], L1 / 2.0), np.full(shape[1], L2 / 2.0)
+def _parity_weight(scale: float, shape: tuple[int, int], parity: str) -> np.ndarray:
+    # scale k1 k2^T, k = 2 for a cosine axis's mode 0 and 1 otherwise, so each
+    # entry is scale times exactly 1, 2 or 4 (read-only): at scale (L1/2)(L2/2),
+    # int_0^L sin^2 = L/2, int_0^L cos^2 = L/2 for m >= 1 and L for m = 0.
+    k1, k2 = np.ones(shape[0]), np.ones(shape[1])
     if parity[0] == "C":
-        w1[0] = L1
+        k1[0] = 2.0
     if parity[1] == "C":
-        w2[0] = L2
-    table = np.multiply.outer(w1, w2)
+        k2[0] = 2.0
+    table = scale * np.multiply.outer(k1, k2)
     table.setflags(write=False)
     return table
 
@@ -538,24 +534,25 @@ def spectral_inner(a: SpectralField, b: SpectralField):
     An SS pair is one dot times the constant weight (L1/2)(L2/2); other
     parities fold their weights into ``a`` first."""
     a._check_compatible(b)
-    inner = _spectral_pair(a.domain, a.parity, a.coefficients, b.coefficients)
+    inner = _spectral_pair(a.parity, a.coefficients, b.coefficients, (a.domain.L1 / 2.0) * (a.domain.L2 / 2.0))
     return float(inner) if a.coefficients.ndim == 2 else inner
 
 
-def _spectral_pair(domain: DomainSpec, parity: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    L1, L2 = domain.L1, domain.L2
+def _spectral_pair(parity: str, a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    # the pairing at the weights _parity_weight(scale, ...)
     if parity == "SS":
-        return _pair(a, b) * ((L1 / 2.0) * (L2 / 2.0))
-    weight = _parity_weight(L1, L2, a.shape[-2:], parity)
-    return _pair(a * weight, b)
+        return _pair(a, b) * scale
+    return _pair(a * _parity_weight(scale, a.shape[-2:], parity), b)
 
 
 def spectral_norm(f: SpectralField):
     """Exact continuum L2 norm via Parseval in the field's parity basis: a
-    float for one field, an array over the stack axes for a stack.  A sum of
-    squares below the smallest normal float is taken again scaled by
-    max|c|, so a field below ~1e-154 keeps its bits."""
-    return _root_sum_squares(f.coefficients, lambda c: _spectral_pair(f.domain, f.parity, c, c))
+    float for one field, an array over the stack axes for a stack.  Its root
+    goes through ``_power_root``, with the weight (L1/2)(L2/2) factored out
+    of the scaled sum, so the norm is inf only when the true norm
+    overflows."""
+    quarter_area = (f.domain.L1 / 2.0) * (f.domain.L2 / 2.0)
+    return _power_root(f.coefficients, math.sqrt, lambda c, w: _spectral_pair(f.parity, c, c, w), quarter_area)
 
 
 def evaluate_at(field: SpectralField, x: np.ndarray, y: np.ndarray) -> np.ndarray:

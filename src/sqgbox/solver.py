@@ -213,7 +213,7 @@ def integrate(theta0: SpectralField, config: SolverConfig):
     coefficients scanned.  A step that leaves the finite range raises
     ``BlowUpError`` before that state is yielded, naming the first failing
     member of a stack and its last finite norm; a member whose coefficients
-    stay finite while its norm overflows steps on with an inf norm.
+    stay finite while its true norm overflows steps on with an inf norm.
     """
     if theta0.parity != "SS":
         raise ValueError("initial state must be an SS field")
@@ -221,24 +221,25 @@ def integrate(theta0: SpectralField, config: SolverConfig):
     stacked = theta0.coefficients.ndim > 2
     workspace, heat = StepWorkspace(theta0), multiplier_table(theta0.domain, theta0.band, "heat", config.dt)
     theta = theta0
-    with np.errstate(over="ignore"):  # finite coefficients can overflow the norm
-        l2 = last_l2 = spectral_norm(theta)
+    l2 = last_l2 = spectral_norm(theta)
     for k in range(n + 1):
-        nl = nonlinear_term(theta, workspace=workspace)
+        # finite coefficients can overflow the step's products: the norm of
+        # the state they give is the check (no errstate is held across a yield)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if k:
+                coefficients = workspace.advance(theta.coefficients, nl.coefficients, config, heat)
+                theta = SpectralField(theta.domain, "SS", coefficients)
+                l2 = spectral_norm(theta)
+                if np.isfinite(l2).all():
+                    last_l2 = l2
+                else:
+                    finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
+                    if not np.all(finite):
+                        member = int(np.flatnonzero(~finite)[0]) if stacked else None
+                        raise BlowUpError(k * config.dt, float(np.ravel(last_l2)[member or 0]), member)
+                    last_l2 = np.where(np.isfinite(l2), l2, last_l2)
+            nl = nonlinear_term(theta, workspace=workspace)
         yield k, theta, nl, l2
-        if k == n:
-            return
-        theta = SpectralField(theta.domain, "SS", workspace.advance(theta.coefficients, nl.coefficients, config, heat))
-        with np.errstate(over="ignore"):
-            l2 = spectral_norm(theta)
-        if np.isfinite(l2).all():
-            last_l2 = l2
-            continue
-        finite = np.isfinite(theta.coefficients).all(axis=(-2, -1))
-        if not np.all(finite):
-            member = int(np.flatnonzero(~finite)[0]) if stacked else None
-            raise BlowUpError((k + 1) * config.dt, float(np.ravel(last_l2)[member or 0]), member)
-        last_l2 = np.where(np.isfinite(l2), l2, last_l2)
 
 
 def _orthogonality_residual(nl: SpectralField, theta: SpectralField, l2: float) -> float:

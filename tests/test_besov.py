@@ -1,6 +1,7 @@
 """Besov norms over dyadic blocks and their per-block rows."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ def test_besov_norm_at_large_p_neither_underflows_nor_overflows(square16):
     assert 0.0 < small < math.inf
     assert large == pytest.approx(1e3 * small, rel=1e-12)
     assert small == pytest.approx(moderate, rel=1e-2)
+
+
+@pytest.mark.parametrize("q", [2.0, 400.0, 1e308])
+def test_besov_norm_is_rescued_past_both_ends_of_the_range(rect, rng, q):
+    # The l^q sum of terms near 1e+-200 overflows or underflows at each q
+    # here (at q = 1e308 for any terms but 1); its root is taken again
+    # scaled by the row's largest term.
+    f = _random_ss(rect, rng)
+    params = BesovParams(0.5, 2.0, q)
+    value, _ = besov_norm(f, params)
+    for scale in (1e200, 1e-200):
+        assert besov_norm(f * scale, params)[0] == pytest.approx(scale * value, rel=1e-14)
+    # each row of a stack keeps the bits it gets alone; a zero row reads 0,
+    # and a row of three largest floats reads inf where its true norm
+    # max 3^{1/q} overflows (at q = 1e308 it rounds to max)
+    big = sys.float_info.max
+    rows = np.array([[1e200, 3e200, 2e200], [1.0, 3.0, 2.0], [0.0, 0.0, 0.0], [big, big, big]])
+    values, _ = besov_aggregate(range(3), rows, 0.0, q)
+    alone = [besov_aggregate(range(3), row, 0.0, q)[0] for row in rows]
+    assert values.tolist() == alone
+    assert alone[0] == pytest.approx(1e200 * alone[1], rel=1e-14)
+    assert alone[2:] == [0.0, math.inf if q < 1e308 else big]
 
 
 def test_spare_blocks_read_exactly_zero(rect, rng):

@@ -31,6 +31,7 @@ from sqgbox.cli import (
     build_initial,
     build_solver,
     default_config,
+    heat_smoothing_study,
     load_config,
     parse_config,
     run,
@@ -556,8 +557,6 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     assert "config error: config file must hold a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_blow_up_exits_1_with_message(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     code = run(
@@ -573,6 +572,19 @@ def test_blow_up_exits_1_with_message(tmp_path, capsys):
     # the snapshots written before the blow-up are removed with their directory
     assert not (tmp_path / "x" / "trajectory").exists()
     assert sorted(os.listdir(tmp_path / "x")) == ["config.json", "runlog.txt"]
+
+
+def test_besov_norm_at_q_1e308_is_its_largest_term(tmp_path, capsys):
+    # Every weighted term but 1 over- or underflows to the power 1e308, so
+    # the l^q sum leaves the float range; its rescued root is the largest term.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    out = tmp_path / "b"
+    assert run(["besov-norm", "--config", str(cfg), "--out", str(out), "--set", "besov.q=1e308"]) == 0
+    assert "besov-norm: 1.11072073454" in capsys.readouterr().out
+    rows = (out / "besov_profile.csv").read_text().splitlines()[1:]
+    value = json.loads((out / "besov.json").read_text())["value"]
+    assert value == max(float(row.split(",")[2]) for row in rows)
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
@@ -598,20 +610,17 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
     assert long - short < 4 * 64 * 64 * 8
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_blow_up_keeps_the_last_finite_norm(tmp_path):
-    # The state before the blow-up has finite coefficients whose L2 norm
-    # already overflows; the error must report an earlier, finite norm.
+    # The state before the blow-up has finite coefficients whose sum of
+    # squares overflows; the error must report that state's finite norm
+    # (~1.4e240), taken again scaled, not inf.
     overrides = ["solver.dt=0.5", "solver.horizon=50", 'initial.type="random"', "initial.amplitude=1e6"]
     cfg = _typed(_write_cfg(tmp_path), overrides)
     with pytest.raises(BlowUpError) as info:
         simulate(build_initial(cfg, build_domain(cfg)), build_solver(cfg))
-    assert math.isfinite(info.value.last_l2) and info.value.last_l2 > 0.0
+    assert 1e200 < info.value.last_l2 < math.inf
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("members", [1, 8])
 def test_verify_duhamel_names_the_exploding_draw(tmp_path, capsys, monkeypatch, members):
     # With this seed draw 1 blows up at t=0.12 and draw 0 stays finite; the
@@ -628,14 +637,22 @@ def test_verify_duhamel_names_the_exploding_draw(tmp_path, capsys, monkeypatch, 
     assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_multipliers_fails_when_a_smoothing_sup_is_not_finite(tmp_path, capsys):
-    # On a 1e308 x pi rectangle every L2 norm overflows, so the smoothing sup is nan.
+def test_verify_multipliers_fails_when_a_smoothing_sup_is_not_finite(tmp_path, capsys, monkeypatch):
+    # The finiteness check reads the smoothing sup too: on a config whose
+    # run is stable, a nan sup alone fails it.
+    cfg = _write_cfg(tmp_path)
+    assert run(["verify-multipliers", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+
+    def nan_sup(*args, **kwargs):
+        out = heat_smoothing_study(*args, **kwargs)
+        out["gradient_smoothing_sup"]["32x32"] = math.nan
+        return out
+
+    monkeypatch.setattr("sqgbox.cli.heat_smoothing_study", nan_sup)
     out = tmp_path / "vm"
-    code = run(["verify-multipliers", "--config", _write_cfg(tmp_path), "--out", str(out),
-                "--set", f"domain.lengths=[1e308, {math.pi}]"])
+    code = run(["verify-multipliers", "--config", cfg, "--out", str(out)])
     report = json.loads((out / "multipliers.json").read_text())
-    assert report["heat_smoothing"]["gradient_smoothing_sup"] == {"16x16": "nan", "32x32": "nan"}
+    assert report["heat_smoothing"]["gradient_smoothing_sup"]["32x32"] == "nan"
     assert code == 1 and "UNSTABLE" in capsys.readouterr().out
 
 
@@ -839,7 +856,6 @@ def _quiet_run(args):
         return run(args)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(mutation=_config_mutation())
 # inputs on which longer runs of this test found a traceback: a target
@@ -850,6 +866,13 @@ def _quiet_run(args):
 @example(mutation=("verify-multipliers", "domain.lengths", [1e308, math.pi]))
 @example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
 @example(mutation=("verify-structure", "domain.lengths", [1e-153, 1e-153]))
+# states whose step products and sums of squares overflow while their norms
+# (~1e160-1e200) are finite, and an l^q sum that overflows at q = 1e308:
+# none may print a numpy warning, which this test's filter makes an error
+@example(mutation=("simulate", "initial.amplitude", 1e200))
+@example(mutation=("verify-duhamel", "duhamel.amplitude", 1e200))
+@example(mutation=("verify-uniqueness", "uniqueness.amplitude", 1e160))
+@example(mutation=("besov-norm", "besov.q", 1e308))
 # valid but huge sizes, refused by the size caps
 @example(mutation=("verify-bilinear", "samples.count", 1e308))
 @example(mutation=("simulate", "solver.dt", 1e-308))
@@ -874,7 +897,6 @@ def test_cli_contract_holds_for_mutated_configs(mutation):
             assert _quiet_run(args) in (0, 1, 2)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_cli_contract_holds_for_damaged_field_files(data):

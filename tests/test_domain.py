@@ -34,6 +34,7 @@ from sqgbox import (
     unit_mode,
     write_field,
 )
+from sqgbox.domain import _over_square
 
 PI = math.pi
 
@@ -326,6 +327,51 @@ def test_l2_norms_are_rescaled_below_the_normal_range(rect, rng, parity):
     alone = [lp_norm(GridField(rect, v), 2.0) for v in values]
     assert lp_norm(GridField(rect, values), 2.0).tolist() == alone
     assert alone[1] == math.sqrt(inner_product(GridField(rect, values[1]), GridField(rect, values[1])))
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e200, 1e-200])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 7.25])
+def test_lp_norm_is_rescued_past_both_ends_of_the_range(rect, rng, p, scale):
+    # Sums of |v|^p over a field near 1e306 overflow at every p here, and
+    # near 1e+-200 at p >= 2; each root is taken again scaled by max|v|.
+    unit = GridField(rect, rng.standard_normal((33, 57)))
+    got = lp_norm(GridField(rect, unit.values * scale), p)
+    assert got == pytest.approx(scale * lp_norm(unit, p), rel=1e-14)
+    # each stack member keeps the bits it gets alone, and a zero member reads 0
+    stack = GridField(rect, np.stack([unit.values * scale, unit.values, 0.0 * unit.values]))
+    assert lp_norm(stack, p).tolist() == [got, lp_norm(unit, p), 0.0]
+    # on a 1e300 x 1 rectangle the true norm of a field near 1e300 overflows
+    wide = DomainSpec(1e300, 1.0, 1, 1, 8, 8)
+    stack = GridField(wide, np.stack([unit.values * 1e300, unit.values]))
+    assert lp_norm(stack, p).tolist() == [math.inf, lp_norm(GridField(wide, unit.values), p)]
+
+
+@pytest.mark.parametrize("parity", ["SS", "CS"])
+def test_spectral_norm_is_rescued_past_both_ends_of_the_range(rect, rng, parity):
+    shape = (6, 10) if parity == "SS" else (7, 10)
+    u = SpectralField(rect, parity, rng.standard_normal(shape))
+    for scale in (1e200, 1e-200):
+        assert spectral_norm(u * scale) == pytest.approx(scale * spectral_norm(u), rel=1e-14)
+    # A side of 1e308 scales the norm by 1e154; the weight (L1/2)(L2/2) =
+    # 1e308 times the sum of squares overflows unless it is factored out.
+    wide = DomainSpec(1e308, rect.L2, rect.M1, rect.M2, rect.N1, rect.N2)
+    far = SpectralField(wide, parity, u.coefficients)
+    assert spectral_norm(far) == pytest.approx(1e154 * spectral_norm(u), rel=1e-14)
+    # each stack member keeps its bits alone; a zero member reads 0, and one
+    # whose true norm (~1e314) overflows reads inf
+    members = [far * 1e160, far, far * 0.0, far * 1e-200]
+    stack = SpectralField(wide, parity, np.stack([m.coefficients for m in members]))
+    alone = [spectral_norm(m) for m in members]
+    assert spectral_norm(stack).tolist() == alone
+    assert alone[0] == math.inf and alone[2] == 0.0 and 0.0 < alone[3] < alone[1] < math.inf
+
+
+@pytest.mark.parametrize("norm", [1e200, 1e-200])
+def test_over_square_divides_twice_outside_the_normal_range(norm):
+    # norm^2 overflows at 1e200 (a Python float raises OverflowError) and
+    # underflows at 1e-200
+    assert _over_square(3.0 * norm, norm) == pytest.approx(3.0 / norm, rel=1e-15)
+    assert _over_square(6.0, 2.0) == 1.5
 
 
 def test_lp_norm_at_huge_and_fractional_p_keeps_np_power():

@@ -448,13 +448,19 @@ def test_blow_up_names_the_stack_member(square16, rng):
 
 
 def test_a_norm_that_overflows_is_not_a_blow_up():
-    # A (1, 1) mode at 1e60 in a box of side 1e100: the coefficients stay
-    # finite, and the step's products too, but the squared sum overflows.
-    # The norm is the finiteness check, so it steps on with an inf norm;
-    # only non-finite coefficients raise, naming their member.
-    domain = DomainSpec(1e100, 1e100, 16, 16, 32, 32)
-    huge = unit_mode(domain, 1, 1, 1e60).coefficients
+    # A (1, 1) mode at 1e60 in a box of side 1e100: the sum of squares
+    # overflows, but the norm, 1e60 (1e100 / 2) = 5e159, is finite and is
+    # taken again scaled.
     cfg = SolverConfig(dt=1e-3, horizon=0.005)
+    _, _, _, l2 = next(integrate(unit_mode(DomainSpec(1e100, 1e100, 16, 16, 32, 32), 1, 1, 1e60), cfg))
+    assert l2 == pytest.approx(5e159, rel=1e-14)
+    # A (1, 1) mode at 1e160 on a 1e300 x 1 rectangle: the coefficients stay
+    # finite, and the step's products too, but the true norm,
+    # 1e160 sqrt(1e300 / 4) = 5e309, overflows.  The norm is the finiteness
+    # check, so it steps on with an inf norm; only non-finite coefficients
+    # raise, naming their member.
+    domain = DomainSpec(1e300, 1.0, 16, 16, 32, 32)
+    huge = unit_mode(domain, 1, 1, 1e160).coefficients
     alone = list(integrate(SpectralField(domain, "SS", huge), cfg))
     assert len(alone) == cfg.n_steps + 1
     assert all(l2 == math.inf and np.all(np.isfinite(theta.coefficients)) for _, theta, _, l2 in alone)
