@@ -27,15 +27,17 @@ follow the BLAS kernel and thread count, and a stack member keeps the bits
 it gets alone at any thread count.  Every norm of finite exponent
 (``lp_norm``, ``spectral_norm``, the l^q sum of ``besov_aggregate``) takes
 its root through one owner, ``_power_root``, which takes a member's sum
-again scaled by its max|.| when the sum overflows or falls below the
-smallest normal float, so a norm is inf only when the true norm is.
+again scaled by its max|.| when the sum overflows, or when it falls below
+the smallest normal float before or after its weight, so a norm is inf
+only when the true norm is, and a subnormal sum costs it no precision.
 
 Each transform allocates its result.  The gradient of an SS field has one
 owner here: ``synthesize_gradient`` reads synthesis tables with the
-derivative scales folded in, cached per (lengths, band, grid), and
+derivative scales folded in, cached per (lengths, band, grid) and built
+from bases that are not kept in the basis cache, and
 ``solver.StepWorkspace`` runs its step on the same cached tables in buffers
-of its own.  Both agree with ``synthesize(partial_derivative(f, c))`` to
-round-off, not bit for bit.
+of its own, one field at a time.  Both agree with
+``synthesize(partial_derivative(f, c))`` to round-off, not bit for bit.
 
 Collocation uses interior points x_i = i L / (N + 1), i = 1..N per axis,
 with the uniform quadrature weight L / (N + 1).  For sine families the
@@ -362,11 +364,14 @@ def _gradient_tables(L1: float, L2: float, band: tuple[int, int], grid: tuple[in
     # [C1'; S1], S2^T and C2'^T (read-only, C-contiguous), where
     # C1' = C1[:, 1:] diag(m pi / L1) and C2' = C2[:, 1:] diag(n pi / L2) are
     # the cosine bases without the constant mode, scaled by the derivative.
+    # The bases are built afresh, not through _basis's cache: the tables
+    # copy them, and a cached basis would outlive its use here.
     (b1, b2), (n1, n2) = band, grid
-    c1 = _basis(n1, b1 + 1, "C")[:, 1:] * _derivative_scale(L1, b1).T
-    c2 = _basis(n2, b2 + 1, "C")[:, 1:] * _derivative_scale(L2, b2).T
-    left = np.concatenate((c1, _basis(n1, b1, "S")))
-    tables = (left, np.ascontiguousarray(_basis(n2, b2, "S").T), np.ascontiguousarray(c2.T))
+    basis = _basis.__wrapped__
+    c1 = basis(n1, b1 + 1, "C")[:, 1:] * _derivative_scale(L1, b1).T
+    c2 = basis(n2, b2 + 1, "C")[:, 1:] * _derivative_scale(L2, b2).T
+    left = np.concatenate((c1, basis(n1, b1, "S")))
+    tables = (left, np.ascontiguousarray(basis(n2, b2, "S").T), np.ascontiguousarray(c2.T))
     for tab in tables:
         tab.setflags(write=False)
     return tables
@@ -474,10 +479,12 @@ def _power_root(v: np.ndarray, root, power_sum, weight: float):
     vectorised pow can differ from libm's in the last bit).
     ``power_sum(x, w)`` returns sum w |x|^p over each member of ``x`` for a
     scalar w > 0; its result's shape gives the stack axes.  A member whose
-    sum overflows or falls below the smallest normal float (a subnormal sum
-    keeps few bits), while its max|v| is finite and nonzero, is taken again
-    as max|v| root(weight) root(power_sum(v / max|v|, 1)), so its root is
-    inf only when the true one overflows.
+    sum overflows, or whose weighted or unweighted sum falls below the
+    smallest normal float (a subnormal sum keeps few bits, and a weight
+    above 1 can lift it into the normal range), while its max|v| is finite
+    and nonzero, is taken again as
+    max|v| root(weight) root(power_sum(v / max|v|, 1)), so its root is inf
+    only when the true one overflows.
     """
 
     def rescued(i, total):  # the unscaled root when max|.| of member i is 0, inf or nan
@@ -487,7 +494,8 @@ def _power_root(v: np.ndarray, root, power_sum, weight: float):
 
     with np.errstate(over="ignore"):  # an overflowing sum is taken again
         sums = power_sum(v, weight)
-    tiny = sys.float_info.min
+    # the weighted sum is weight times the unweighted one
+    tiny = sys.float_info.min * max(1.0, weight)
     if np.ndim(sums) == 0:
         total = float(sums)
         return root(total) if tiny <= total < math.inf else rescued(0, total)

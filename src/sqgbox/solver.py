@@ -7,12 +7,13 @@ function psi = Lambda^{-1} theta.  The nonlinear term is the SS projection
 of the convective form u . grad theta back onto the sine band, which the
 3/2-rule ``projection_grid`` resolves exactly; ``mild_residual`` pairs the
 fluxes u theta with gradients of band-b test functions on ``dealias_grid``
-(2b+1).  A step runs in a ``StepWorkspace``: theta and psi share each
-transform call on a leading pair axis, in buffers built once, with no field
-object in between.  The step and ``mild_residual`` read the velocity from
-the gradient synthesis tables of ``domain``, which carry the derivative
-scales, so they agree with the field-level ``partial_derivative`` and
-``synthesize`` composition to round-off, not bit for bit.
+(2b+1).  A step runs in a ``StepWorkspace``: theta and then psi go through
+the same synthesis and grid buffers, built once, a field at a time and with
+no field object in between.  The step and ``mild_residual`` read the
+velocity from the gradient synthesis tables of ``domain``, which carry the
+derivative scales, so they agree with the field-level
+``partial_derivative`` and ``synthesize`` composition to round-off, not
+bit for bit.
 
 Time stepping treats the heat factor exactly:
   IF-Euler: theta+ = e^{dt Delta}(theta - dt N(theta))
@@ -124,14 +125,16 @@ class StepWorkspace:
     """The convective term and time step of SS states of one coefficient
     shape (band and stack): tables and buffers built once, reused by every call.
 
-    The buffers carry theta and psi = Lambda^{-1} theta on a leading pair
-    axis of length 2.  The synthesis tables are the cached gradient tables
-    of ``domain.synthesize_gradient``, with the derivative scales folded in:
-    one left matmul with [C1'; S1] takes both basis families of both fields,
-    and one right matmul per family (S2^T, C2'^T) finishes the four
-    derivatives on the grid.  Every member gets the same gemm shapes
-    whatever the stack, so a stack member keeps the bits it gets alone; the
-    result agrees with the field-level transforms to round-off.
+    The synthesis tables are the cached gradient tables of
+    ``domain.synthesize_gradient``, with the derivative scales folded in:
+    one left matmul with [C1'; S1] takes both basis families of a field, and
+    one right matmul per family (S2^T, C2'^T) finishes its two derivatives
+    on the grid.  theta and then psi = Lambda^{-1} theta go through one
+    synthesis buffer and three projection-grid buffers, a field at a time,
+    and the analysis writes into the spent d1 theta grid.  Every member gets
+    the same gemm shapes whatever the stack, so a stack member keeps the
+    bits it gets alone; the result agrees with the field-level transforms to
+    round-off.
     """
 
     def __init__(self, theta: SpectralField):
@@ -142,32 +145,33 @@ class StepWorkspace:
         self.psi_weights = multiplier_table(domain, (b1, b2), "power", -1.0)
         self.left, self.s2t, self.c2t = _gradient_tables(domain.L1, domain.L2, (b1, b2), (n1, n2))
         self.a1, self.a2t = _analysis(n1, b1, "S"), _analysis(n2, b2, "S").T
-        self.pair = np.empty((2, *stack, b1, b2))  # [theta, psi]
-        self.synth = np.empty((2, *stack, 2 * n1, b2))  # [C1'; S1] @ pair
-        self.grid1, self.grid2 = np.empty((2, 2, *stack, n1, n2))  # [d1 theta, d1 psi], [d2 theta, d2 psi]
-        self.analysis = np.empty((*stack, b1, n2))  # A1 @ v
+        self.psi = np.empty(self.shape)
+        self.synth = np.empty((*stack, 2 * n1, b2))  # [C1'; S1] @ theta, then @ psi
+        self.grids = np.empty((3, *stack, n1, n2))
         # the predictor (the IF-Euler state), then ETD2's corrector heat part; the predictor's advection term
         self.pred, self.n1 = np.empty((2, *self.shape))
         # Views taken once: a call would otherwise spend ~2 us building them.
-        self._theta, self._psi = self.pair
         self._synth1, self._synth2 = self.synth[..., :n1, :], self.synth[..., n1:, :]
-        self._grid1, self._grid2 = tuple(self.grid1), tuple(self.grid2)
+        self._grids = tuple(self.grids)
+        self.analysis = self.grids[0, ..., :b1, :]  # A1 @ v, in the spent d1 theta grid
 
     def advection(self, c: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """SS projection of u . grad theta for coefficients ``c``, written
         into ``out`` (a new array when None)."""
-        self._theta[...] = c
-        np.multiply(c, self.psi_weights, out=self._psi)
-        np.matmul(self.left, self.pair, out=self.synth)
-        np.matmul(self._synth1, self.s2t, out=self.grid1)
-        np.matmul(self._synth2, self.c2t, out=self.grid2)
-        (d1_theta, d1_psi), (d2_theta, d2_psi) = self._grid1, self._grid2
+        a, b, v = self._grids
+        # a transposed c would reach BLAS as another gemm, with other bits at odd widths
+        np.matmul(self.left, np.ascontiguousarray(c), out=self.synth)
+        np.matmul(self._synth1, self.s2t, out=a)  # d1 theta
+        np.matmul(self._synth2, self.c2t, out=b)  # d2 theta
+        np.matmul(self.left, np.multiply(c, self.psi_weights, out=self.psi), out=self.synth)
+        np.matmul(self._synth1, self.s2t, out=v)  # d1 psi
+        v *= b
+        np.matmul(self._synth2, self.c2t, out=b)  # d2 psi
         # u . grad theta = -d2 psi d1 theta + d1 psi d2 theta; subtracting the
         # first product gives the bits of adding u1 d1 theta, u1 = -d2 psi.
-        d2_psi *= d1_theta
-        d1_psi *= d2_theta
-        d1_psi -= d2_psi
-        return np.matmul(np.matmul(self.a1, d1_psi, out=self.analysis), self.a2t, out=out)
+        b *= a
+        v -= b
+        return np.matmul(np.matmul(self.a1, v, out=self.analysis), self.a2t, out=out)
 
     def advance(self, c: np.ndarray, n0: np.ndarray, config: SolverConfig, heat: np.ndarray) -> np.ndarray:
         """Coefficients of the state after ``c``, whose advection term is

@@ -329,6 +329,21 @@ def test_l2_norms_are_rescaled_below_the_normal_range(rect, rng, parity):
     assert alone[1] == math.sqrt(inner_product(GridField(rect, values[1]), GridField(rect, values[1])))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lengths, amplitude", [((1.0, 1e20), 1e-160), ((1.6e-30, 6.2e177), 2.4e-162)])
+def test_l2_norms_are_rescued_when_the_unweighted_sum_is_subnormal(lengths, amplitude):
+    # The sums of squares here are subnormal (~1e-320 and ~6e-324, one ulp),
+    # while the area weight lifts the weighted sum into the normal range:
+    # a check of the weighted sum alone read the norms 5.6e-6 and 7.4%
+    # (spectral), 2.6e-5 and 10.2% (16x16 grid) low.  The norm of
+    # a sin(pi x / L1) sin(pi y / L2) is |a| sqrt(L1 L2) / 2.
+    L1, L2 = lengths
+    f = unit_mode(DomainSpec(L1, L2, 8, 8, 16, 16), 1, 1, amplitude)
+    exact = amplitude * math.sqrt(L1 * L2) / 2.0
+    assert spectral_norm(f) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert lp_norm(synthesize(f, (16, 16)), 2.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("scale", [1e306, 1e200, 1e-200])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 7.25])
 def test_lp_norm_is_rescued_past_both_ends_of_the_range(rect, rng, p, scale):

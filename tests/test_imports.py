@@ -61,7 +61,9 @@ def loaded_names(tree: ast.AST) -> set[str]:
 
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import and never read: not loaded, not an attribute
-    base, not listed in ``__all__`` (the package re-exports)."""
+    base, not exported (the package re-exports).  An ``__all__`` that is a
+    list of strings exports those; one built from ``globals()`` exports
+    every public name."""
     tree = ast.parse(source)
     bound = {}
     for node in ast.walk(tree):
@@ -73,7 +75,10 @@ def unused_imports(source: str) -> list[str]:
     read = loaded_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts}
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                read |= {elt.value for elt in node.value.elts}
+            elif "globals" in loaded_names(node.value):
+                read |= {name for name in bound if not name.startswith("_")}
     return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1]) if name not in read]
 
 
@@ -83,6 +88,9 @@ def test_checker_flags_an_unused_import():
         "line 3: c",
     ]
     assert unused_imports("import os.path\nfrom x import y\n__all__ = ['y']\nos.getcwd()\n") == []
+    # an __all__ built from the namespace exports every public import, not a private one
+    derived = "from x import y, _z\n__all__ = [n for n in globals() if not n.startswith('_')]\n"
+    assert unused_imports(derived) == ["line 1: _z"]
     # a parameter or a local of the same name shadows the import: reading it
     # is not a read of the import, but a default or decorator is
     shadowed = "from a import step, b, c, d\ndef f(step, x=c):\n    b = step\n    return b\n@d\ndef g(): pass\n"

@@ -40,6 +40,7 @@ from sqgbox import (
     unit_mode,
     write_trajectory,
 )
+from sqgbox.domain import _basis, _gradient_tables
 
 SQRT2 = math.sqrt(2.0)
 
@@ -192,6 +193,9 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     assert np.max(np.abs(stacked - exact)) <= 1e-14 * scale
     for member, expected in zip(theta.coefficients, stacked):
         assert np.array_equal(nonlinear_term(SpectralField(domain, "SS", member)).coefficients, expected)
+        # a Fortran-ordered member too: at band (33, 20) its gemm gives other bits unless it is copied
+        fortran = SpectralField(domain, "SS", np.asfortranarray(member))
+        assert np.array_equal(nonlinear_term(fortran).coefficients, expected)
     for grid in ((n1 - 1, n2), (n1, n2 - 1)):
         assert np.max(np.abs(convective(grid) - ref)) > 1e-3 * scale
     # One workspace carries a run of three states, for the stack and for one
@@ -205,7 +209,7 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
         def __init__(self, state):
             super().__init__(state)
             built.append(self)
-            for buf in (self.pair, self.synth, self.grid1, self.grid2, self.analysis, self.pred, self.n1):
+            for buf in (self.psi, self.synth, self.grids, self.pred, self.n1):
                 buf.fill(np.nan)
 
     cfg = SolverConfig(dt=1e-3, horizon=2e-3)
@@ -224,6 +228,32 @@ def test_convective_term_on_projection_grid(monkeypatch, rng, band):
     single = StepWorkspace(SpectralField(domain, "SS", theta.coefficients[0]))
     with pytest.raises(ValueError, match="workspace"):
         nonlinear_term(theta, workspace=single)  # built for one field, not the stack
+
+
+def test_workspace_steps_one_field_at_a_time():
+    # A lone band-128 field steps in a psi buffer, one synthesis buffer,
+    # three projection-grid buffers and the two ETD2 update buffers: no pair
+    # axis, and the analysis is written into the spent d1 theta grid.
+    b1 = b2 = 128
+    n1, n2 = projection_grid((b1, b2))
+    ws = StepWorkspace(SpectralField(DomainSpec.square(math.pi, b1, 2 * b1), "SS", np.zeros((b1, b2))))
+
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    writable = [v for v in vars(ws).values() if isinstance(v, np.ndarray) and v.flags.writeable]
+    owned = {id(a): a for a in map(owner, writable)}.values()
+    assert sum(a.nbytes for a in owned) == 8 * (b1 * b2 + 2 * n1 * b2 + 3 * n1 * n2 + 2 * b1 * b2) == 1_671_168
+    assert ws.grids.shape == (3, n1, n2)
+    assert np.shares_memory(ws.analysis, ws.grids[0])
+    # the gradient tables copy the bases they are built from, and leave
+    # none of them in the basis cache
+    tables_before, bases_before = _gradient_tables.cache_info(), _basis.cache_info().currsize
+    _gradient_tables(1.25, 3.5, (5, 7), (9, 11))
+    assert _gradient_tables.cache_info().misses == tables_before.misses + 1
+    assert _basis.cache_info().currsize == bases_before
 
 
 def test_convective_term_in_a_workspace_builds_only_its_result(monkeypatch, square16, rng):
