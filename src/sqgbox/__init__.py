@@ -49,7 +49,6 @@ from .multipliers import (
     dyadic_table,
     fractional_power,
     heat_semigroup,
-    is_live_block,
     j_range,
     multiplier_table,
     quadrature_nodes,

@@ -13,6 +13,8 @@ only in the run log, which is excluded from the manifest inventory.
 its kind, reports keys outside the table as unknown, checks the few
 ``_CROSS_RULES`` between keys, and returns either the violations or a typed
 config that ``build_*`` and the handlers read without converting again.
+``DomainSpec`` owns the geometry rule (a rule here adds a normal area L1 L2);
+``verify-structure`` refuses a dead ``structure.j_f``/``j_g`` from its ``DyadicTable``.
 ``config.json`` records the merged config as written.
 
 Exit codes: 0 on success, 1 when an asserted property fails or the
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovParams, besov_norm
-from .domain import DomainSpec, SpectralField, read_field, spectral_norm, unit_mode
+from .domain import DomainSpec, SpectralField, eigenvalue, read_field, spectral_norm, unit_mode
 from .harness import (
     SampleSpec,
     bilinear_battery,
@@ -59,7 +61,7 @@ from .harness import (
     twin_distances,
     verify_derivative_structure,
 )
-from .multipliers import DyadicProfile, is_live_block
+from .multipliers import DyadicProfile, dyadic_table
 from .solver import BlowUpError, SolverConfig, simulate, write_trajectory
 
 # verify-duhamel steps its draws together, at most this many per stack.
@@ -244,22 +246,14 @@ def load_config(path, overrides=(), out=None, seed=None) -> dict:
     return cfg
 
 
-def _eigenvalue(lengths, modes) -> float:
-    """lambda_mn = (m pi/L1)^2 + (n pi/L2)^2, inf on overflow."""
-    a, b = (m * math.pi / L for m, L in zip(modes, lengths))
-    return a * a + b * b
-
-
-def _first_eigenvalue(v) -> float:
-    """lambda_11 = (pi/L1)^2 + (pi/L2)^2, inf on overflow."""
-    return _eigenvalue(v["domain.lengths"], (1, 1))
-
-
-def _top_eigenvalues_finite(v) -> bool:
-    """Whether lambda at the top of every band a run uses is finite: the
-    domain band, the sample band and the refined grid."""
-    bands = (v["domain.modes"], (v["samples.mode_count"],) * 2, v["refined_grid"])
-    return all(math.isfinite(_eigenvalue(v["domain.lengths"], band)) for band in bands)
+def _domain(lengths, modes, grid) -> DomainSpec | None:
+    """Their DomainSpec, or None when DomainSpec refuses them, the grid exceeds
+    MAX_GRID, or the area L1 L2 (in every grid and Parseval weight) leaves the normal range."""
+    try:
+        domain = DomainSpec(*lengths, *modes, *grid)
+    except ValueError:
+        return None
+    return domain if max(grid) <= MAX_GRID and sys.float_info.min <= domain.L1 * domain.L2 < math.inf else None
 
 
 def _steps_fit(horizon: float, *dts: float) -> bool:
@@ -276,12 +270,6 @@ def _longest_run(v) -> float:
                4 * v["uniqueness.horizon"] / v["uniqueness.dt"], v["uniqueness.horizon"] / v["uniqueness.cross_dt"])
 
 
-def _live(v, key: str) -> bool:
-    band = (v["samples.mode_count"],) * 2
-    domain = DomainSpec(*v["domain.lengths"], *band, *band)
-    return is_live_block(domain, band, v[key], DyadicProfile(v["profile.sharpness"]))
-
-
 def _inside(grid, modes) -> bool:
     """Whether every [m, n, ...] of ``modes`` lies inside [grid1, grid2]."""
     return all(m <= grid[0] and n <= grid[1] for m, n, *_ in modes)
@@ -292,23 +280,20 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 # (keys read, holds, message).  A rule runs once every key it reads has
 # parsed; when it fails, its first key counts as invalid for later rules.
 _CROSS_RULES = (
-    (("domain.lengths",), lambda v: 0 < _first_eigenvalue(v) < math.inf,
-     "domain.lengths must give a positive, finite first eigenvalue (pi/L1)^2 + (pi/L2)^2"),
-    (("domain.lengths", "domain.modes", "samples.mode_count", "refined_grid"), _top_eigenvalues_finite,
-     "domain.lengths must give a finite eigenvalue at the top of domain.modes, samples.mode_count "
-     "and refined_grid"),
-    (("domain.grid", "domain.modes"), lambda v: _inside(v["domain.grid"], [v["domain.modes"]]),
-     "domain.grid must resolve domain.modes"),
-    (("refined_grid", "domain.modes"), lambda v: _inside(v["refined_grid"], [v["domain.modes"]]),
-     "refined_grid must resolve domain.modes"),
+    *((("domain.lengths", "domain.modes", grid),
+       lambda v, grid=grid: _domain(v["domain.lengths"], v["domain.modes"], v[grid]) is not None,
+       f"{grid} must resolve domain.modes, and domain.lengths must give a positive first eigenvalue, "
+       f"a finite one at the top of {grid} and an area L1 L2 in the normal float range")
+      for grid in ("domain.grid", "refined_grid")),
     (("battery.pairs",), lambda v: all(holder_target(p1, p2) >= 1 for p1, p2 in v["battery.pairs"]),
      "battery.pairs must satisfy 1/p1 + 1/p2 <= 1"),
     (("samples.mode_count", "domain.modes"), lambda v: v["samples.mode_count"] <= min(v["domain.modes"]),
      "samples.mode_count must not exceed domain.modes"),
     # sample_field damps by lambda^(-decay/2), largest at lambda_11; below the
     # smallest normal float every signed uniform draw can round to zero
-    (("samples.decay", "domain.lengths"),
-     lambda v: _LOG_TINY <= -v["samples.decay"] / 2 * math.log(_first_eigenvalue(v)) < _LOG_HUGE,
+    (("samples.decay", "domain.lengths", "domain.modes", "domain.grid"),
+     lambda v: _LOG_TINY <= -v["samples.decay"] / 2 * math.log(
+         eigenvalue(_domain(v["domain.lengths"], v["domain.modes"], v["domain.grid"]), 1, 1)) < _LOG_HUGE,
      "samples.decay must leave lambda^(-decay/2) finite and nonzero on the sample band"),
     (("solver.horizon", "solver.dt"), lambda v: _steps_fit(v["solver.horizon"], v["solver.dt"]),
      "solver.horizon must be an integer multiple of solver.dt"),
@@ -324,8 +309,6 @@ _CROSS_RULES = (
       "uniqueness.cross_dt"), lambda v: _longest_run(v) <= MAX_STEPS,
      f"a run may take at most {MAX_STEPS} steps (horizon/dt of solver, duhamel at dt/2, uniqueness at dt/4 "
      "and cross_dt)"),
-    *(((key, "domain.lengths", "samples.mode_count", "profile.sharpness"), lambda v, key=key: _live(v, key),
-        f"{key} must name a nonzero dyadic block of the sample band") for key in ("structure.j_f", "structure.j_g")),
     (("initial.m", "initial.n", "initial.type", "domain.modes"),
      lambda v: v["initial.type"] != "single-mode" or _inside(v["domain.modes"], [(v["initial.m"], v["initial.n"])]),
      "initial mode outside the domain truncation"),
@@ -531,11 +514,19 @@ def _cmd_verify_bilinear(cfg: dict, written: dict) -> int:
 
 
 def _cmd_verify_structure(cfg: dict, written: dict) -> int:
-    run = RunDir(written, "verify-structure")
     domain = build_domain(cfg)
     profile = build_profile(cfg)
     spec = build_sample_spec(cfg)
     st = cfg["structure"]
+    # the block table the samples take their blocks from owns which j are live
+    table = dyadic_table(domain, (spec.mode_count,) * 2, profile)
+    live = {j for j, nonzero in zip(table.js, table.live) if nonzero}
+    dead = [f"structure.{key} must name a nonzero dyadic block of the sample band"
+            for key in ("j_f", "j_g") if st[key] not in live]
+    if dead:
+        print(*(f"config violation: {message}" for message in dead), sep="\n", file=sys.stderr)
+        return 2
+    run = RunDir(written, "verify-structure")
     results = []
     for i in range(st["pair_count"]):
         f = single_block_sample(spec, domain, 2 * i, st["j_f"], profile)
@@ -563,7 +554,7 @@ def _cmd_verify_multipliers(cfg: dict, written: dict) -> int:
     spreads = [list(per_grid.values()) for section in ("block_ratio", "gradient_ratio")
                for per_grid in bounds[section].values()] + [list(smoothing["gradient_smoothing_sup"].values())]
     ok = all(all(map(math.isfinite, vals)) and not max(vals) > 2.0 * min(vals) for vals in spreads) and not any(
-        rate > -0.25 * 4.0**j * (1 - 1e-12) for j, rate in smoothing["block_decay_rates"].items()
+        math.ldexp(rate, -2 * j) > -0.25 * (1 - 1e-12) for j, rate in smoothing["block_decay_rates"].items()
     )
     return run.finish(ok, f"{'stable' if ok else 'UNSTABLE'} across {grids}")
 
@@ -649,14 +640,10 @@ def _cmd_besov_norm(cfg: dict, written: dict) -> int:
             field = read_field(cfg["field_file"])
             if field.parity != "SS":
                 raise ValueError(f"Besov norms need an SS field, the file holds {field.parity}")
-            # the domain rules and size cap that parse_config applies to a config
-            if max(field.domain.grid) > MAX_GRID:
-                raise ValueError(f"grid {list(field.domain.grid)} exceeds {MAX_GRID} points per axis")
-            if not _inside(field.domain.grid, [field.band]):
-                raise ValueError(f"grid {list(field.domain.grid)} must resolve the band {list(field.band)}")
-            lengths = field.domain.lengths
-            if not (0 < _eigenvalue(lengths, (1, 1)) and math.isfinite(_eigenvalue(lengths, field.band))):
-                raise ValueError("lengths must give a positive first eigenvalue and a finite one at the top of the band")
+            # the domain rules and size cap of a config, for the coefficient band
+            if _domain(field.domain.lengths, field.band, field.domain.grid) is None:
+                raise ValueError(f"grid {list(field.domain.grid)} must resolve the band {list(field.band)} in at most "
+                                 f"{MAX_GRID} points per axis, and the lengths give an area L1 L2 in the normal range")
         except (OSError, ValueError) as exc:
             print(f"config error: field_file {cfg['field_file']!r}: {exc}", file=sys.stderr)
             return 2
@@ -703,8 +690,7 @@ def run(argv=None) -> int:
         return 2
     cfg, violations = parse_config(written)
     if violations:
-        for v in violations:
-            print(f"config violation: {v}", file=sys.stderr)
+        print(*(f"config violation: {v}" for v in violations), sep="\n", file=sys.stderr)
         return 2
     try:
         return _HANDLERS[args.subcommand](cfg, written)

@@ -8,6 +8,9 @@ the parity class is the two-letter family pair, "SS" being the eigenbasis.
 Differentiation maps S <-> C per axis, so a sine axis with modes 1..M pairs
 with a cosine axis carrying modes 0..M (M+1 coefficients); with that
 convention single differentiation closes exactly on the band.
+``DomainSpec`` owns the geometry rule, so every eigenvalue up to its grid
+is positive and finite; it, ``eigenvalue`` and ``lambda_table`` share one
+arithmetic, ``_eigenvalue``, and agree bit for bit.
 
 Coefficient and value arrays may carry leading stack axes, (..., r1, r2).
 ``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``,
@@ -75,7 +78,10 @@ _FAMILY_PRODUCT = {("S", "S"): "C", ("S", "C"): "S", ("C", "S"): "S", ("C", "C")
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """Rectangle geometry plus default spectral truncation and grid size."""
+    """Rectangle geometry plus default spectral truncation and grid size.
+
+    The geometry rule, else ValueError: positive finite lengths, a grid that
+    resolves modes >= 1 (N >= M), lambda_11 > 0 and lambda_{N1 N2} finite."""
 
     L1: float
     L2: float
@@ -93,6 +99,8 @@ class DomainSpec:
             raise ValueError("spectral truncation must be at least 1 per axis")
         if self.N1 < self.M1 or self.N2 < self.M2:
             raise ValueError("grid must resolve the spectral truncation (N >= M)")
+        if not 0 < _eigenvalue(self.L1, self.L2, 1, 1) <= _eigenvalue(self.L1, self.L2, self.N1, self.N2) < math.inf:
+            raise ValueError("lengths must give a positive first eigenvalue and a finite one at the top of the grid")
 
     @staticmethod
     def square(L: float, M: int, N: int | None = None) -> "DomainSpec":
@@ -208,14 +216,20 @@ def eigenvalue(domain: DomainSpec, m: int, n: int) -> float:
     """lambda_mn = pi^2 (m^2/L1^2 + n^2/L2^2) for modes inside the truncation."""
     if not (1 <= m <= domain.M1 and 1 <= n <= domain.M2):
         raise IndexError(f"mode ({m},{n}) outside truncation ({domain.M1},{domain.M2})")
-    return float(np.pi**2 * ((m / domain.L1) ** 2 + (n / domain.L2) ** 2))
+    return float(_eigenvalue(domain.L1, domain.L2, m, n))
+
+
+def _eigenvalue(L1: float, L2: float, m, n):
+    # pi^2 ((m/L1)^2 + (n/L2)^2), inf on overflow, for scalars or mode arrays
+    a, b = m / L1, n / L2
+    return np.pi**2 * (a * a + b * b)
 
 
 @lru_cache(maxsize=None)
 def _lambda_table(L1: float, L2: float, r1: int, r2: int) -> np.ndarray:
     m = np.arange(1, r1 + 1, dtype=np.float64)
     n = np.arange(1, r2 + 1, dtype=np.float64)
-    tab = np.pi**2 * ((m[:, None] / L1) ** 2 + (n[None, :] / L2) ** 2)
+    tab = _eigenvalue(L1, L2, m[:, None], n[None, :])
     tab.setflags(write=False)
     return tab
 
@@ -649,7 +663,7 @@ def read_field(path) -> SpectralField:
         (L1, L2), (M1, M2), (N1, N2) = header["lengths"], header["modes"], header["grid"]
         domain = DomainSpec(L1, L2, M1, M2, N1, N2)
         parity = header["parity"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed snapshot header: {exc}") from None
     expected = 8 * shape[0] * shape[1]
     if len(payload) != expected:

@@ -673,7 +673,8 @@ def heat_smoothing_study(
     *,
     grids: list[tuple[int, int]],
 ) -> dict:
-    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}],
+    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}] (in
+    tau = 4^j t, so the fit stays in range far from j = 0, exact in powers of two),
     plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2
     on each grid of ``grids``."""
     if profile is None:
@@ -685,9 +686,9 @@ def heat_smoothing_study(
         b0 = spectral_norm(block)
         if not 0 < b0 < math.inf:  # nor does one whose L2 norm overflows
             continue
-        ts = np.linspace(0.0, 4.0 ** (-j), 9)
-        logr = np.array([math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts])
-        rates[j] = float(np.polyfit(ts, logr, 1)[0])
+        taus = np.linspace(0.0, 1.0, 9)
+        logr = [math.log(spectral_norm(heat_semigroup(block, math.ldexp(tau, -2 * j))) / b0) for tau in taus]
+        rates[j] = math.ldexp(float(np.polyfit(taus, logr, 1)[0]), 2 * j)
     l2 = spectral_norm(field)
     ts = np.geomspace(1e-4, 1.0, 25)
     states = [heat_semigroup(field, float(t)) for t in ts]  # shared by every grid
@@ -702,13 +703,17 @@ def heat_smoothing_study(
 
 def elliptic_ratio_study(domain: DomainSpec, sample_spec: SampleSpec, ps=(1.5, 2.0, 3.0)) -> dict:
     """Max over samples of ||grad^2 f||_p / ||Delta f||_p (Frobenius pointwise)
-    on the domain grid."""
+    on the domain grid.  The ratio is scale-invariant, so second derivatives
+    whose squares would leave the normal range are scaled by a power of two."""
     out = {str(p): 0.0 for p in ps}
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)
         fxx = synthesize(partial_derivative(partial_derivative(f, 1), 1)).values
         fxy = synthesize(partial_derivative(partial_derivative(f, 1), 2)).values
         fyy = synthesize(partial_derivative(partial_derivative(f, 2), 2)).values
+        exponent = math.frexp(max(np.abs(d).max() for d in (fxx, fxy, fyy)))[1]
+        if not -478 <= exponent <= 498:
+            fxx, fxy, fyy = (np.ldexp(d, -exponent) for d in (fxx, fxy, fyy))
         hess = GridField(domain, np.sqrt(fxx**2 + 2.0 * fxy**2 + fyy**2))
         lap = GridField(domain, fxx + fyy)
         for p in ps:

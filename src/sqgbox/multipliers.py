@@ -15,7 +15,8 @@ Lambda^{-1} tables from ``multiplier_table`` and scales by them itself.
 
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which
-also records the rows that are identically zero: the spare block that
+also records the rows that are identically zero, the one owner of which
+blocks are live: the spare block that
 ``j_range`` adds at each end always is, since phi vanishes at the edges of
 its support, and so is every block outside ``j_range``.  ``dyadic_blocks``
 returns all live blocks as one stacked field for ``synthesize`` and
@@ -134,19 +135,6 @@ def _dyadic_table(domain: DomainSpec, band: tuple[int, int], profile: DyadicProf
     weights.setflags(write=False)
     live.setflags(write=False)
     return DyadicTable(js, weights, live)
-
-
-def is_live_block(domain: DomainSpec, band: tuple[int, int], j: int, profile: DyadicProfile) -> bool:
-    """Whether row j of ``dyadic_table(domain, band, profile)`` exists and is
-    not identically zero.
-
-    Evaluates that one row, so that checking a config does not build and
-    cache a whole table (1.4 MB at 128x128 modes) for runs that never take
-    a dyadic block.
-    """
-    if j not in j_range(domain, band):
-        return False
-    return bool(np.any(_block_weights(np.sqrt(lambda_table(domain, band)), j, profile) != 0.0))
 
 
 def dyadic_block(field: SpectralField, j: int, profile: DyadicProfile) -> SpectralField:

@@ -247,8 +247,15 @@ def integrate(theta0: SpectralField, config: SolverConfig):
 
 
 def _orthogonality_residual(nl: SpectralField, theta: SpectralField, l2: float) -> float:
-    """|<N(theta), theta>| / ||theta||^2, 0 for a zero state."""
-    return _over_square(abs(spectral_inner(nl, theta)), l2) if l2 > 0 else 0.0
+    """|<N(theta), theta>| / ||theta||^2, 0 for a zero state; taken as the
+    pairing of N / ||theta|| and theta / ||theta|| when the plain one overflows."""
+    if not l2 > 0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairing = spectral_inner(nl, theta)
+    if not math.isfinite(pairing) and math.isfinite(l2):
+        return abs(spectral_inner(nl * (1.0 / l2), theta * (1.0 / l2)))
+    return _over_square(abs(pairing), l2)
 
 
 @dataclass

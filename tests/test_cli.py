@@ -371,7 +371,7 @@ _IN_PROCESS_VIOLATIONS = [
     ("verify-bilinear", "samples.decay=3000"),
     ("simulate", "domain.lengths=[1e400, 3]"),
     ("simulate", 'domain.lengths=["3.1", 3]'),
-    # lambda_11 is finite, lambda_32,32 of the sample band is not
+    # lambda_11 is finite, lambda at the top of domain.grid (64, 64) is not
     ("verify-structure", "domain.lengths=[1e-153, 1e-153]"),
 ]
 
@@ -494,6 +494,9 @@ def _broken_field_file(tmp_path, case):
     elif case == "zero first eigenvalue":
         meta["lengths"] = [1e300, 1e300]
         header = json.dumps(meta).encode()
+    elif case == "overflowing area":  # a DomainSpec, but its weights overflow
+        meta["lengths"] = [1e308, 3.14159]
+        header = json.dumps(meta).encode()
     elif case == "grid above the cap":
         meta["grid"] = [10**7, 10**7]
         header = json.dumps(meta).encode()
@@ -523,7 +526,8 @@ def test_bad_field_file_exits_2_without_traceback(tmp_path, case):
 
 
 @pytest.mark.parametrize(
-    "case", ["infinite top eigenvalue", "zero first eigenvalue", "grid above the cap", "band above the grid"]
+    "case",
+    ["infinite top eigenvalue", "zero first eigenvalue", "overflowing area", "grid above the cap", "band above the grid"],
 )
 def test_field_file_keeps_the_domain_rules_and_size_cap(tmp_path, capsys, monkeypatch, case):
     # the rules parse_config applies to domain.lengths and domain.grid hold
@@ -538,6 +542,19 @@ def test_field_file_keeps_the_domain_rules_and_size_cap(tmp_path, capsys, monkey
     assert code == 2
     assert err.startswith("config error: field_file ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_structure_refuses_a_dead_block_before_its_output_directory(tmp_path, capsys):
+    # j = 40 lies far above the sample band's blocks (j <= 5 on the 8-mode
+    # pi square): refused from the block table the samples take, and only
+    # by the one subcommand that reads structure.j_f
+    out = tmp_path / "x"
+    assert run(["verify-structure", "--config", _write_cfg(tmp_path), "--set", "structure.j_f=40",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["config violation: structure.j_f must name a nonzero dyadic block of the sample band"]
+    assert not out.exists()
+    assert run(["simulate", "--config", _write_cfg(tmp_path), "--set", "structure.j_f=40", "--out", str(out)]) == 0
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -830,6 +847,42 @@ def _config_mutation(draw):
     return subcommand, key, mutate(node.get(name))
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "verify-multipliers", "besov-norm"])
+def test_lengths_far_from_pi_are_refused_only_by_the_keys_a_subcommand_reads(tmp_path, subcommand):
+    # on the 0.01 square the fuzz base's structure.j_f = 2 and j_g = 1 name
+    # no live block, and only verify-structure reads them
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_FUZZ_BASE))
+    assert _quiet_run([subcommand, "--config", str(path), "--set", "domain.lengths=[0.01, 0.01]",
+                       "--out", str(tmp_path / "x")]) == 0
+
+
+def test_verify_multipliers_checks_a_block_where_4_to_the_j_overflows(tmp_path):
+    # 8 modes on 8 points of the 2.7e-153 square reach block j = 512, where
+    # 4.0**j overflows; its finite decay rate is checked at scale 4^-j
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"domain": {"modes": [8, 8], "grid": [8, 8]}, "refined_grid": [8, 8],
+                                "samples": {"mode_count": 8, "count": 2}}))
+    out = tmp_path / "x"
+    assert _quiet_run(["verify-multipliers", "--config", str(path), "--set", "domain.lengths=[2.7e-153, 2.7e-153]",
+                       "--out", str(out)]) == 0
+    rates = json.loads((out / "multipliers.json").read_text())["heat_smoothing"]["block_decay_rates"]
+    assert max(map(int, rates)) == 512 and -math.inf < rates["512"] < 0
+
+
+def test_random_simulate_whose_advection_pairing_overflows_exits_1(tmp_path, capsys):
+    # at t = 0 the pairing <N(theta), theta> (~1e370) overflows while the
+    # norm (~5e128) is finite: the orthogonality residual is taken again
+    # scaled, and the next step blows up with one stderr line
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_FUZZ_BASE))
+    code = run(["simulate", "--config", str(path), "--set", 'initial.type="random"',
+                "--set", "initial.amplitude=3.0039324800338095e+128", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("simulate: blow-up: non-finite state at t=")
+
+
 def _cheap(cfg):
     """Whether running a typed config stays inside the fuzz test's cost bound."""
     sol, du, un, bat = cfg["solver"], cfg["duhamel"], cfg["uniqueness"], cfg["battery"]
@@ -866,6 +919,11 @@ def _quiet_run(args):
 @example(mutation=("verify-multipliers", "domain.lengths", [1e308, math.pi]))
 @example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
 @example(mutation=("verify-structure", "domain.lengths", [1e-153, 1e-153]))
+# an area L1 L2 that overflows, and lengths whose blocks lie ~330 octaves
+# from j = 0, where an unscaled heat-rate fit leaves the float range
+@example(mutation=("verify-bilinear", "domain.lengths", [1e308, math.pi]))
+@example(mutation=("verify-multipliers", "domain.lengths", [1e-100, 1e-100]))
+@example(mutation=("verify-multipliers", "domain.lengths", [1e100, 1e100]))
 # states whose step products and sums of squares overflow while their norms
 # (~1e160-1e200) are finite, and an l^q sum that overflows at q = 1e308:
 # none may print a numpy warning, which this test's filter makes an error

@@ -74,6 +74,27 @@ def test_lambda_table_matches_eigenvalue(rect):
         tab[0, 0] = 3.0
 
 
+@pytest.mark.parametrize("lengths", [(1e300, 1e300), (1e-153, 1e-153)])
+def test_domain_spec_refuses_a_zero_first_or_infinite_top_eigenvalue(lengths):
+    # lambda_11 = 2 pi^2 1e-600 underflows to 0; lambda at (16, 16) is ~5e311
+    with pytest.raises(ValueError, match="eigenvalue"):
+        DomainSpec(*lengths, 8, 8, 16, 16)
+
+
+@pytest.mark.parametrize("lengths", [(1e308, 2.0), (1.6e-30, 6.2e177)])
+def test_domain_spec_admits_long_thin_rectangles(lengths):
+    # one short side keeps lambda_11 positive; every eigenvalue up to the grid is finite
+    domain = DomainSpec(*lengths, 8, 8, 16, 16)
+    assert 0 < eigenvalue(domain, 1, 1) and np.isfinite(lambda_table(domain, domain.grid)).all()
+
+
+@pytest.mark.parametrize("lengths", [(1.0, 2.0), (math.pi, 0.3), (1e-150, 3e-151), (1e150, 7.0)])
+def test_eigenvalue_is_lambda_table_bit_for_bit(lengths):
+    domain = DomainSpec(*lengths, 9, 7, 9, 7)
+    table = lambda_table(domain)
+    assert [[eigenvalue(domain, m, n) for n in range(1, 8)] for m in range(1, 10)] == table.tolist()
+
+
 # -- synthesis and analysis ------------------------------------------------
 
 

@@ -747,3 +747,18 @@ def test_elliptic_ratio_study_l2_identity(square16):
     out = elliptic_ratio_study(square16, spec, ps=(2.0,))
     # Frobenius Hessian and Laplacian have equal L2 norms in the continuum
     assert out["2.0"] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("shift", [300, -300])
+def test_heat_rates_and_elliptic_ratios_are_dilation_covariant(shift):
+    # On the square of side pi 2^shift every eigenvalue is lambda_pi 4^-shift
+    # exactly, so block j becomes block j - shift and its decay rate scales
+    # by 4^-shift, bit for bit; the elliptic ratio is scale-invariant.
+    # Unscaled, the rate fit and the squared second derivatives (~2^-+594)
+    # leave the float range.
+    base, far = DomainSpec.square(math.pi, 8, 16), DomainSpec.square(math.ldexp(math.pi, shift), 8, 16)
+    flat = SampleSpec(mode_count=8, decay=0.0, seed=5, count=3)
+    rates = heat_smoothing_study(sample_field(flat, base, 0), grids=[(16, 16)])["block_decay_rates"]
+    far_rates = heat_smoothing_study(sample_field(flat, far, 0), grids=[(16, 16)])["block_decay_rates"]
+    assert far_rates == {j - shift: math.ldexp(rate, -2 * shift) for j, rate in rates.items()}
+    assert elliptic_ratio_study(far, flat) == pytest.approx(elliptic_ratio_study(base, flat), rel=1e-15)

@@ -19,7 +19,6 @@ from sqgbox import (
     eigenvalue,
     fractional_power,
     heat_semigroup,
-    is_live_block,
     j_range,
     lambda_table,
     multiplier_table,
@@ -230,9 +229,6 @@ def test_dyadic_table_rows_and_zero_spares(L1, L2, M1, M2, sharpness):
     # phi vanishes at the edges of its support, so the spare ends are zero.
     assert not np.any(table.weights[0]) and not np.any(table.weights[-1])
     assert table.live.tolist() == [False] + [True] * (len(table.js) - 2) + [False]
-    for j in range(table.js.start - 2, table.js.stop + 2):
-        expected = j in table.js and bool(table.live[j - table.js.start])
-        assert is_live_block(domain, domain.modes, j, prof) == expected
 
 
 def test_dyadic_table_is_read_only_and_cached_per_key():

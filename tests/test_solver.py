@@ -41,6 +41,7 @@ from sqgbox import (
     write_trajectory,
 )
 from sqgbox.domain import _basis, _gradient_tables
+from sqgbox.solver import _orthogonality_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -507,6 +508,17 @@ def test_orthogonality_diagnostic_small(square16, rng):
     theta0 = _random_ss(square16, rng)
     traj = simulate(theta0, SolverConfig(dt=1e-3, horizon=0.01))
     assert max(traj.diag_orthogonality) <= 1e-12
+
+
+def test_orthogonality_residual_survives_an_overflowing_pairing(square16, rng):
+    # At amplitude 2^440 the norm (~2^440) is finite but the pairing
+    # <N(theta), theta> (~2^1320) overflows; the residual, which scales with
+    # the amplitude, is taken again of the scaled pair and stays finite.
+    amplitude = 2.0**440
+    _, theta, nl, l2 = next(integrate(_random_ss(square16, rng) * amplitude, SolverConfig(dt=1e-3, horizon=1e-3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isfinite(l2) and not math.isfinite(spectral_inner(nl, theta))
+    assert 0.0 <= _orthogonality_residual(nl, theta, l2) <= 1e-12 * amplitude
 
 
 # -- trajectory record and persistence -------------------------------------
