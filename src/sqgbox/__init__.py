@@ -91,6 +91,7 @@ from .harness import (
     single_block_sample,
     symmetrized_product,
     twin_distances,
+    twin_run,
     uniqueness_experiment,
     verify_derivative_structure,
     verify_initial_smallness,

@@ -59,10 +59,11 @@ from .harness import (
     sample_field,
     single_block_sample,
     twin_distances,
+    twin_run,
     verify_derivative_structure,
 )
 from .multipliers import DyadicProfile, dyadic_table
-from .solver import BlowUpError, SolverConfig, simulate, write_trajectory
+from .solver import BlowUpError, SolverConfig, write_trajectory
 
 # verify-duhamel steps its draws together, at most this many per stack.
 DUHAMEL_MEMBERS = 8
@@ -604,13 +605,13 @@ def _cmd_verify_uniqueness(cfg: dict, written: dict) -> int:
     # distinct eigenvalues so the advection term is active
     theta0 = unit_mode(domain, 1, 1, amp) + unit_mode(domain, 1, 2, -amp)
 
-    runs = {}  # each distinct solver config is simulated once
+    runs = {}  # each distinct solver config is stepped once
 
     def twin(step, **scheme):
         config = build_solver(cfg, dt=step, horizon=horizon, snapshot_stride=max(1, round(horizon / step / 20)),
                               **scheme)
         if config not in runs:
-            runs[config] = simulate(theta0, config)
+            runs[config] = twin_run(theta0, config)
         return runs[config]
 
     t1, d1 = twin_distances(twin(dt), twin(dt / 2))

@@ -99,7 +99,9 @@ class DomainSpec:
             raise ValueError("spectral truncation must be at least 1 per axis")
         if self.N1 < self.M1 or self.N2 < self.M2:
             raise ValueError("grid must resolve the spectral truncation (N >= M)")
-        if not 0 < _eigenvalue(self.L1, self.L2, 1, 1) <= _eigenvalue(self.L1, self.L2, self.N1, self.N2) < math.inf:
+        with np.errstate(over="ignore"):  # numpy scalar sizes or lengths overflow to inf, refused below
+            first, top = _eigenvalue(self.L1, self.L2, 1, 1), _eigenvalue(self.L1, self.L2, self.N1, self.N2)
+        if not 0 < first <= top < math.inf:
             raise ValueError("lengths must give a positive first eigenvalue and a finite one at the top of the grid")
 
     @staticmethod

@@ -12,7 +12,8 @@ Ratio batteries and identity checks exercised here:
 * heat/block smoothing and Bernstein ratios for multiplier bounds;
 * Duhamel-difference growth, initial-data smallness curves, and twin-run
   uniqueness refinement for the SQG integrator (``twin_distances`` pairs
-  two stored runs, so a run shared by two pairs is simulated once).
+  the snapshots of two ``twin_run`` runs, so a run shared by two pairs is
+  stepped once).
 
 Samples are deterministic in (seed, index); reports carry per-sample ratios
 plus refinement-stability flags so distribution maxima can be compared
@@ -72,7 +73,7 @@ from .multipliers import (
     quadrature_nodes,
     resolvent,
 )
-from .solver import SolverConfig, TrajectoryRecord, integrate, simulate
+from .solver import SolverConfig, integrate
 
 
 @dataclass(frozen=True)
@@ -196,26 +197,29 @@ def bilinear_battery(
     factor_ps = sorted({p1 for p1, _ in pairs})
     plain_ps = sorted({p2 for _, p2 in pairs})
 
-    def per_sample(i):
+    # every table stacked over the samples, filled as each sample is taken:
+    # (count, len(js)) block norms, (count,) L^p norms
+    stacked = {}
+
+    def put(key, i, value):
+        if key not in stacked:
+            stacked[key] = np.empty((sample_spec.count, *np.shape(value)))
+        stacked[key][i] = value
+
+    for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, 2 * i)
         g = sample_field(sample_spec, domain, 2 * i + 1)
         T1, T2 = symmetrized_product(f, g)
-        norms = {}
         for name, fld, ps in (("f", f, factor_ps), ("g", g, factor_ps), ("T1", T1, target_ps), ("T2", T2, target_ps)):
-            js, table = block_lp_norms(fld, profile, grids, ps)
-            norms.update(((name, gi, p), bn) for (gi, p), bn in table.items())
+            js, table = block_lp_norms(fld, profile, grids, ps)  # the four fields share the sample band
+            for (gi, p), bn in table.items():
+                put((name, gi, p), i, bn)
         for gi, grid in enumerate(grids):
             gf = synthesize(f, grid)
             gg = synthesize(g, grid)
             for p in plain_ps:
-                norms[("lp_f", gi, p)] = lp_norm(gf, p)
-                norms[("lp_g", gi, p)] = lp_norm(gg, p)
-        return js, norms
-
-    cached = [per_sample(i) for i in range(sample_spec.count)]
-    js = cached[0][0]  # the four fields share the sample band
-    # every table stacked over samples: (count, len(js)) block norms, (count,) L^p norms
-    stacked = {key: np.stack([norms[key] for _, norms in cached]) for key in cached[0][1]}
+                put(("lp_f", gi, p), i, lp_norm(gf, p))
+                put(("lp_g", gi, p), i, lp_norm(gg, p))
 
     def besov(name, gi, s, p, q):
         return besov_aggregate(js, stacked[(name, gi, p)], s, q)[0]
@@ -458,6 +462,7 @@ class DuhamelSupremum:
         w = np.abs(self._weights).reshape(len(self._weights), -1)
         self._tables = (w.T, (w * w).T)  # the right factors of ``_block_bounds``, built once
         self._area = theta0.domain.L1 * theta0.domain.L2
+        self._root = np.sqrt(lambda_table(theta0.domain, theta0.band))  # sqrt(lambda) of the heat reference
         self._boxes = [_support_box(w) for w in self._weights]
         self._scale = block_scales(table.js, self.params.s)[table.live]
         self._shape = theta0.coefficients.shape[:-2]
@@ -477,8 +482,16 @@ class DuhamelSupremum:
         self._flush()
         return self._evaluated
 
+    def _heat(self, t: float) -> np.ndarray:
+        """e^{t Delta} theta0: the "heat" weights of ``multiplier_table``,
+        bit for bit, from this reducer's own sqrt(lambda) table, so that a
+        new t builds no cached table."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as multiplier_table: -t s s -> -inf gives 0
+            weights = np.exp(-t * self._root * self._root)
+        return self.theta0.coefficients * weights
+
     def add(self, t: float, state: SpectralField) -> None:
-        diff = state.coefficients - heat_semigroup(self.theta0, t).coefficients
+        diff = state.coefficients - self._heat(t)
         diff = diff.reshape((-1,) + diff.shape[-2:])
         upper, lower = _block_bounds(diff.reshape(len(diff), -1), self._area, self.params.p, self._tables)
         upper *= self._scale
@@ -571,15 +584,31 @@ def verify_initial_smallness(theta0: SpectralField, p: float, t_grid) -> np.ndar
     return rows
 
 
-def twin_distances(traj_a: TrajectoryRecord, traj_b: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
-    """Exact L2 distance between two runs at their common snapshot times."""
+def twin_run(theta0: SpectralField, config: SolverConfig) -> tuple[np.ndarray, list[SpectralField]]:
+    """(times, states): the snapshot times of one run and its states there,
+    taken straight from ``integrate``, with no trajectory record and no
+    per-step diagnostics."""
+    times, states = [], []
+    for k, state, _, _ in integrate(theta0, config):
+        if config.snapshot_due(k):
+            times.append(k * config.dt)
+            states.append(state)
+    return np.asarray(times), states
+
+
+def twin_distances(
+    run_a: tuple[np.ndarray, list[SpectralField]], run_b: tuple[np.ndarray, list[SpectralField]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact L2 distance between two runs' ``(times, states)`` at their
+    common snapshot times."""
+    (times_a, states_a), (times_b, states_b) = run_a, run_b
     times, dists = [], []
-    for i, t in enumerate(traj_a.times):
-        hits = np.nonzero(np.isclose(traj_b.times, t, rtol=0.0, atol=1e-10))[0]
+    for t, state in zip(times_a, states_a):
+        hits = np.nonzero(np.isclose(times_b, t, rtol=0.0, atol=1e-10))[0]
         if hits.size == 0:
             continue
         times.append(float(t))
-        dists.append(spectral_norm(traj_a.snapshots[i] - traj_b.snapshots[int(hits[0])]))
+        dists.append(spectral_norm(state - states_b[int(hits[0])]))
     return np.asarray(times), np.asarray(dists)
 
 
@@ -587,7 +616,7 @@ def uniqueness_experiment(
     theta0: SpectralField, config_a: SolverConfig, config_b: SolverConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Twin runs from identical data; exact L2 distance at common snapshot times."""
-    return twin_distances(simulate(theta0, config_a), simulate(theta0, config_b))
+    return twin_distances(twin_run(theta0, config_a), twin_run(theta0, config_b))
 
 
 # gx^2 + gy^2 neither overflows nor loses more than 2^-56 max|grad f| to a
@@ -633,7 +662,13 @@ def multiplier_bound_study(
 ) -> dict:
     """Maxima of block and block-gradient Bernstein ratios per exponent p in
     (1, 2, inf) and grid of ``grids``, plus the (2, inf) smoothing pair
-    ||phi_j f||_inf / (2^j ||f||_2)."""
+    ||phi_j f||_inf / (2^j ||f||_2).
+
+    Each sample's live blocks are one stack per grid: ``block_lp_norms``
+    takes their norms on every grid, then one ``gradient_magnitude`` of the
+    stack per grid, built after the block stacks are freed, takes the
+    gradient norms.  Every member keeps the bits it gets alone; the maxima
+    are then kept block by block in ascending j."""
     if profile is None:
         profile = DyadicProfile()
     report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
@@ -644,26 +679,26 @@ def multiplier_bound_study(
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)
         js, blocks = dyadic_blocks(f, profile)  # zero blocks give zero ratios
-        for grid in grids:
+        live = dyadic_table(domain, f.band, profile).live
+        _, block_norms = block_lp_norms(f, profile, grids, _BERNSTEIN_PS)
+        for gi, grid in enumerate(grids):
             label = _grid_label(grid)
             gf = synthesize(f, grid)
             base = {p: lp_norm(gf, p) for p in _BERNSTEIN_PS}
-            # One block at a time: refined-grid stacks of all blocks are
-            # returned to the system and faulted back in on every sample.
-            for j, c in zip(js, blocks.coefficients):
-                block = SpectralField(domain, "SS", c)
-                gb = synthesize(block, grid)
-                gradb = gradient_magnitude(block, grid)
-                sup = lp_norm(gb, math.inf)
+            # Python floats: a ratio inf / inf is a quiet nan, not a warning
+            norms = {p: block_norms[(gi, p)][live].tolist() for p in _BERNSTEIN_PS}
+            gradb = gradient_magnitude(blocks, grid)
+            grad_norms = {p: lp_norm(gradb, p).tolist() for p in _BERNSTEIN_PS}
+            del gradb  # before the next grid's stack is built
+            for k, j in enumerate(js):
                 for p in _BERNSTEIN_PS:
                     if base[p] > 0:
                         key = "inf" if math.isinf(p) else str(p)
-                        block_p = sup if math.isinf(p) else lp_norm(gb, p)
-                        keep(report["block_ratio"].setdefault(key, {}), label, block_p / base[p])
+                        keep(report["block_ratio"].setdefault(key, {}), label, norms[p][k] / base[p])
                         keep(report["gradient_ratio"].setdefault(key, {}), label,
-                             lp_norm(gradb, p) / (2.0**j * base[p]))
+                             grad_norms[p][k] / (2.0**j * base[p]))
                 if base[2.0] > 0:
-                    keep(report["smoothing_2_inf"], label, sup / (2.0**j * base[2.0]))
+                    keep(report["smoothing_2_inf"], label, norms[math.inf][k] / (2.0**j * base[2.0]))
     return report
 
 

@@ -9,9 +9,12 @@ the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 
 ``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by one
 read-only table per (domain, band, kind, parameter) from ``multiplier_table``,
-the one bounded cache of those weights, through ``apply_multiplier``.  No
-other module builds such a table: the solver's step reads its heat and
-Lambda^{-1} tables from ``multiplier_table`` and scales by them itself.
+the one bounded cache of those weights, through ``apply_multiplier``.  The
+solver's step reads its heat and Lambda^{-1} tables from
+``multiplier_table`` and scales by them itself.  The one other module that
+forms such weights is ``harness.DuhamelSupremum``: it takes the "heat"
+expression of ``_WEIGHTS`` at each snapshot time from its own sqrt(lambda),
+with the same bits, since a new time would only add a table to the cache.
 
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which
@@ -186,8 +189,8 @@ def multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, param
 # Sized from the default config's traffic: 8 entries hold every table a
 # subcommand's runs step with (5 in verify-uniqueness) and the resolvent two
 # fields share at one mu.  The other keys recur in cycles that 64 entries
-# would not hold either (~200 Duhamel snapshot times, one per quadrature
-# node), or would save < 1 ms (44 of 113 heat tables in verify-multipliers).
+# would not hold either (one per quadrature node), or would save < 1 ms
+# (44 of 113 heat tables in verify-multipliers).
 @lru_cache(maxsize=8)
 def _multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, parameter: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them

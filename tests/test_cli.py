@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sqgbox import BlowUpError, EstimateReport, SpectralField, j_range, simulate, unit_mode, write_field
+from sqgbox import BlowUpError, EstimateReport, SpectralField, j_range, simulate, twin_run, unit_mode, write_field
 from sqgbox.cli import (
     BLAS_THREAD_VARIABLES,
     DEFAULT_CONFIG,
@@ -214,9 +214,9 @@ def test_verify_uniqueness_simulates_each_run_once(tmp_path, monkeypatch):
 
     def counted(theta0, config):
         configs.append(config)
-        return simulate(theta0, config)
+        return twin_run(theta0, config)
 
-    monkeypatch.setattr(cli, "simulate", counted)
+    monkeypatch.setattr(cli, "twin_run", counted)
     assert run(["verify-uniqueness", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "un")]) == 0
     assert len(configs) == len(set(configs)) == 5
 

@@ -81,6 +81,22 @@ def test_domain_spec_refuses_a_zero_first_or_infinite_top_eigenvalue(lengths):
         DomainSpec(*lengths, 8, 8, 16, 16)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e-300, 1e-300, np.int64(8), np.int64(8), np.int64(16), np.int64(16)),
+        (np.float64(1e-300), np.float64(1e-300), 8, 8, 16, 16),
+    ],
+    ids=["int64-sizes", "float64-lengths"],
+)
+def test_domain_spec_refuses_numpy_scalars_whose_eigenvalues_overflow_without_a_warning(args):
+    # numpy scalar arithmetic warns on overflow where Python floats do not;
+    # the refusal must be the ValueError, not a RuntimeWarning raised as an error
+    with pytest.raises(ValueError, match="eigenvalue"):
+        DomainSpec(*args)
+
+
 @pytest.mark.parametrize("lengths", [(1e308, 2.0), (1.6e-30, 6.2e177)])
 def test_domain_spec_admits_long_thin_rectangles(lengths):
     # one short side keeps lambda_11 positive; every eigenvalue up to the grid is finite

@@ -1,6 +1,7 @@
 """Sampling, estimate ratios, and the verification studies."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from sqgbox import (
     block_lp_norms,
     dealias_grid,
     duhamel_ensemble,
+    dyadic_blocks,
     dyadic_table,
     elliptic_ratio_study,
     fractional_power,
@@ -558,6 +560,18 @@ def test_duhamel_block_bounds_enclose_the_grid_norm(rect, rng, p, scale):
         assert np.all(exact[live] <= factor * lower[live]) and np.all(upper[live] <= factor * exact[live])
 
 
+def test_duhamel_heat_reference_is_heat_semigroup_bit_for_bit(square16):
+    # the reducer's own exp(-t lambda) against the cached "heat" table, at
+    # every snapshot time of a small stacked run
+    stack = _duhamel_members(square16)
+    sup = DuhamelSupremum(stack, 1.5)
+    cfg = SolverConfig(1e-3, 0.02, snapshot_stride=3)
+    times = [k * cfg.dt for k, _, _, _ in integrate(stack, cfg) if cfg.snapshot_due(k)]
+    assert len(times) == 8
+    for t in times:
+        np.testing.assert_array_equal(sup._heat(t), heat_semigroup(stack, t).coefficients)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])
 def test_duhamel_supremum_takes_the_offline_minimum(square16, p):
     # The fewest exact norms these bounds allow: every nonzero block whose
@@ -682,6 +696,87 @@ def test_uniqueness_experiment_alignment(square16):
     np.testing.assert_allclose(times, [0.0, 2e-3, 4e-3, 6e-3, 8e-3, 1e-2], atol=1e-12)
     assert dists[0] == 0.0
     assert np.all(dists >= 0.0)
+
+
+def multiplier_bound_reference(domain, sample_spec, profile=None, *, grids):
+    """``multiplier_bound_study`` one block at a time: each block of each
+    sample synthesized, its gradient magnitude taken and its norms reduced
+    alone.  The reference that the stacked study must match, key order and
+    nan values included."""
+    if profile is None:
+        profile = DyadicProfile()
+    report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
+
+    def keep(maxima, label, val):
+        maxima[label] = val if math.isnan(val) else max(maxima.get(label, 0.0), val)
+
+    for i in range(sample_spec.count):
+        f = sample_field(sample_spec, domain, i)
+        js, blocks = dyadic_blocks(f, profile)
+        for grid in grids:
+            label = harness._grid_label(grid)
+            gf = synthesize(f, grid)
+            base = {p: lp_norm(gf, p) for p in harness._BERNSTEIN_PS}
+            for j, c in zip(js, blocks.coefficients):
+                block = SpectralField(domain, "SS", c)
+                gb = synthesize(block, grid)
+                gradb = gradient_magnitude(block, grid)
+                sup = lp_norm(gb, math.inf)
+                for p in harness._BERNSTEIN_PS:
+                    if base[p] > 0:
+                        key = "inf" if math.isinf(p) else str(p)
+                        block_p = sup if math.isinf(p) else lp_norm(gb, p)
+                        keep(report["block_ratio"].setdefault(key, {}), label, block_p / base[p])
+                        keep(report["gradient_ratio"].setdefault(key, {}), label,
+                             lp_norm(gradb, p) / (2.0**j * base[p]))
+                if base[2.0] > 0:
+                    keep(report["smoothing_2_inf"], label, sup / (2.0**j * base[2.0]))
+    return report
+
+
+def _random_domain():
+    rng = np.random.default_rng(2024)
+    return DomainSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)), 12, 12, 24, 24)
+
+
+@pytest.mark.parametrize(
+    "domain, spec, grids",
+    [
+        pytest.param(_random_domain(), SampleSpec(mode_count=12, seed=8, count=3), [(24, 24), (40, 36)],
+                     id="random-domain"),
+        # flat draws on a 1e-150 square: |grad phi_j f| ~ 2^j 1e150, so the
+        # squared gradients of the top blocks pass 2^1000 and those of the
+        # lower ones do not
+        pytest.param(DomainSpec.square(1e-150, 8, 16), SampleSpec(mode_count=8, decay=0.0, seed=5, count=2),
+                     [(16, 16), (32, 32)], id="1e-150-square"),
+        # the true L1 norms overflow: nan p = 1 ratios
+        pytest.param(DomainSpec(1e308, 3.14159, 8, 8, 16, 16), SampleSpec(mode_count=8, count=2),
+                     [(16, 16), (32, 32)], id="1e308-by-pi"),
+    ],
+)
+def test_multiplier_bound_study_matches_the_per_block_reference(domain, spec, grids):
+    got = multiplier_bound_study(domain, spec, grids=grids)
+    want = multiplier_bound_reference(domain, spec, grids=grids)
+    # json text keeps the key order and spells a nan, which == would not match
+    assert json.dumps(got) == json.dumps(want)
+    leaves = [v for section in got.values() for per_grid in section.values()
+              for v in (per_grid.values() if isinstance(per_grid, dict) else [per_grid])]
+    assert all(type(v) is float for v in leaves)
+
+
+def test_multiplier_bound_reference_takes_both_gradient_paths():
+    # On the 1e-150 square some blocks take gradient_magnitude's np.hypot
+    # path and others its sqrt(gx*gx + gy*gy) path.
+    domain = DomainSpec.square(1e-150, 8, 16)
+    f = sample_field(SampleSpec(mode_count=8, decay=0.0, seed=5, count=2), domain, 0)
+    _, blocks = dyadic_blocks(f, DyadicProfile())
+    lo, hi = harness._SQUARE_SUM_RANGE
+    for grid in ((16, 16), (32, 32)):
+        gx, gy = synthesize_gradient(blocks, grid)
+        with np.errstate(over="ignore"):
+            top = (gx * gx + gy * gy).max(axis=(-2, -1))
+        far = ~((lo <= top) & (top <= hi))
+        assert far.any() and not far.all()
 
 
 def test_multiplier_bound_study_structure(square16):
