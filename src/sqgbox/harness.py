@@ -310,26 +310,28 @@ def verify_derivative_structure(
         = c0 int mu^{-3/2} [ mu Delta(A B_c) - 2 mu sum_m d_m((d_m A) B_c) ] dmu
 
     with F = Lambda^{-1} f, G = Lambda^{-1} g, A = (1-mu Delta)^{-1} F and
-    B_c = d_c (1-mu Delta)^{-1} G.  The left side is evaluated directly on
-    the product grid.  The right side sums the mu quadrature of the grid
-    products A B_c and (d_m A) B_c there, and analyzes each of the six sums
-    once at the full product band (exact for band-limited states) before
-    Delta or d_m applies: both steps are linear.  Returns the relative L2
-    residual over both components and the relative truncation bound of the
-    quadrature bracket; raises ValueError when f or g is zero.
+    B_c = d_c (1-mu Delta)^{-1} G, for f and g of one band.  The left side
+    is evaluated directly on the product grid.  F and G go through the mu
+    quadrature as one two-member stack: one resolvent table and one
+    ``synthesize_gradient`` per node give d_m A and B_c, each member with
+    the bits it gets alone.  The right side sums the grid products A B_c
+    and (d_m A) B_c there, and analyzes each of the six sums once at the
+    full product band (exact for band-limited states) before Delta or d_m
+    applies: both steps are linear.  Returns the relative L2 residual over
+    both components and the relative truncation bound of the quadrature
+    bracket; raises ValueError when f or g is zero.
     """
     if f.domain != g.domain:
         raise ValueError("fields live on different domains")
-    lam_f = lambda_table(f.domain, f.band)
-    lam_g = lambda_table(g.domain, g.band)
-    lam_min = min(float(lam_f.min()), float(lam_g.min()))
-    lam_max = max(float(lam_f.max()), float(lam_g.max()))
+    if f.band != g.band:
+        raise ValueError("fields must share a band")
+    lam = lambda_table(f)
+    lam_min, lam_max = float(lam.min()), float(lam.max())
     if qspec is None:
         qspec = adapted_quadrature(lam_min, lam_max)
-    band = (max(f.band[0], g.band[0]), max(f.band[1], g.band[1]))
-    grid = dealias_grid(band)
-    F = fractional_power(f, -1.0)
-    G = fractional_power(g, -1.0)
+    grid = dealias_grid(f.band)
+    FG = fractional_power(SpectralField(f.domain, "SS", np.stack((f.coefficients, g.coefficients))), -1.0)
+    F, G = (SpectralField(f.domain, "SS", c) for c in FG.coefficients)
     norms = lambda vals: lp_norm(GridField(f.domain, vals), 2)  # one per component
 
     # both components on a leading axis of length 2
@@ -345,10 +347,11 @@ def verify_derivative_structure(
     sums = np.zeros((3, *lhs.shape))
     products = np.empty_like(sums)  # reused: a fresh one per node re-faults its pages
     for mu, w in zip(mu_nodes, weights):
-        A = resolvent(F, mu)
-        B = synthesize_gradient(resolvent(G, mu), grid)
+        AB = resolvent(FG, mu)  # (A, (1-mu Delta)^{-1} G)
+        dA, B = synthesize_gradient(AB, grid).swapaxes(0, 1)  # d_m A and B_c, on a leading axis of 2
         coeff = C0 * w * mu**-0.5  # mu^{-3/2} * mu from both identity terms
-        factors = np.concatenate(([synthesize(A, grid).values], synthesize_gradient(A, grid)))
+        A = SpectralField(f.domain, "SS", AB.coefficients[0])
+        factors = np.concatenate(([synthesize(A, grid).values], dA))
         sums += np.multiply((coeff * factors)[:, None], B, out=products)
     rhs = np.zeros_like(lhs)
     grad_parity = ("CS", "SC")  # of d1 and d2 of an SS field
@@ -432,15 +435,16 @@ class DuhamelSupremum:
     member of a (possibly stacked) ``theta0``, fed one state at a time by
     ``add``; ``numerator`` holds the suprema over the stack axes.
 
-    A branch and bound over the whole run.  ``add`` splits the state's
-    difference into its dyadic blocks and takes 2^{js} times both
-    ``_block_bounds`` of each.  A member's floor rises to the largest lower
-    bound seen, and only a nonzero block whose upper bound reaches
-    max(floor, best), best being the member's largest exact value so far, is
-    kept in the member's pending list: its bound, its row and its weighted
-    coefficients, cropped to its row's support box.  When the pending
-    coefficients pass ``_PENDING_CAP``, the blocks whose bound has fallen
-    below their member's max(floor, best) are dropped.  Exact norms are
+    A branch and bound over the whole run.  ``add`` takes the state's
+    difference from ``heat_semigroup(theta0, t)``, which builds a heat table
+    for that t alone, splits it into its dyadic blocks and takes 2^{js}
+    times both ``_block_bounds`` of each.  A member's floor rises to the
+    largest lower bound seen, and only a nonzero block whose upper bound
+    reaches max(floor, best), best being the member's largest exact value so
+    far, is kept in the member's pending list: its bound, its row and its
+    weighted coefficients, cropped to its row's support box.  When the
+    pending coefficients pass ``_PENDING_CAP``, the blocks whose bound has
+    fallen below their member's max(floor, best) are dropped.  Exact norms are
     taken only when ``numerator`` or ``evaluated`` is read, or when the
     store is still over the cap: each member's blocks in decreasing
     upper-bound order, each padded back to the full band so that its
@@ -462,7 +466,6 @@ class DuhamelSupremum:
         w = np.abs(self._weights).reshape(len(self._weights), -1)
         self._tables = (w.T, (w * w).T)  # the right factors of ``_block_bounds``, built once
         self._area = theta0.domain.L1 * theta0.domain.L2
-        self._root = np.sqrt(lambda_table(theta0.domain, theta0.band))  # sqrt(lambda) of the heat reference
         self._boxes = [_support_box(w) for w in self._weights]
         self._scale = block_scales(table.js, self.params.s)[table.live]
         self._shape = theta0.coefficients.shape[:-2]
@@ -482,16 +485,8 @@ class DuhamelSupremum:
         self._flush()
         return self._evaluated
 
-    def _heat(self, t: float) -> np.ndarray:
-        """e^{t Delta} theta0: the "heat" weights of ``multiplier_table``,
-        bit for bit, from this reducer's own sqrt(lambda) table, so that a
-        new t builds no cached table."""
-        with np.errstate(over="ignore", invalid="ignore"):  # as multiplier_table: -t s s -> -inf gives 0
-            weights = np.exp(-t * self._root * self._root)
-        return self.theta0.coefficients * weights
-
     def add(self, t: float, state: SpectralField) -> None:
-        diff = state.coefficients - self._heat(t)
+        diff = state.coefficients - heat_semigroup(self.theta0, t).coefficients
         diff = diff.reshape((-1,) + diff.shape[-2:])
         upper, lower = _block_bounds(diff.reshape(len(diff), -1), self._area, self.params.p, self._tables)
         upper *= self._scale
@@ -664,11 +659,12 @@ def multiplier_bound_study(
     (1, 2, inf) and grid of ``grids``, plus the (2, inf) smoothing pair
     ||phi_j f||_inf / (2^j ||f||_2).
 
-    Each sample's live blocks are one stack per grid: ``block_lp_norms``
-    takes their norms on every grid, then one ``gradient_magnitude`` of the
-    stack per grid, built after the block stacks are freed, takes the
-    gradient norms.  Every member keeps the bits it gets alone; the maxima
-    are then kept block by block in ascending j."""
+    Each sample's live blocks are one ``dyadic_blocks`` stack.  On each
+    grid one ``synthesize`` of it takes the block norms, and then, with that
+    grid stack freed, one ``gradient_magnitude`` of it takes the gradient
+    norms: one stacked ``lp_norm`` per exponent each.  Every member keeps
+    the bits it gets alone; the maxima are then kept block by block in
+    ascending j."""
     if profile is None:
         profile = DyadicProfile()
     report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
@@ -679,14 +675,14 @@ def multiplier_bound_study(
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)
         js, blocks = dyadic_blocks(f, profile)  # zero blocks give zero ratios
-        live = dyadic_table(domain, f.band, profile).live
-        _, block_norms = block_lp_norms(f, profile, grids, _BERNSTEIN_PS)
-        for gi, grid in enumerate(grids):
+        for grid in grids:
             label = _grid_label(grid)
             gf = synthesize(f, grid)
             base = {p: lp_norm(gf, p) for p in _BERNSTEIN_PS}
+            stack = synthesize(blocks, grid)
             # Python floats: a ratio inf / inf is a quiet nan, not a warning
-            norms = {p: block_norms[(gi, p)][live].tolist() for p in _BERNSTEIN_PS}
+            norms = {p: lp_norm(stack, p).tolist() for p in _BERNSTEIN_PS}
+            del stack  # before the gradient stack is built
             gradb = gradient_magnitude(blocks, grid)
             grad_norms = {p: lp_norm(gradb, p).tolist() for p in _BERNSTEIN_PS}
             del gradb  # before the next grid's stack is built

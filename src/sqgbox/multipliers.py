@@ -7,14 +7,13 @@ indicator chi equal to 1 on (0, 1], 0 on [2, inf), interpolated by a
 smoothstep in log2; phi(s) = chi(s) - chi(2s) is supported in [1/2, 2] and
 the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 
-``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by one
-read-only table per (domain, band, kind, parameter) from ``multiplier_table``,
-the one bounded cache of those weights, through ``apply_multiplier``.  The
-solver's step reads its heat and Lambda^{-1} tables from
-``multiplier_table`` and scales by them itself.  The one other module that
-forms such weights is ``harness.DuhamelSupremum``: it takes the "heat"
-expression of ``_WEIGHTS`` at each snapshot time from its own sqrt(lambda),
-with the same bits, since a new time would only add a table to the cache.
+``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by the
+read-only table that ``multiplier_table`` builds for (domain, band, kind,
+parameter), through ``apply_multiplier``.  No table is cached: code that
+reuses one holds it.  ``solver.integrate`` holds its heat table and
+``solver.StepWorkspace`` its Lambda^{-1} table for a run, and
+``harness.verify_derivative_structure`` steps F and G as one stack, so each
+quadrature node builds one resolvent table for both.
 
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
 built once per (domain, band, profile) as a read-only ``DyadicTable``, which
@@ -177,22 +176,12 @@ _WEIGHTS = {
 
 
 def multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, parameter: float) -> np.ndarray:
-    """Read-only weights over the sine ``band``, built and checked once per
-    (domain, band, kind, parameter): exp(-t lambda) for "heat", lambda^{a/2}
-    for "power", 1/(1 + mu lambda) for "resolvent".  A non-finite entry,
-    overflow included, raises ``FloatingPointError``."""
+    """Read-only weights over the sine ``band``: exp(-t lambda) for "heat",
+    lambda^{a/2} for "power", 1/(1 + mu lambda) for "resolvent".  A
+    non-finite entry, overflow included, raises ``FloatingPointError``.
+    Each call builds the table; code that reuses one holds it."""
     if kind not in _WEIGHTS:
         raise ValueError(f"multiplier kind must be one of {tuple(_WEIGHTS)}")
-    return _multiplier_table(domain, (int(band[0]), int(band[1])), kind, float(parameter))
-
-
-# Sized from the default config's traffic: 8 entries hold every table a
-# subcommand's runs step with (5 in verify-uniqueness) and the resolvent two
-# fields share at one mu.  The other keys recur in cycles that 64 entries
-# would not hold either (one per quadrature node), or would save < 1 ms
-# (44 of 113 heat tables in verify-multipliers).
-@lru_cache(maxsize=8)
-def _multiplier_table(domain: DomainSpec, band: tuple[int, int], kind: str, parameter: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports them
         tab = _WEIGHTS[kind](np.sqrt(lambda_table(domain, band)), parameter)
     if not np.all(np.isfinite(tab)):

@@ -20,7 +20,7 @@ Time stepping treats the heat factor exactly:
   ETD2:     predictor = IF-Euler, corrector applies trapezoidal Duhamel
             weights, theta+ = e^{dt Delta}(theta - dt/2 N(theta)) - dt/2 N(pred).
 Both reduce to the exact heat flow when N vanishes.  The factor
-e^{dt Delta} is the heat ``multiplier_table``, fetched once per run, and
+e^{dt Delta} is the heat ``multiplier_table``, built once per run, and
 ``StepWorkspace.advance`` runs both schemes in the workspace's buffers:
 the IF-Euler state is the ETD2 predictor.
 

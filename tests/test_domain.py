@@ -2,10 +2,13 @@
 
 import json
 import math
+import operator
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sqgbox import (
@@ -34,6 +37,7 @@ from sqgbox import (
     unit_mode,
     write_field,
 )
+from sqgbox import cli
 from sqgbox.domain import _over_square
 
 PI = math.pi
@@ -379,6 +383,43 @@ def test_l2_norms_are_rescued_when_the_unweighted_sum_is_subnormal(lengths, ampl
     exact = amplitude * math.sqrt(L1 * L2) / 2.0
     assert spectral_norm(f) == pytest.approx(exact, rel=1e-14, abs=0.0)
     assert lp_norm(synthesize(f, (16, 16)), 2.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+_LOG_UNIFORM = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+# a positive real rounds to inf from 2^1024 - 2^970 up, the midpoint between
+# the largest float and 2^1024
+_ROUNDS_TO_INF = Fraction(2**1024 - 2**970)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(L1=_LOG_UNIFORM, L2=_LOG_UNIFORM, amplitude=st.builds(operator.mul, st.sampled_from([-1.0, 1.0]), _LOG_UNIFORM))
+@example(L1=1.0, L2=1e20, amplitude=1e-160)
+@example(L1=1.6e-30, L2=6.2e177, amplitude=2.4e-162)
+def test_unit_mode_norms_hold_on_every_domain_the_cli_admits(L1, L2, amplitude):
+    # On every domain that cli._domain admits, the L2 norms of
+    # a sin(pi x / L1) sin(pi y / L2), spectral and on the 16x16 grid, are
+    # |a| sqrt(L1 L2) / 2 within 4 ulp, compared as exact squares; its grid
+    # norms at p = 1, 3 and inf are |a| times those of the unit amplitude.
+    # A norm reads inf exactly when the true one overflows.  One below the
+    # normal range keeps few bits and is not compared.  The suite's
+    # error::RuntimeWarning makes any numpy warning a failure.
+    domain = cli._domain((L1, L2), (8, 8), (16, 16))
+    assume(domain is not None)
+    f = unit_mode(domain, 1, 1, amplitude)
+    grid = synthesize(f, (16, 16))
+    square = Fraction(amplitude) ** 2 * Fraction(L1) * Fraction(L2) / 4
+    ulps = Fraction(4, 2**52)
+    for norm in (spectral_norm(f), lp_norm(grid, 2.0)):
+        overflows = square >= _ROUNDS_TO_INF**2
+        assert (norm == math.inf) == overflows
+        if not overflows and square >= Fraction(sys.float_info.min) ** 2:
+            assert (1 - ulps) ** 2 * square <= Fraction(norm) ** 2 <= (1 + ulps) ** 2 * square
+    unit = synthesize(unit_mode(domain, 1, 1), (16, 16))
+    for p in (1.0, 3.0, math.inf):
+        norm, want = lp_norm(grid, p), abs(amplitude) * lp_norm(unit, p)
+        assert (norm == math.inf) == (want == math.inf)
+        if sys.float_info.min <= want < math.inf:
+            assert norm == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e306, 1e200, 1e-200])

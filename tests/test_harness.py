@@ -384,6 +384,15 @@ def test_derivative_structure_analyzes_once_per_call(square16, monkeypatch):
         assert calls == {"analyze": 6, "partial_derivative": 4}
 
 
+def test_derivative_structure_rejects_fields_of_different_bands(square16):
+    # F and G go through the quadrature as one stack, so they share a band
+    f = unit_mode(square16, 1, 2)
+    g = SpectralField(square16, "SS", np.ones((16, 8)))
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="share a band"):
+            verify_derivative_structure(*pair)
+
+
 def test_derivative_structure_rejects_a_zero_field(square16):
     # the left side and its fallback scale both vanish
     f, g, _ = _structure_pairs(square16)["random-blocks"]
@@ -558,18 +567,6 @@ def test_duhamel_block_bounds_enclose_the_grid_norm(rect, rng, p, scale):
         live = np.delete(np.arange(5), 2)
         factor = 1.0 + 1e-8 if p == 2 else 16.0
         assert np.all(exact[live] <= factor * lower[live]) and np.all(upper[live] <= factor * exact[live])
-
-
-def test_duhamel_heat_reference_is_heat_semigroup_bit_for_bit(square16):
-    # the reducer's own exp(-t lambda) against the cached "heat" table, at
-    # every snapshot time of a small stacked run
-    stack = _duhamel_members(square16)
-    sup = DuhamelSupremum(stack, 1.5)
-    cfg = SolverConfig(1e-3, 0.02, snapshot_stride=3)
-    times = [k * cfg.dt for k, _, _, _ in integrate(stack, cfg) if cfg.snapshot_due(k)]
-    assert len(times) == 8
-    for t in times:
-        np.testing.assert_array_equal(sup._heat(t), heat_semigroup(stack, t).coefficients)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0, math.inf])

@@ -168,13 +168,15 @@ def test_named_multipliers_reject_nonfinite_tables(square16, multiplier, paramet
 def test_multiplier_table_is_one_read_only_array_per_key(rng):
     domain = DomainSpec(1.25, 0.75, 11, 7, 23, 15)
     band = (11, 7)
-    info = multipliers._multiplier_table.cache_info
-    before = info()
     a = multiplier_table(domain, band, "heat", 1e-3)
-    assert info().misses == before.misses + 1
-    # integral band and parameter types of numpy key the same table
-    assert multiplier_table(domain, (np.int64(11), 7), "heat", np.float64(1e-3)) is a
-    assert info().misses == before.misses + 1 and info().hits == before.hits + 1
+    # integral band and parameter types of numpy give the same bits
+    for kind, parameter in (("heat", 1e-3), ("power", -1.0), ("resolvent", 0.25)):
+        np.testing.assert_array_equal(
+            multiplier_table(domain, (np.int64(11), np.int32(7)), kind, np.float64(parameter)),
+            multiplier_table(domain, band, kind, parameter),
+        )
+    np.testing.assert_array_equal(multiplier_table(domain, band, "power", np.int64(-1)),
+                                  multiplier_table(domain, band, "power", -1.0))
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 0] = 1.0
