@@ -22,11 +22,11 @@ from .domain import (
     eigenvalue,
     evaluate_at,
     full_band,
-    grid_points,
     inner_product,
     lambda_table,
     laplacian,
     lp_norm,
+    normalised,
     partial_derivative,
     pointwise_product,
     product_parity,

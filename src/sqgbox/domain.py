@@ -10,7 +10,8 @@ with a cosine axis carrying modes 0..M (M+1 coefficients); with that
 convention single differentiation closes exactly on the band.
 ``DomainSpec`` owns the geometry rule, so every eigenvalue up to its grid
 is positive and finite; it, ``eigenvalue`` and ``lambda_table`` share one
-arithmetic, ``_eigenvalue``, and agree bit for bit.
+arithmetic, ``_eigenvalue``, and agree bit for bit.  ``normalised`` owns
+the float range of the scale-invariant studies, as an exact dilate.
 
 Coefficient and value arrays may carry leading stack axes, (..., r1, r2).
 ``synthesize``, ``analyze``, ``partial_derivative``, ``pointwise_product``,
@@ -121,6 +122,21 @@ class DomainSpec:
     @property
     def grid(self) -> tuple[int, int]:
         return (self.N1, self.N2)
+
+
+def normalised(domain: DomainSpec) -> tuple[DomainSpec, int]:
+    """(dilate, k): ``domain`` with lengths L 2^-k, whose block j + k is the
+    caller's j exactly.  k = 0 while sqrt(L1 L2) lies in [2^-64, 2^64], else
+    the smallest shift into that window, or 0 where DomainSpec refuses it."""
+    (m1, e1), (m2, e2) = math.frexp(domain.L1), math.frexp(domain.L2)
+    m, e = math.frexp(m1 * m2)  # L1 L2 = m 2^(e1 + e2 + e): its dilates share m, so k shifts with them
+    low = e1 + e2 + e - 1  # floor(log2(L1 L2)); the ceiling is one more unless m = 1/2
+    high = low + (m > 0.5)
+    k = (high - 127) // 2 if high > 128 else (low + 128) // 2 if low < -128 else 0
+    try:
+        return DomainSpec(math.ldexp(domain.L1, -k), math.ldexp(domain.L2, -k), *domain.modes, *domain.grid), k
+    except ValueError:  # never for k = 0
+        return domain, 0
 
 
 def _validate_parity(parity: str) -> None:
@@ -275,13 +291,6 @@ def _analysis(n: int, r: int, family: str) -> np.ndarray:
         A = np.linalg.solve(B.T @ B, B.T.copy())
     A.setflags(write=False)
     return A
-
-
-def grid_points(domain: DomainSpec, grid: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    n1, n2 = grid if grid is not None else (domain.N1, domain.N2)
-    x = domain.L1 * np.arange(1, n1 + 1) / (n1 + 1)
-    y = domain.L2 * np.arange(1, n2 + 1) / (n2 + 1)
-    return x, y
 
 
 def synthesize(field: SpectralField, grid: tuple[int, int] | None = None) -> GridField:

@@ -53,6 +53,7 @@ from .domain import (
     lambda_table,
     laplacian,
     lp_norm,
+    normalised,
     partial_derivative,
     pointwise_product,
     product_parity,
@@ -173,7 +174,7 @@ def bilinear_battery(
     battery: dict | None = None,
     profile: DyadicProfile | None = None,
 ) -> list[EstimateReport]:
-    """Full tuple battery over seeded sample pairs, with block-norm caching.
+    """Full tuple battery over seeded sample pairs on the ``normalised`` domain.
 
     For each tuple (s, (p1, p2), q) the target p comes from the Hoelder
     relation and (p3, p4) = (p2, p1).  Ratios are evaluated on the base
@@ -186,6 +187,7 @@ def bilinear_battery(
     if profile is None:
         profile = DyadicProfile()
     grids = [(domain.N1, domain.N2), (refined_domain.N1, refined_domain.N2)]
+    domain = normalised(domain)[0]
     pairs = [tuple(map(float, pr)) for pr in battery["pairs"]]
     s_values = [(float(s), False) for s in battery["s"]]
     s_values += [(float(s), True) for s in battery.get("probe_s", [])]
@@ -664,9 +666,10 @@ def multiplier_bound_study(
     grid stack freed, one ``gradient_magnitude`` of it takes the gradient
     norms: one stacked ``lp_norm`` per exponent each.  Every member keeps
     the bits it gets alone; the maxima are then kept block by block in
-    ascending j."""
+    ascending j, on the ``normalised`` domain (the ratios are dilation-invariant)."""
     if profile is None:
         profile = DyadicProfile()
+    domain = normalised(domain)[0]
     report = {"block_ratio": {}, "gradient_ratio": {}, "smoothing_2_inf": {}}
 
     def keep(maxima, label, val):  # a nan sticks: max() returns a nan first argument, and drops a nan second one
@@ -704,24 +707,27 @@ def heat_smoothing_study(
     *,
     grids: list[tuple[int, int]],
 ) -> dict:
-    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}] (in
-    tau = 4^j t, so the fit stays in range far from j = 0, exact in powers of two),
-    plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2
-    on each grid of ``grids``."""
+    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}], plus
+    the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2 on
+    each grid of ``grids``, taken on the ``normalised`` domain and reported in
+    the caller's terms: its block j, rate r and time t are the caller's j - k,
+    r 4^-k and t 4^k, exactly."""
     if profile is None:
         profile = DyadicProfile()
+    domain, k = normalised(field.domain)
+    field = SpectralField(domain, field.parity, field.coefficients)
     rates = {}
     js, blocks = dyadic_blocks(field, profile)  # a zero block has no rate
     for j, c in zip(js, blocks.coefficients):
-        block = SpectralField(field.domain, "SS", c)
+        block = SpectralField(domain, "SS", c)
         b0 = spectral_norm(block)
         if not 0 < b0 < math.inf:  # nor does one whose L2 norm overflows
             continue
-        taus = np.linspace(0.0, 1.0, 9)
-        logr = [math.log(spectral_norm(heat_semigroup(block, math.ldexp(tau, -2 * j))) / b0) for tau in taus]
-        rates[j] = math.ldexp(float(np.polyfit(taus, logr, 1)[0]), 2 * j)
+        ts = np.ldexp(np.linspace(0.0, 1.0, 9), -2 * j)
+        logr = [math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts]
+        rates[j - k] = math.ldexp(float(np.polyfit(ts, logr, 1)[0]), -2 * k)
     l2 = spectral_norm(field)
-    ts = np.geomspace(1e-4, 1.0, 25)
+    ts = np.ldexp(np.geomspace(1e-4, 1.0, 25), -2 * k)  # the caller's t in [1e-4, 1]
     states = [heat_semigroup(field, float(t)) for t in ts]  # shared by every grid
     sups = {
         _grid_label(grid): float(max(
@@ -734,8 +740,9 @@ def heat_smoothing_study(
 
 def elliptic_ratio_study(domain: DomainSpec, sample_spec: SampleSpec, ps=(1.5, 2.0, 3.0)) -> dict:
     """Max over samples of ||grad^2 f||_p / ||Delta f||_p (Frobenius pointwise)
-    on the domain grid.  The ratio is scale-invariant, so second derivatives
-    whose squares would leave the normal range are scaled by a power of two."""
+    on the ``normalised`` domain's grid, with second derivatives whose squares
+    would leave the normal range (a large or steep sample) scaled by a power of two."""
+    domain = normalised(domain)[0]
     out = {str(p): 0.0 for p in ps}
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)

@@ -1,9 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sqgbox import DomainSpec
+
+# When a test fails, hypothesis's pytest plugin imports _patching, whose
+# libcst import emits a DeprecationWarning that the warning filters turn into
+# an error: pytest then stops with INTERNALERROR and runs no later test.
+# Imported once here with that warning ignored, it is not imported again.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -870,6 +870,38 @@ def test_verify_multipliers_checks_a_block_where_4_to_the_j_overflows(tmp_path):
     assert max(map(int, rates)) == 512 and -math.inf < rates["512"] < 0
 
 
+# Squares whose blocks lie ~300 octaves from j = 0.  Unnormalised, the
+# default battery's Besov sums overflowed on the 1e80 and 1e100 squares (an
+# escaped RuntimeWarning) and read nan maxima on the 1e-100 one.
+_FAR_SIDES = {"pi*2^300": math.ldexp(math.pi, 300), "pi*2^301": math.ldexp(math.pi, 301),
+              "pi*2^-300": math.ldexp(math.pi, -300), "1e80": 1e80, "1e-100": 1e-100, "1e100": 1e100}
+
+
+@pytest.mark.parametrize("side", list(_FAR_SIDES.values()), ids=list(_FAR_SIDES))
+@pytest.mark.parametrize("subcommand", ["verify-bilinear", "verify-multipliers"])
+def test_scale_invariant_studies_run_clean_far_from_pi(tmp_path, capsys, subcommand, side):
+    # the tiny config with the default battery lists; a numpy warning is an
+    # error under this suite's filters
+    out = tmp_path / "x"
+    assert run([subcommand, "--config", _write_cfg(tmp_path), "--set", f"domain.lengths=[{side!r}, {side!r}]",
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_bilinear_reports_one_normalised_domain_byte_for_byte(tmp_path):
+    # the pi 2^300 and pi 2^301 squares share one normalised domain, and the
+    # report holds ratios only
+    cfg = _write_cfg(tmp_path)
+    reports = []
+    for name in ("pi*2^300", "pi*2^301"):
+        side = _FAR_SIDES[name]
+        out = tmp_path / name
+        assert _quiet_run(["verify-bilinear", "--config", cfg, "--set", f"domain.lengths=[{side!r}, {side!r}]",
+                           "--out", str(out)]) == 0
+        reports.append([(out / f).read_bytes() for f in ("bilinear.json", "bilinear_ratios.csv")])
+    assert reports[0] == reports[1]
+
+
 def test_random_simulate_whose_advection_pairing_overflows_exits_1(tmp_path, capsys):
     # at t = 0 the pairing <N(theta), theta> (~1e370) overflows while the
     # norm (~5e128) is finite: the orthogonality residual is taken again
@@ -920,7 +952,7 @@ def _quiet_run(args):
 @example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
 @example(mutation=("verify-structure", "domain.lengths", [1e-153, 1e-153]))
 # an area L1 L2 that overflows, and lengths whose blocks lie ~330 octaves
-# from j = 0, where an unscaled heat-rate fit leaves the float range
+# from j = 0, where a study off its normalised domain leaves the float range
 @example(mutation=("verify-bilinear", "domain.lengths", [1e308, math.pi]))
 @example(mutation=("verify-multipliers", "domain.lengths", [1e-100, 1e-100]))
 @example(mutation=("verify-multipliers", "domain.lengths", [1e100, 1e100]))

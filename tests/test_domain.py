@@ -20,11 +20,11 @@ from sqgbox import (
     eigenvalue,
     evaluate_at,
     full_band,
-    grid_points,
     inner_product,
     lambda_table,
     laplacian,
     lp_norm,
+    normalised,
     partial_derivative,
     pointwise_product,
     product_parity,
@@ -48,6 +48,13 @@ def _random_field(domain, parity, rng, band=None):
     r1 = b1 if parity[0] == "S" else b1 + 1
     r2 = b2 if parity[1] == "S" else b2 + 1
     return SpectralField(domain, parity, rng.standard_normal((r1, r2)))
+
+
+def grid_points(domain):
+    """The interior collocation points x_i = i L / (N + 1) of the domain grid, per axis."""
+    x = domain.L1 * np.arange(1, domain.N1 + 1) / (domain.N1 + 1)
+    y = domain.L2 * np.arange(1, domain.N2 + 1) / (domain.N2 + 1)
+    return x, y
 
 
 # -- eigenvalues -----------------------------------------------------------
@@ -113,6 +120,49 @@ def test_eigenvalue_is_lambda_table_bit_for_bit(lengths):
     domain = DomainSpec(*lengths, 9, 7, 9, 7)
     table = lambda_table(domain)
     assert [[eigenvalue(domain, m, n) for n in range(1, 8)] for m in range(1, 10)] == table.tolist()
+
+
+# -- normalised dilates ----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lengths, k",
+    [
+        ((PI, PI), 0),
+        ((2.0**64, 2.0**64), 0),
+        ((2.0**-64, 2.0**-64), 0),
+        ((2.0**65, 2.0**64), 1),
+        ((2.0**-65, 2.0**-64), -1),
+        ((math.ldexp(PI, 300), math.ldexp(PI, 300)), 238),
+        ((math.ldexp(PI, -300), math.ldexp(PI, -300)), -235),
+        # k = round(log2(sqrt(L1 L2) / pi)) would be 511, whose dilate DomainSpec refuses
+        ((1e308, 3.14159), 449),
+        # no dilate of this rectangle is a domain: its short side refuses every k > 0
+        ((1e308, 1.6e-149), 0),
+    ],
+)
+def test_normalised_takes_the_smallest_shift_into_the_window(lengths, k):
+    domain = DomainSpec(*lengths, 8, 8, 16, 16)
+    got, shift = normalised(domain)
+    assert shift == k
+    assert got == (domain if k == 0 else DomainSpec(math.ldexp(lengths[0], -k), math.ldexp(lengths[1], -k), 8, 8, 16, 16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(0.5, 1.0, exclude_max=True), b=st.floats(0.5, 1.0, exclude_max=True),
+       e=st.integers(66, 400), d=st.integers(-40, 40), m=st.integers(0, 40), sign=st.sampled_from([1, -1]))
+def test_dilates_outside_the_window_share_one_normalised_domain(a, b, e, d, m, sign):
+    # lengths a 2^(sign e + d) and b 2^(sign e - d), whose sqrt(L1 L2) lies
+    # outside [2^-64, 2^64] on the side of sign, and their dilate by 2^(sign m)
+    domain = DomainSpec(math.ldexp(a, sign * e + d), math.ldexp(b, sign * e - d), 8, 8, 16, 16)
+    dilate = DomainSpec(math.ldexp(domain.L1, sign * m), math.ldexp(domain.L2, sign * m), 8, 8, 16, 16)
+    (got, k), (got_dilate, k_dilate) = normalised(domain), normalised(dilate)
+    assert k != 0 and got == got_dilate and k_dilate == k + sign * m
+    assert (got.modes, got.grid) == (domain.modes, domain.grid)
+    # inside the window, and one shift less would leave it (to round-off in the root)
+    root = math.sqrt(got.L1) * math.sqrt(got.L2)
+    assert 2.0**-64 * (1 - 1e-15) <= root <= 2.0**64 * (1 + 1e-15)
+    assert not 2.0**-64 * (1 + 1e-15) <= math.ldexp(root, sign) <= 2.0**64 * (1 - 1e-15)
 
 
 # -- synthesis and analysis ------------------------------------------------

@@ -40,6 +40,7 @@ from sqgbox import (
     laplacian,
     lp_norm,
     multiplier_bound_study,
+    normalised,
     partial_derivative,
     pointwise_product,
     product_parity,
@@ -731,6 +732,11 @@ def multiplier_bound_reference(domain, sample_spec, profile=None, *, grids):
     return report
 
 
+# lambda^-150 damping: the gradient maxima of the five blocks of a draw on the
+# pi square fall from ~1e-46 to ~1e-277
+STEEP = SampleSpec(mode_count=8, decay=300.0, seed=5, count=2)
+
+
 def _random_domain():
     rng = np.random.default_rng(2024)
     return DomainSpec(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0)), 12, 12, 24, 24)
@@ -741,19 +747,17 @@ def _random_domain():
     [
         pytest.param(_random_domain(), SampleSpec(mode_count=12, seed=8, count=3), [(24, 24), (40, 36)],
                      id="random-domain"),
-        # flat draws on a 1e-150 square: |grad phi_j f| ~ 2^j 1e150, so the
-        # squared gradients of the top blocks pass 2^1000 and those of the
-        # lower ones do not
-        pytest.param(DomainSpec.square(1e-150, 8, 16), SampleSpec(mode_count=8, decay=0.0, seed=5, count=2),
-                     [(16, 16), (32, 32)], id="1e-150-square"),
-        # the true L1 norms overflow: nan p = 1 ratios
+        # steep draws on the pi square: the squared gradients of the top two
+        # blocks underflow and those of the lower ones do not
+        pytest.param(DomainSpec.square(math.pi, 8, 16), STEEP, [(16, 16), (32, 32)], id="steep-pi-square"),
+        # the true L1 norms overflow on the domain itself, not on its normalised dilate
         pytest.param(DomainSpec(1e308, 3.14159, 8, 8, 16, 16), SampleSpec(mode_count=8, count=2),
                      [(16, 16), (32, 32)], id="1e308-by-pi"),
     ],
 )
 def test_multiplier_bound_study_matches_the_per_block_reference(domain, spec, grids):
     got = multiplier_bound_study(domain, spec, grids=grids)
-    want = multiplier_bound_reference(domain, spec, grids=grids)
+    want = multiplier_bound_reference(normalised(domain)[0], spec, grids=grids)
     # json text keeps the key order and spells a nan, which == would not match
     assert json.dumps(got) == json.dumps(want)
     leaves = [v for section in got.values() for per_grid in section.values()
@@ -762,18 +766,18 @@ def test_multiplier_bound_study_matches_the_per_block_reference(domain, spec, gr
 
 
 def test_multiplier_bound_reference_takes_both_gradient_paths():
-    # On the 1e-150 square some blocks take gradient_magnitude's np.hypot
+    # On the steep draws some blocks take gradient_magnitude's np.hypot
     # path and others its sqrt(gx*gx + gy*gy) path.
-    domain = DomainSpec.square(1e-150, 8, 16)
-    f = sample_field(SampleSpec(mode_count=8, decay=0.0, seed=5, count=2), domain, 0)
-    _, blocks = dyadic_blocks(f, DyadicProfile())
+    domain = DomainSpec.square(math.pi, 8, 16)
     lo, hi = harness._SQUARE_SUM_RANGE
-    for grid in ((16, 16), (32, 32)):
-        gx, gy = synthesize_gradient(blocks, grid)
-        with np.errstate(over="ignore"):
+    for i in range(STEEP.count):
+        _, blocks = dyadic_blocks(sample_field(STEEP, domain, i), DyadicProfile())
+        for grid in ((16, 16), (32, 32)):
+            gx, gy = synthesize_gradient(blocks, grid)
+            assert np.all(np.abs(gx).max(axis=(-2, -1)) > 0)  # the np.hypot blocks are not zero
             top = (gx * gx + gy * gy).max(axis=(-2, -1))
-        far = ~((lo <= top) & (top <= hi))
-        assert far.any() and not far.all()
+            far = ~((lo <= top) & (top <= hi))
+            assert far.tolist() == [False, False, False, True, True]
 
 
 def test_multiplier_bound_study_structure(square16):
@@ -788,17 +792,37 @@ def test_multiplier_bound_study_structure(square16):
     assert all(v <= 1.0 + 1e-10 for v in out["block_ratio"]["2.0"].values())
 
 
-def test_multiplier_bound_study_keeps_a_nan_ratio():
-    # On a 1e308 x pi rectangle the true L1 norms of the samples and their
-    # blocks (~3e308) overflow, so the p = 1 block ratios are inf / inf =
-    # nan; the maxima must report the nan, not 0.0 or a finite ratio of
-    # another draw.  The L2 norms (~1e154) are finite, and so are their ratios.
-    domain = DomainSpec(1e308, 3.14159, 8, 8, 16, 16)
-    out = multiplier_bound_study(domain, SampleSpec(mode_count=8, count=2), grids=[(16, 16), (32, 32)])
+def test_multiplier_bound_study_keeps_a_nan_ratio(square16, monkeypatch):
+    # A nan block norm, here the L1 norm of the top block of every stack,
+    # read after the finite ratios of the lower blocks, must stick in the
+    # maxima: not read as 0.0 or as the finite ratio of another block.
+    def nan_top_block(field, p):
+        norms = lp_norm(field, p)
+        if p == 1.0 and field.values.ndim == 3:
+            norms[-1] = math.nan
+        return norms
+
+    monkeypatch.setattr(harness, "lp_norm", nan_top_block)
+    out = multiplier_bound_study(square16, SampleSpec(mode_count=16, count=2), grids=[(32, 32), (48, 48)])
     for section in ("block_ratio", "gradient_ratio"):
-        assert set(out[section]["1.0"]) == {"16x16", "32x32"}
+        assert set(out[section]["1.0"]) == {"32x32", "48x48"}
         assert all(math.isnan(v) for v in out[section]["1.0"].values())
-        assert all(math.isfinite(v) for v in out[section]["inf"].values())
+        assert all(math.isfinite(v) for p in ("2.0", "inf") for v in out[section][p].values())
+
+
+def test_multiplier_bound_study_on_1e308_by_pi_equals_its_half_dilate():
+    # On the 1e308 x pi rectangle itself the true L1 norms of the samples
+    # (~3e308) overflow, and every p = 1 ratio read inf / inf = nan.  The
+    # study runs on the normalised domain, which the rectangle shares with
+    # its 2^-1 dilate, so both reports are one, with every ratio finite.
+    domain = DomainSpec(1e308, 3.14159, 8, 8, 16, 16)
+    half = DomainSpec(math.ldexp(1e308, -1), math.ldexp(3.14159, -1), 8, 8, 16, 16)
+    spec, grids = SampleSpec(mode_count=8, count=2), [(16, 16), (32, 32)]
+    out = multiplier_bound_study(domain, spec, grids=grids)
+    assert json.dumps(out) == json.dumps(multiplier_bound_study(half, spec, grids=grids))
+    for section in ("block_ratio", "gradient_ratio"):
+        assert set(out[section]) == {"1.0", "2.0", "inf"}
+        assert all(0 < v < math.inf for per_grid in out[section].values() for v in per_grid.values())
     assert out["block_ratio"]["2.0"] == pytest.approx({"16x16": 0.8588, "32x32": 0.8588}, abs=1e-4)
     assert out["gradient_ratio"]["2.0"] == pytest.approx({"16x16": 0.8067, "32x32": 0.8324}, abs=1e-4)
 
@@ -834,6 +858,14 @@ def test_heat_smoothing_study_rates(square16):
     assert all(math.isfinite(v) for v in out["gradient_smoothing_sup"].values())
 
 
+def test_elliptic_ratio_study_scales_steep_samples_into_range():
+    # lambda^-600 damping on the pi square: the second derivatives of the
+    # draws (~1e-180) square below the normal range, and unscaled by a power
+    # of two every ratio read 0.0
+    out = elliptic_ratio_study(DomainSpec.square(math.pi, 8, 16), SampleSpec(mode_count=8, decay=1200.0, count=3))
+    assert out == pytest.approx({"1.5": 0.9939, "2.0": 0.9430, "3.0": 0.8754}, abs=1e-4)
+
+
 def test_elliptic_ratio_study_l2_identity(square16):
     spec = SampleSpec(mode_count=16, decay=2.0, seed=5, count=3)
     out = elliptic_ratio_study(square16, spec, ps=(2.0,))
@@ -854,3 +886,17 @@ def test_heat_rates_and_elliptic_ratios_are_dilation_covariant(shift):
     far_rates = heat_smoothing_study(sample_field(flat, far, 0), grids=[(16, 16)])["block_decay_rates"]
     assert far_rates == {j - shift: math.ldexp(rate, -2 * shift) for j, rate in rates.items()}
     assert elliptic_ratio_study(far, flat) == pytest.approx(elliptic_ratio_study(base, flat), rel=1e-15)
+
+
+def test_heat_smoothing_sup_is_taken_at_the_callers_times():
+    # The study runs on the normalised dilate (k = 38) of this long thin
+    # rectangle at the times t 4^-k, so its sup is over the caller's t in
+    # [1e-4, 1], where the heat acts across the short side.  At the
+    # unscaled times the dilate's heat (lambda ~ 4^38) would leave nothing.
+    far = DomainSpec(math.ldexp(math.pi, 200), math.pi, 8, 8, 16, 16)
+    f = sample_field(SampleSpec(mode_count=8, decay=0.0, seed=5, count=1), far, 0)
+    got = heat_smoothing_study(f, grids=[(16, 16)])["gradient_smoothing_sup"]
+    values = [math.sqrt(t) * lp_norm(gradient_magnitude(heat_semigroup(f, t), (16, 16)), 2) / spectral_norm(f)
+              for t in np.geomspace(1e-4, 1.0, 25).tolist()]
+    assert 0 < values.index(max(values)) < 24
+    assert got == {"16x16": pytest.approx(max(values), rel=1e-15)}

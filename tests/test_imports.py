@@ -161,9 +161,7 @@ def test_import_sets_no_environment_variable():
 # Exports that no module or acceptance criterion reads: references and
 # readers that a test compares against, each with that test.
 TEST_REFERENCES = {
-    "eigenvalue": "test_domain.py::test_lambda_table_matches_eigenvalue",
     "evaluate_at": "test_domain.py::test_evaluate_at_matches_synthesis",
-    "grid_points": "test_domain.py::test_unit_mode_matches_sine_product",
     "load_trajectory": "test_solver.py::test_written_trajectory_loads_back_as_simulate",
 }
 

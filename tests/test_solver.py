@@ -21,7 +21,6 @@ from sqgbox import (
     dealias_grid,
     fractional_power,
     full_band,
-    grid_points,
     heat_semigroup,
     integrate,
     lambda_table,
@@ -50,6 +49,13 @@ def _random_ss(domain, rng, decay=1.5):
     lam = lambda_table(domain)
     coeff = rng.uniform(-1.0, 1.0, lam.shape) * lam ** (-decay / 2.0)
     return SpectralField(domain, "SS", coeff)
+
+
+def grid_points(domain):
+    """The interior collocation points x_i = i L / (N + 1) of the domain grid, per axis."""
+    x = domain.L1 * np.arange(1, domain.N1 + 1) / (domain.N1 + 1)
+    y = domain.L2 * np.arange(1, domain.N2 + 1) / (domain.N2 + 1)
+    return x, y
 
 
 def velocity(theta):
