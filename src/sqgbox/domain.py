@@ -125,14 +125,15 @@ class DomainSpec:
 
 
 def normalised(domain: DomainSpec) -> tuple[DomainSpec, int]:
-    """(dilate, k): ``domain`` with lengths L 2^-k, whose block j + k is the
-    caller's j exactly.  k = 0 while sqrt(L1 L2) lies in [2^-64, 2^64], else
-    the smallest shift into that window, or 0 where DomainSpec refuses it."""
+    """(dilate, k): ``domain`` with lengths L 2^-k, its block j + k the caller's j.
+    k is the shift nearest 0 that brings sqrt(L1 L2) (the area) to at most 2^64
+    and min(L1, L2) (the blocks) to at least 2^-64, or nearest 0 between the two
+    on a rectangle too thin for both; 0 where DomainSpec refuses the dilate."""
     (m1, e1), (m2, e2) = math.frexp(domain.L1), math.frexp(domain.L2)
     m, e = math.frexp(m1 * m2)  # L1 L2 = m 2^(e1 + e2 + e): its dilates share m, so k shifts with them
-    low = e1 + e2 + e - 1  # floor(log2(L1 L2)); the ceiling is one more unless m = 1/2
-    high = low + (m > 0.5)
-    k = (high - 127) // 2 if high > 128 else (low + 128) // 2 if low < -128 else 0
+    high = e1 + e2 + e - (m == 0.5)  # ceil(log2(L1 L2))
+    lo, hi = sorted(((high - 127) // 2, math.frexp(min(domain.L1, domain.L2))[1] + 63))
+    k = min(max(0, lo), hi)
     try:
         return DomainSpec(math.ldexp(domain.L1, -k), math.ldexp(domain.L2, -k), *domain.modes, *domain.grid), k
     except ValueError:  # never for k = 0

@@ -707,11 +707,11 @@ def heat_smoothing_study(
     *,
     grids: list[tuple[int, int]],
 ) -> dict:
-    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}], plus
-    the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2 on
-    each grid of ``grids``, taken on the ``normalised`` domain and reported in
-    the caller's terms: its block j, rate r and time t are the caller's j - k,
-    r 4^-k and t 4^k, exactly."""
+    """Fitted exponential block decay rates over 9 times in [0, 4^{-j}] (in
+    tau = 4^j t, so the fit stays in range far from j = 0, exact in powers of two),
+    plus the sup over t in [1e-4, 1] of t^{1/2} ||grad e^{t Delta} f||_2 / ||f||_2
+    on each grid of ``grids``.  Taken on the ``normalised`` domain, its block j,
+    rate r and time t are reported as the caller's j - k, r 4^-k and t 4^k."""
     if profile is None:
         profile = DyadicProfile()
     domain, k = normalised(field.domain)
@@ -723,9 +723,9 @@ def heat_smoothing_study(
         b0 = spectral_norm(block)
         if not 0 < b0 < math.inf:  # nor does one whose L2 norm overflows
             continue
-        ts = np.ldexp(np.linspace(0.0, 1.0, 9), -2 * j)
-        logr = [math.log(spectral_norm(heat_semigroup(block, float(t))) / b0) for t in ts]
-        rates[j - k] = math.ldexp(float(np.polyfit(ts, logr, 1)[0]), -2 * k)
+        taus = np.linspace(0.0, 1.0, 9)
+        logr = [math.log(spectral_norm(heat_semigroup(block, math.ldexp(tau, -2 * j))) / b0) for tau in taus]
+        rates[j - k] = math.ldexp(float(np.polyfit(taus, logr, 1)[0]), 2 * (j - k))
     l2 = spectral_norm(field)
     ts = np.ldexp(np.geomspace(1e-4, 1.0, 25), -2 * k)  # the caller's t in [1e-4, 1]
     states = [heat_semigroup(field, float(t)) for t in ts]  # shared by every grid
@@ -740,9 +740,8 @@ def heat_smoothing_study(
 
 def elliptic_ratio_study(domain: DomainSpec, sample_spec: SampleSpec, ps=(1.5, 2.0, 3.0)) -> dict:
     """Max over samples of ||grad^2 f||_p / ||Delta f||_p (Frobenius pointwise)
-    on the ``normalised`` domain's grid, with second derivatives whose squares
-    would leave the normal range (a large or steep sample) scaled by a power of two."""
-    domain = normalised(domain)[0]
+    on the domain grid.  The ratio is scale-invariant, so second derivatives
+    whose squares would leave the normal range are scaled by a power of two."""
     out = {str(p): 0.0 for p in ps}
     for i in range(sample_spec.count):
         f = sample_field(sample_spec, domain, i)

@@ -888,6 +888,25 @@ def test_scale_invariant_studies_run_clean_far_from_pi(tmp_path, capsys, subcomm
     assert capsys.readouterr().err == ""
 
 
+# Rectangles too thin for any dilate to bring both their area and their
+# blocks near 1: a dilate by the area alone drew degenerate samples on the
+# first (a ValueError traceback), the undilated second overflowed in
+# verify-bilinear, and the last two keep blocks near j = 270 and 490 on
+# their normalised domains, where the heat rate fit only stays in range in
+# tau = 4^j t.
+_THIN = {"1e200x1e-30@5": ([1e200, 1e-30], 5.0), "1e300x1e5@2": ([1e300, 1e5], 2.0),
+         "1e100x1e-100@1": ([1e100, 1e-100], 1.0), "1e308x1.6e-149@1": ([1e308, 1.6e-149], 1.0)}
+
+
+@pytest.mark.parametrize("lengths, decay", list(_THIN.values()), ids=list(_THIN))
+@pytest.mark.parametrize("subcommand", ["verify-bilinear", "verify-multipliers"])
+def test_scale_invariant_studies_run_clean_on_thin_rectangles(tmp_path, capsys, subcommand, lengths, decay):
+    out = tmp_path / "x"
+    assert run([subcommand, "--config", _write_cfg(tmp_path), "--set", f"domain.lengths={lengths!r}",
+                "--set", f"samples.decay={decay!r}", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_bilinear_reports_one_normalised_domain_byte_for_byte(tmp_path):
     # the pi 2^300 and pi 2^301 squares share one normalised domain, and the
     # report holds ratios only
@@ -952,10 +971,12 @@ def _quiet_run(args):
 @example(mutation=("verify-structure", "domain.lengths", [1e200, 1e200]))
 @example(mutation=("verify-structure", "domain.lengths", [1e-153, 1e-153]))
 # an area L1 L2 that overflows, and lengths whose blocks lie ~330 octaves
-# from j = 0, where a study off its normalised domain leaves the float range
+# from j = 0, where a study off its normalised domain leaves the float range,
+# or a heat rate fit in t rather than tau = 4^j t does on a thin rectangle
 @example(mutation=("verify-bilinear", "domain.lengths", [1e308, math.pi]))
 @example(mutation=("verify-multipliers", "domain.lengths", [1e-100, 1e-100]))
 @example(mutation=("verify-multipliers", "domain.lengths", [1e100, 1e100]))
+@example(mutation=("verify-multipliers", "domain.lengths", [1e100, 1e-100]))
 # states whose step products and sums of squares overflow while their norms
 # (~1e160-1e200) are finite, and an l^q sum that overflows at q = 1e308:
 # none may print a numpy warning, which this test's filter makes an error

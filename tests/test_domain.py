@@ -135,17 +135,31 @@ def test_eigenvalue_is_lambda_table_bit_for_bit(lengths):
         ((2.0**-65, 2.0**-64), -1),
         ((math.ldexp(PI, 300), math.ldexp(PI, 300)), 238),
         ((math.ldexp(PI, -300), math.ldexp(PI, -300)), -235),
-        # k = round(log2(sqrt(L1 L2) / pi)) would be 511, whose dilate DomainSpec refuses
-        ((1e308, 3.14159), 449),
-        # no dilate of this rectangle is a domain: its short side refuses every k > 0
+        # the area alone would take k = 449, and the short side to ~2^-447;
+        # k = round(log2(sqrt(L1 L2) / pi)) = 511 even to a dilate DomainSpec refuses
+        ((1e308, 3.14159), 65),
+        # rectangles too thin for both windows: the shift nearest 0 brings the
+        # short side down to 2^-64, sqrt(L1 L2) up to 2^64 ...
+        ((1e300, 1e5), 80),
+        ((1e100, 1e-100), -64),
+        # ... or is 0, where the area alone would take k = 201 and 219, and
+        # the blocks out to j ~ 690 and 320
         ((1e308, 1.6e-149), 0),
+        ((1e200, 1e-30), 0),
     ],
 )
-def test_normalised_takes_the_smallest_shift_into_the_window(lengths, k):
+def test_normalised_takes_the_shift_nearest_0_into_both_windows(lengths, k):
     domain = DomainSpec(*lengths, 8, 8, 16, 16)
     got, shift = normalised(domain)
     assert shift == k
     assert got == (domain if k == 0 else DomainSpec(math.ldexp(lengths[0], -k), math.ldexp(lengths[1], -k), 8, 8, 16, 16))
+
+
+def test_normalised_keeps_a_domain_whose_dilate_domain_spec_refuses():
+    # 2^580 points per axis: on the 2^100 square the top eigenvalue is ~2^964,
+    # on its dilate to the side 2^64 it overflows
+    domain = DomainSpec(2.0**100, 2.0**100, 8, 8, 2**580, 2**580)
+    assert normalised(domain) == (domain, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,10 +173,11 @@ def test_dilates_outside_the_window_share_one_normalised_domain(a, b, e, d, m, s
     (got, k), (got_dilate, k_dilate) = normalised(domain), normalised(dilate)
     assert k != 0 and got == got_dilate and k_dilate == k + sign * m
     assert (got.modes, got.grid) == (domain.modes, domain.grid)
-    # inside the window, and one shift less would leave it (to round-off in the root)
-    root = math.sqrt(got.L1) * math.sqrt(got.L2)
-    assert 2.0**-64 * (1 - 1e-15) <= root <= 2.0**64 * (1 + 1e-15)
-    assert not 2.0**-64 * (1 + 1e-15) <= math.ldexp(root, sign) <= 2.0**64 * (1 - 1e-15)
+    # a large domain comes down until sqrt(L1 L2) <= 2^64 (to round-off in the
+    # root), a small one up until min(L1, L2) >= 2^-64, and no further
+    root, short = math.sqrt(got.L1) * math.sqrt(got.L2), min(got.lengths)
+    assert short >= 2.0**-64 and root <= 2.0**64 * (1 + 1e-15)
+    assert (math.ldexp(root, 1) > 2.0**64 * (1 - 1e-15)) if sign > 0 else short < 2.0**-63
 
 
 # -- synthesis and analysis ------------------------------------------------

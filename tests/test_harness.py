@@ -888,6 +888,21 @@ def test_heat_rates_and_elliptic_ratios_are_dilation_covariant(shift):
     assert elliptic_ratio_study(far, flat) == pytest.approx(elliptic_ratio_study(base, flat), rel=1e-15)
 
 
+def test_heat_rates_on_a_rectangle_no_dilate_brings_near_j_0():
+    # The blocks of this rectangle lie near j = 493 and its normalised shift
+    # is 0.  Its rates are fitted in tau = 4^j t and stay finite, with the
+    # CLI's decay check met, and exactly covariant under dilation by 2; a fit
+    # in t, whose top time 2^-986 squares to 0, leaves the float range.
+    thin = DomainSpec(1e308, 1.6e-149, 8, 8, 16, 16)
+    half = DomainSpec(math.ldexp(1e308, -1), math.ldexp(1.6e-149, -1), 8, 8, 16, 16)
+    assert normalised(thin)[1] == normalised(half)[1] == 0
+    flat = SampleSpec(mode_count=8, decay=0.0, seed=5, count=1)
+    rates = heat_smoothing_study(sample_field(flat, thin, 0), grids=[(16, 16)])["block_decay_rates"]
+    half_rates = heat_smoothing_study(sample_field(flat, half, 0), grids=[(16, 16)])["block_decay_rates"]
+    assert min(rates) > 480 and all(math.ldexp(r, -2 * j) <= -0.25 for j, r in rates.items())
+    assert half_rates == {j + 1: math.ldexp(rate, 2) for j, rate in rates.items()}
+
+
 def test_heat_smoothing_sup_is_taken_at_the_callers_times():
     # The study runs on the normalised dilate (k = 38) of this long thin
     # rectangle at the times t 4^-k, so its sup is over the caller's t in
