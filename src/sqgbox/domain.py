@@ -35,6 +35,9 @@ again scaled by its max|.| when the sum overflows, or when it falls below
 the smallest normal float before or after its weight, so a norm is inf
 only when the true norm is, and a subnormal sum costs it no precision.
 
+Only tables a run re-reads are cached: bases and analysis matrices per
+sizes, eigenvalue and gradient tables per lengths in 4 entries each.
+
 Each transform allocates its result.  The gradient of an SS field has one
 owner here: ``synthesize_gradient`` reads synthesis tables with the
 derivative scales folded in, cached per (lengths, band, grid) and built
@@ -244,7 +247,10 @@ def _eigenvalue(L1: float, L2: float, m, n):
     return np.pi**2 * (a * a + b * b)
 
 
-@lru_cache(maxsize=None)
+# Keyed on lengths, so bounded.  Keys/hits per default subcommand (simulate,
+# verify-bilinear/-structure/-multipliers/-duhamel/-uniqueness, besov-norm):
+# 1/1, 1/401, 1/3877, 1/210, 1/919, 1/9, 1/1.
+@lru_cache(maxsize=4)
 def _lambda_table(L1: float, L2: float, r1: int, r2: int) -> np.ndarray:
     m = np.arange(1, r1 + 1, dtype=np.float64)
     n = np.arange(1, r2 + 1, dtype=np.float64)
@@ -266,6 +272,8 @@ def lambda_table(field_or_domain, band: tuple[int, int] | None = None) -> np.nda
     return _lambda_table(domain.L1, domain.L2, b1, b2)
 
 
+# Keyed on sizes.  Keys/hits as at _lambda_table: 1/0, 3/2798, 5/7773,
+# 3/917, 2/323, 1/0, 1/1.
 @lru_cache(maxsize=None)
 def _basis(n: int, r: int, family: str) -> np.ndarray:
     # Angles i*m*pi/(n+1) do not involve L: x_i * (m pi / L) = pi i m / (n+1).
@@ -280,6 +288,8 @@ def _basis(n: int, r: int, family: str) -> np.ndarray:
     return B
 
 
+# Keyed on sizes.  Keys/hits as at _lambda_table: 1/1, 1/199, 2/34, 0/0,
+# 1/11, 1/9, 0/0.
 @lru_cache(maxsize=None)
 def _analysis(n: int, r: int, family: str) -> np.ndarray:
     if r > n:
@@ -338,12 +348,9 @@ def full_band(grid_shape: tuple[int, int], parity: str) -> tuple[int, int]:
     return (b1, b2)
 
 
-@lru_cache(maxsize=None)
 def _derivative_scale(L: float, b: int) -> np.ndarray:
-    # The column m pi / L, m = 1..b, of one axis (read-only).
-    scale = (np.pi * np.arange(1, b + 1) / L)[:, None]
-    scale.setflags(write=False)
-    return scale
+    # The column m pi / L, m = 1..b, of one axis.
+    return (np.pi * np.arange(1, b + 1) / L)[:, None]
 
 
 def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
@@ -379,12 +386,9 @@ def partial_derivative(field: SpectralField, axis: int) -> SpectralField:
     return SpectralField(field.domain, parity, out)
 
 
-# Sized from the default config's traffic: a subcommand reads at most two
-# keys, in turn (verify-multipliers: the sample band on the base and the
-# refined grid), and the suite of subcommands four (the projection grid of
-# the step, the dealias grid of the bilinear battery, and those two), so
-# 4 entries hold every table the suite builds in one process.  Keyed on the
-# lengths, not the DomainSpec, whose default grid does not enter the tables.
+# Keys/hits as at _lambda_table: 1/0, 1/199, 1/3869, 2/248 (the base and
+# refined grid), 1/5, 1/4, 0/0; the suite reads 4 keys in one process.  Keyed
+# on lengths, not the DomainSpec, whose default grid does not enter them.
 @lru_cache(maxsize=4)
 def _gradient_tables(L1: float, L2: float, band: tuple[int, int], grid: tuple[int, int]):
     # [C1'; S1], S2^T and C2'^T (read-only, C-contiguous), where
@@ -545,19 +549,16 @@ def inner_product(a: GridField, b: GridField) -> float:
     return float(h1 * h2 * _pair(a.values, b.values))
 
 
-@lru_cache(maxsize=None)
 def _parity_weight(scale: float, shape: tuple[int, int], parity: str) -> np.ndarray:
     # scale k1 k2^T, k = 2 for a cosine axis's mode 0 and 1 otherwise, so each
-    # entry is scale times exactly 1, 2 or 4 (read-only): at scale (L1/2)(L2/2),
+    # entry is scale times exactly 1, 2 or 4: at scale (L1/2)(L2/2),
     # int_0^L sin^2 = L/2, int_0^L cos^2 = L/2 for m >= 1 and L for m = 0.
     k1, k2 = np.ones(shape[0]), np.ones(shape[1])
     if parity[0] == "C":
         k1[0] = 2.0
     if parity[1] == "C":
         k2[0] = 2.0
-    table = scale * np.multiply.outer(k1, k2)
-    table.setflags(write=False)
-    return table
+    return scale * np.multiply.outer(k1, k2)
 
 
 def spectral_inner(a: SpectralField, b: SpectralField):

@@ -9,21 +9,22 @@ the shifted family phi(2^-j s) sums to 1 exactly on the resolved spectrum.
 
 ``heat_semigroup``, ``fractional_power`` and ``resolvent`` scale by the
 read-only table that ``multiplier_table`` builds for (domain, band, kind,
-parameter), through ``apply_multiplier``.  No table is cached: code that
-reuses one holds it.  ``solver.integrate`` holds its heat table and
+parameter), through ``apply_multiplier``.  No multiplier table is cached:
+code that reuses one holds it.  ``solver.integrate`` holds its heat table and
 ``solver.StepWorkspace`` its Lambda^{-1} table for a run, and
 ``harness.verify_derivative_structure`` steps F and G as one stack, so each
 quadrature node builds one resolvent table for both.
 
 The block weights phi(2^-j sqrt(lambda)) for every j in ``j_range`` are
-built once per (domain, band, profile) as a read-only ``DyadicTable``, which
+built once per (domain, band, profile) as a read-only ``DyadicTable``, the
+one table cached here (4 entries, like every cache keyed on lengths).  It
 also records the rows that are identically zero, the one owner of which
-blocks are live: the spare block that
-``j_range`` adds at each end always is, since phi vanishes at the edges of
-its support, and so is every block outside ``j_range``.  ``dyadic_blocks``
-returns all live blocks as one stacked field for ``synthesize`` and
-``lp_norm``; ``dyadic_block`` reads one row.  Every multiplier here acts on
-the last two coefficient axes, so it also takes a stack.
+blocks are live: the spare block that ``j_range`` adds at each end always
+is, since phi vanishes at the edges of its support, and so is every block
+outside ``j_range``.  ``dyadic_blocks`` returns all live blocks as one
+stacked field for ``synthesize`` and ``lp_norm``; ``dyadic_block`` reads
+one row.  Every multiplier here acts on the last two coefficient axes, so
+it also takes a stack.
 
 The square root of the Laplacian is also computable without fractional
 powers through the resolvent identity
@@ -51,18 +52,13 @@ from .domain import DomainSpec, SpectralField, lambda_table
 C0 = 1.0 / math.pi
 
 
-@lru_cache(maxsize=None)
-def _smoothstep_coeffs(k: int) -> np.ndarray:
+def _smoothstep(t: np.ndarray, k: int) -> np.ndarray:
     # S_k(t) = t^(k+1) sum_i C(k+i, i) C(2k+1, k-i) (-t)^i, the unique poly
     # with S(0)=0, S(1)=1 and k vanishing derivatives at both ends.
     coeffs = np.zeros(2 * k + 2)
     for i in range(k + 1):
         coeffs[k + 1 + i] = math.comb(k + i, i) * math.comb(2 * k + 1, k - i) * (-1.0) ** i
-    return coeffs[::-1].copy()  # highest degree first, for np.polyval
-
-
-def _smoothstep(t: np.ndarray, k: int) -> np.ndarray:
-    return np.polyval(_smoothstep_coeffs(k), t)
+    return np.polyval(coeffs[::-1], t)  # highest degree first
 
 
 @dataclass(frozen=True)
@@ -99,10 +95,6 @@ def j_range(domain: DomainSpec, band: tuple[int, int] | None = None) -> range:
     return range(j_min, j_max + 1)
 
 
-def _block_weights(s: np.ndarray, j: int, profile: DyadicProfile) -> np.ndarray:
-    return profile.phi(np.ldexp(s, -j))
-
-
 @dataclass(frozen=True, eq=False)
 class DyadicTable:
     """Read-only weights phi(2^-j sqrt(lambda)) over a sine band.
@@ -116,21 +108,18 @@ class DyadicTable:
     live: np.ndarray
 
 
+# Keyed on lengths, so bounded.  Keys/hits as at domain._lambda_table: 0/0,
+# 1/799, 1/6, 1/100, 1/5, 0/0, 1/1.
+@lru_cache(maxsize=4)
 def dyadic_table(domain: DomainSpec, band: tuple[int, int], profile: DyadicProfile) -> DyadicTable:
     """Block weights for every j in ``j_range(domain, band)``.
 
     Built and checked once per (domain, band, profile) and then shared; each
     row is bit-identical to the weights ``dyadic_block`` applies for that j.
     """
-    return _dyadic_table(domain, (int(band[0]), int(band[1])), profile)
-
-
-# Bounded: one entry per (domain, band, profile) a run touches, usually a few.
-@lru_cache(maxsize=32)
-def _dyadic_table(domain: DomainSpec, band: tuple[int, int], profile: DyadicProfile) -> DyadicTable:
     s = np.sqrt(lambda_table(domain, band))
     js = j_range(domain, band)
-    weights = np.stack([_block_weights(s, j, profile) for j in js])
+    weights = np.stack([profile.phi(np.ldexp(s, -j)) for j in js])
     if not np.all(np.isfinite(weights)):
         raise FloatingPointError("multiplier produced non-finite values")
     live = np.any(weights != 0.0, axis=(1, 2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqgbox import domain as domain_module
 from sqgbox import multipliers
 from sqgbox import (
     C0,
@@ -25,7 +26,9 @@ from sqgbox import (
     partial_derivative,
     quadrature_nodes,
     resolvent,
+    spectral_norm,
     sqrt_via_resolvent,
+    synthesize_gradient,
     unit_mode,
 )
 
@@ -235,7 +238,7 @@ def test_dyadic_table_rows_and_zero_spares(L1, L2, M1, M2, sharpness):
 
 def test_dyadic_table_is_read_only_and_cached_per_key():
     domain = DomainSpec(1.25, 0.75, 11, 7, 23, 15)  # no other test uses this key
-    info = multipliers._dyadic_table.cache_info
+    info = dyadic_table.cache_info
     before = info()
     a = dyadic_table(domain, (11, 7), DyadicProfile(3))
     assert info().misses == before.misses + 1
@@ -247,6 +250,23 @@ def test_dyadic_table_is_read_only_and_cached_per_key():
     b = dyadic_table(domain, (11, 7), DyadicProfile(4))
     assert b is not a and not np.array_equal(a.weights, b.weights)
     assert info().misses == before.misses + 2
+
+
+def test_no_cache_keeps_a_table_per_dilate():
+    # A library caller sweeping 64 exact power-of-two dilates at one band and
+    # grid: every lru_cache of domain and multipliers keeps at most 4 entries.
+    caches = [c for mod in (domain_module, multipliers) for c in vars(mod).values() if hasattr(c, "cache_info")]
+    for cache in caches:
+        cache.cache_clear()
+    for k in range(-32, 32):
+        dilate = DomainSpec(math.ldexp(math.pi, k), math.ldexp(2.0, k), 8, 6, 12, 10)
+        f = unit_mode(dilate, 2, 3)
+        multiplier_table(dilate, f.band, "heat", 0.1)
+        dyadic_table(dilate, f.band, DyadicProfile())
+        synthesize_gradient(f)
+        spectral_norm(partial_derivative(f, 1))  # CS parity: the weighted pairing
+    sizes = {cache.__name__: cache.cache_info().currsize for cache in caches}
+    assert max(sizes.values()) <= 4, sizes
 
 
 @pytest.mark.parametrize("sharpness", [1, 2, 7])
